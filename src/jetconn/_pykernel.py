@@ -1,13 +1,19 @@
 """Pure Python tape interpreter.
 
-Mirrors the compiled kernel operation for operation.  Both call into the
-same libm, so results agree bit for bit; the differences below only paper
-over places where the math module raises instead of returning inf or nan.
+One interpreter loop, :func:`eval_rows`, works on plain lists: it serves
+the batch kernel contract through :func:`eval_program` and single points
+through ``Program.row`` without any numpy call in between, which is what
+keeps one RK4 stage cheap.  It mirrors the compiled kernel operation for
+operation.  Both call into the same libm, so results agree bit for bit;
+the wrappers below only paper over places where the math module raises
+instead of returning inf or nan.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ._tape import (
     OP_ADD,
@@ -26,6 +32,7 @@ from ._tape import (
 
 _INF = math.inf
 _NAN = math.nan
+_BLOCK_SLOTS = 256  # input and output values converted per block
 
 
 def _sin(x):
@@ -59,16 +66,21 @@ def _pow(x, n):
         return _INF
 
 
-def eval_program(code, arg, starts, consts, points, out, status, stack_need):
-    code = code.tolist()
-    arg = arg.tolist()
-    starts = starts.tolist()
-    consts = consts.tolist()
+def eval_rows(code, arg, starts, consts, rows, stack_need):
+    """Run the tape on each row of ``rows``, all as plain Python lists.
+
+    Returns ``(values, status)``, two flat lists with one slot per row and
+    expression, row after row.  A guarded failure leaves NaN in the value
+    slot and its code in the status slot.
+    """
     n_expr = len(starts) - 1
     stack = [0.0] * stack_need
     log = math.log
-    for p in range(points.shape[0]):
-        row = points[p].tolist()
+    values = []
+    status = []
+    put_value = values.append
+    put_status = status.append
+    for row in rows:
         for e in range(n_expr):
             sp = 0
             err = 0
@@ -117,8 +129,24 @@ def eval_program(code, arg, starts, consts, points, out, status, stack_need):
                         break
                     stack[sp - 1] = log(x)
             if err:
-                out[p, e] = _NAN
-                status[p, e] = err
+                put_value(_NAN)
+                put_status(err)
             else:
-                out[p, e] = stack[sp - 1]
-                status[p, e] = 0
+                put_value(stack[sp - 1])
+                put_status(0)
+    return values, status
+
+
+def eval_program(code, arg, starts, consts, points, out, status, stack_need):
+    """The batch kernel contract: fill ``out`` and ``status`` row by row."""
+    tape = (code.tolist(), arg.tolist(), starts.tolist(), consts.tolist())
+    # Rows go to and from numpy a block at a time: one conversion per
+    # block is cheaper than one per row, and a block's size in values is
+    # bounded, so memory does not grow with the batch.
+    block = max(1, _BLOCK_SLOTS // (1 + points.shape[1] + out.shape[1]))
+    for first in range(0, points.shape[0], block):
+        rows = points[first : first + block].tolist()
+        values, codes = eval_rows(*tape, rows, stack_need)
+        shape = (len(rows), out.shape[1])
+        out[first : first + len(rows)] = np.reshape(values, shape)
+        status[first : first + len(rows)] = np.reshape(codes, shape)

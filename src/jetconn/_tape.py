@@ -7,6 +7,7 @@ tape, so their results can be compared instruction for instruction.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +43,8 @@ STATUS_MESSAGES = {
 class Program:
     """Compiled batch evaluator for a fixed tuple of expressions."""
 
-    __slots__ = ("var_names", "n_exprs", "code", "arg", "starts", "consts", "stack_need")
+    __slots__ = ("var_names", "n_exprs", "code", "arg", "starts", "consts",
+                 "stack_need", "_lists")
 
     def __init__(self, var_names, n_exprs, code, arg, starts, consts, stack_need):
         self.var_names = var_names
@@ -52,6 +54,7 @@ class Program:
         self.starts = starts
         self.consts = consts
         self.stack_need = stack_need
+        self._lists = None
 
     def __call__(self, points: np.ndarray, backend=None):
         """Evaluate all expressions at each row of ``points``.
@@ -60,8 +63,6 @@ class Program:
         status marks the matching value slot as NaN; evaluation continues
         with the next expression.
         """
-        from . import kernel
-
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -71,10 +72,32 @@ class Program:
             )
         out = np.empty((pts.shape[0], self.n_exprs), dtype=np.float64)
         status = np.empty((pts.shape[0], self.n_exprs), dtype=np.uint8)
-        fn = kernel.active(backend)
+        fn = _kernel().active(backend)
         fn(self.code, self.arg, self.starts, self.consts, pts, out, status,
            self.stack_need)
         return out, status
+
+    def row(self, point: list):
+        """Evaluate all expressions at one point, a list of floats.
+
+        Returns ``(values, status)`` as two Python lists, equal slot for slot
+        to the single row of ``self(point)``.  The Python backend runs the
+        tape as lists, made on the first call and kept; any other backend
+        goes through the batch call.
+        """
+        kernel = _kernel()
+        if kernel.backend_name() != "python":
+            out, status = self(point)
+            return out[0].tolist(), status[0].tolist()
+        if len(point) != len(self.var_names):
+            raise EvalError(
+                f"program expects {len(self.var_names)} variables, got {len(point)}"
+            )
+        if self._lists is None:
+            self._lists = (
+                self.code.tolist(), self.arg.tolist(), self.starts.tolist(), self.consts.tolist()
+            )
+        return kernel.eval_rows(*self._lists, (point,), self.stack_need)
 
     def eval_checked(self, points: np.ndarray, backend=None) -> np.ndarray:
         """Like calling the program, but any nonzero status raises EvalError."""
@@ -157,3 +180,12 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
         consts=np.asarray(consts if consts else [0.0], dtype=np.float64),
         stack_need=stack_need,
     )
+
+
+@cache
+def _kernel():
+    # Imported on first evaluation rather than with this module, because
+    # importing the kernel module reads and checks JETCONN_KERNEL.
+    from . import kernel
+
+    return kernel

@@ -391,6 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Positional arguments that name input files, in the order a diagnostic lists them.
+_INPUT_ARGS = ("file", "first", "second", "connection", "curve", "loop")
+
+
+def _inputs(args) -> str:
+    return " and ".join(
+        str(getattr(args, name)) for name in _INPUT_ARGS if hasattr(args, name)
+    )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -403,6 +413,14 @@ def main(argv=None) -> int:
         _emit(args, text)
     except (JetconnError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # The expression core recurses over the tree; very deep or very
+        # long expressions exhaust the interpreter's stack.
+        print(
+            f"error: {_inputs(args)}: expression too deeply nested to process",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -12,6 +12,7 @@ import os
 from contextlib import contextmanager
 
 from . import _pykernel
+from ._pykernel import eval_rows  # noqa: F401  (Program.row under the Python backend)
 
 try:
     from . import _ckernel

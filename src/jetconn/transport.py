@@ -10,6 +10,7 @@ convergence order testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Tuple
 
 import numpy as np
@@ -79,6 +80,11 @@ class TransportResult:
     jet_values: np.ndarray = None
 
 
+# RK4 steps whose curve nodes one batched program call evaluates.  A
+# constant, so memory stays flat however many steps a run asks for.
+_CHUNK = 64
+
+
 def _curve_program(curve: Curve, order: int) -> Program:
     exprs = list(curve.components) + list(curve.velocity())
     if order >= 2:
@@ -86,15 +92,19 @@ def _curve_program(curve: Curve, order: int) -> Program:
     return compile_program(exprs, ("t",))
 
 
-def _eval_rows(program: Program, point, t: float) -> np.ndarray:
-    out, status = program(np.asarray(point, dtype=np.float64))
-    if status.any():
-        code = int(status[status != 0][0])
-        raise TransportError(f"{STATUS_MESSAGES[code]} at t = {t}")
-    row = out[0]
-    if not np.all(np.isfinite(row)):
-        raise TransportError(f"non-finite expression value at t = {t}")
-    return row
+def _failure(status, t: float) -> str:
+    """Why an evaluated row is unusable: its first failed status, else a non-finite value."""
+    for code in status:
+        if code:
+            return f"{STATUS_MESSAGES[code]} at t = {t}"
+    return f"non-finite expression value at t = {t}"
+
+
+def _checked_row(program: Program, point: list, t: float) -> list:
+    values, status = program.row(point)
+    if any(status) or not all(map(isfinite, values)):
+        raise TransportError(_failure(status, t))
+    return values
 
 
 def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps):
@@ -113,43 +123,99 @@ def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps):
     return y
 
 
-def transport1(
-    gamma: Connection1, curve: Curve, y0, steps: int
-) -> TransportResult:
-    """Integrate dy^p/dt = sum_i F_i^p(x(t), y) dx^i/dt by RK4."""
-    u = gamma.universe
-    y = _check_shapes(u, curve, y0, steps)
-    m, n = u.base_dim, u.fiber_dim
-    cprog = _curve_program(curve, 1)
-    fprog = compile_program(
-        [gamma.F[p][i] for p in range(n) for i in range(m)],
-        u.base_names + u.fiber_names,
-    )
+def _curve_chunks(cprog: Program, curve: Curve, steps: int):
+    """The curve program at every RK4 node, one batched call per _CHUNK steps.
 
-    def rhs(t, state):
-        cvals = _eval_rows(cprog, [t], t)
-        x, xdot = cvals[:m], cvals[m:]
-        fvals = _eval_rows(fprog, np.concatenate((x, state)), t).reshape(n, m)
-        return fvals @ xdot
+    Step k has the nodes t = t0 + k*h, t + h/2 and t + h, in the order its
+    stages use them; t + h need not equal the next step's t.  Yields
+    ``(times, values, failure)`` per chunk, where ``failure`` is None or
+    the index and message of the chunk's first unusable node.  Nothing is
+    raised here: the integration reports a curve failure only when it
+    reaches that node, so an earlier failure of F still comes first.
+    """
+    t0 = curve.t0
+    h = (curve.t1 - t0) / steps
+    for first in range(0, steps, _CHUNK):
+        times = []
+        for k in range(first, min(first + _CHUNK, steps)):
+            t = t0 + k * h
+            times += (t, t + h / 2, t + h)
+        values, status = cprog(np.array(times).reshape(-1, 1))
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            yield times, values, (i, _failure(status[i].tolist(), times[i]))
+            return
+        yield times, values, None
 
-    return _integrate_rk4(rhs, curve, y, steps)
+
+def _node_triples(chunks, m: int):
+    """The nodes ``(t, x, rates)`` of each RK4 step, three per step.
+
+    ``x`` is the curve point as a list and ``rates`` its derivatives as an
+    array.  From a failed node on, nodes are ``(t, None, message)``.
+    """
+    for times, values, failure in chunks:
+        nodes = list(zip(times, values[:, :m].tolist(), values[:, m:]))
+        if failure is not None:
+            i, message = failure
+            nodes[i:] = [(times[i], None, message)] * (len(nodes) - i)
+        for i in range(0, len(nodes), 3):
+            yield nodes[i : i + 3]
 
 
-def _integrate_rk4(rhs, curve: Curve, y0: np.ndarray, steps: int) -> TransportResult:
+def _stage_values(program: Program, node, y: np.ndarray) -> np.ndarray:
+    """The coefficients of one RK4 stage, at curve node ``node`` and fiber point ``y``."""
+    t, x, rates = node
+    if x is None:
+        raise TransportError(rates)
+    return np.array(_checked_row(program, x + y.tolist(), t))
+
+
+def _integrate_rk4(rhs, chunks, curve: Curve, y0: np.ndarray, steps: int) -> TransportResult:
+    """Classical RK4 of dy/dt = rhs(node, y) over the nodes in ``chunks``."""
     h = (curve.t1 - curve.t0) / steps
     times = curve.t0 + np.arange(steps + 1) * h
     values = np.empty((steps + 1, y0.shape[0]))
     values[0] = y0
     y = y0
-    for k in range(steps):
-        t = curve.t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
+    for k, (a, b, c) in enumerate(_node_triples(chunks, curve.dim)):
+        k1 = rhs(a, y)
+        k2 = rhs(b, y + (h / 2) * k1)
+        k3 = rhs(b, y + (h / 2) * k2)
+        k4 = rhs(c, y + h * k3)
         y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[k + 1] = y
     return TransportResult(times, values, steps, 4 * steps)
+
+
+def _coefficient_program(conn, order: int) -> Program:
+    """F, then for order 2 also H, flattened row-major over base and fiber variables."""
+    u = conn.universe
+    m, n = u.base_dim, u.fiber_dim
+    flat = [conn.F[p][i] for p in range(n) for i in range(m)]
+    if order >= 2:
+        flat += [conn.H[p][i][j] for p in range(n) for i in range(m) for j in range(m)]
+    return compile_program(flat, u.base_names + u.fiber_names)
+
+
+def _transport1_rhs(gamma: Connection1):
+    m, n = gamma.universe.base_dim, gamma.universe.fiber_dim
+    fprog = _coefficient_program(gamma, 1)
+
+    def rhs(node, y):
+        return _stage_values(fprog, node, y).reshape(n, m) @ node[2]
+
+    return rhs
+
+
+def transport1(
+    gamma: Connection1, curve: Curve, y0, steps: int
+) -> TransportResult:
+    """Integrate dy^p/dt = sum_i F_i^p(x(t), y) dx^i/dt by RK4."""
+    y = _check_shapes(gamma.universe, curve, y0, steps)
+    chunks = _curve_chunks(_curve_program(curve, 1), curve, steps)
+    return _integrate_rk4(_transport1_rhs(gamma), chunks, curve, y, steps)
 
 
 def transport2(
@@ -159,7 +225,8 @@ def transport2(
 
     The H coefficients are evaluated at (x(t), y(t)); the jet slots y_i do
     not feed back, so the y component reproduces transport1 exactly on
-    matching F grids.
+    matching F grids.  The integrated state is y followed by the rows of
+    the jet block.
     """
     u = delta.universe
     y = _check_shapes(u, curve, y0, steps)
@@ -167,38 +234,25 @@ def transport2(
     yj = np.asarray(yj0, dtype=np.float64)
     if yj.shape != (n, m):
         raise DimensionMismatchError(f"initial jet value must be {n}x{m}")
-    cprog = _curve_program(curve, 1)
-    flat = [delta.F[p][i] for p in range(n) for i in range(m)]
-    flat += [delta.H[p][i][j] for p in range(n) for i in range(m) for j in range(m)]
-    prog = compile_program(flat, u.base_names + u.fiber_names)
+    chunks = _curve_chunks(_curve_program(curve, 1), curve, steps)
+    prog = _coefficient_program(delta, 2)
     split = n * m
 
-    def rhs(t, state):
-        yvec, yjmat = state
-        cvals = _eval_rows(cprog, [t], t)
-        x, xdot = cvals[:m], cvals[m:]
-        allvals = _eval_rows(prog, np.concatenate((x, yvec)), t)
+    def rhs(node, state):
+        allvals = _stage_values(prog, node, state[:n])
+        xdot = node[2]
         fvals = allvals[:split].reshape(n, m)
         hvals = allvals[split:].reshape(n, m, m)
-        return fvals @ xdot, hvals @ xdot
+        return np.concatenate((fvals @ xdot, (hvals @ xdot).reshape(-1)))
 
-    h = (curve.t1 - curve.t0) / steps
-    times = curve.t0 + np.arange(steps + 1) * h
-    values = np.empty((steps + 1, n))
-    jet_values = np.empty((steps + 1, n, m))
-    values[0] = y
-    jet_values[0] = yj
-    for k in range(steps):
-        t = curve.t0 + k * h
-        k1 = rhs(t, (y, yj))
-        k2 = rhs(t + h / 2, (y + (h / 2) * k1[0], yj + (h / 2) * k1[1]))
-        k3 = rhs(t + h / 2, (y + (h / 2) * k2[0], yj + (h / 2) * k2[1]))
-        k4 = rhs(t + h, (y + h * k3[0], yj + h * k3[1]))
-        y = y + (h / 6) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        yj = yj + (h / 6) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        values[k + 1] = y
-        jet_values[k + 1] = yj
-    return TransportResult(times, values, steps, 4 * steps, jet_values)
+    flat = _integrate_rk4(rhs, chunks, curve, np.concatenate((y, yj.reshape(-1))), steps)
+    return TransportResult(
+        flat.times,
+        flat.values[:, :n],
+        steps,
+        flat.rhs_evaluations,
+        flat.values[:, n:].reshape(steps + 1, n, m),
+    )
 
 
 def second_order_ode(
@@ -212,21 +266,19 @@ def second_order_ode(
     u = delta.universe
     y = _check_shapes(u, curve, y0, steps)
     m, n = u.base_dim, u.fiber_dim
-    cprog = _curve_program(curve, 2)
-    flat = [delta.F[p][i] for p in range(n) for i in range(m)]
-    flat += [delta.H[p][i][j] for p in range(n) for i in range(m) for j in range(m)]
-    prog = compile_program(flat, u.base_names + u.fiber_names)
+    chunks = _curve_chunks(_curve_program(curve, 2), curve, steps)
+    prog = _coefficient_program(delta, 2)
     split = n * m
 
-    def rhs(t, state):
-        cvals = _eval_rows(cprog, [t], t)
-        x, xdot, xacc = cvals[:m], cvals[m : 2 * m], cvals[2 * m :]
-        allvals = _eval_rows(prog, np.concatenate((x, state)), t)
+    def rhs(node, state):
+        allvals = _stage_values(prog, node, state)
+        rates = node[2]
+        xdot, xacc = rates[:m], rates[m:]
         fvals = allvals[:split].reshape(n, m)
         hvals = allvals[split:].reshape(n, m, m)
         return (hvals @ xdot) @ xdot + fvals @ xacc
 
-    return _integrate_rk4(rhs, curve, y, steps)
+    return _integrate_rk4(rhs, chunks, curve, y, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +303,9 @@ def loop_holonomy(
     u = gamma.universe
     m, n = u.base_dim, u.fiber_dim
     cprog = _curve_program(loop, 1)
-    start = _eval_rows(cprog, [loop.t0], loop.t0)[:m]
-    end = _eval_rows(cprog, [loop.t1], loop.t1)[:m]
-    gap = float(np.abs(start - end).max())
+    start = _checked_row(cprog, [loop.t0], loop.t0)[:m]
+    end = _checked_row(cprog, [loop.t1], loop.t1)[:m]
+    gap = max(abs(a - b) for a, b in zip(start, end))
     if gap > 1e-9:
         raise TransportError(
             f"curve endpoints differ by {gap:.3e}; not a loop"
@@ -272,8 +324,12 @@ def loop_holonomy(
             )
     columns = []
     for j in range(basis_arr.shape[1]):
-        result = transport1(gamma, loop, basis_arr[:, j], steps)
-        columns.append(result.values[-1])
+        y = _check_shapes(u, loop, basis_arr[:, j], steps)
+        if j == 0:
+            # F and the loop's nodes are the same for every column.
+            rhs = _transport1_rhs(gamma)
+            chunks = list(_curve_chunks(cprog, loop, steps))
+        columns.append(_integrate_rk4(rhs, chunks, loop, y, steps).values[-1])
     matrix = np.column_stack(columns)
     defect = float(np.abs(matrix - np.eye(n, basis_arr.shape[1])).max())
     return HolonomyResult(matrix, defect, steps)

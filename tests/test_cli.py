@@ -349,6 +349,31 @@ class TestTransportCommands:
         assert code == 1
         assert str(conn) in err and str(loop) in err
 
+class TestFailureEdges:
+    @pytest.fixture
+    def deep(self, tmp_path):
+        # A 1000-term sum nests 1000 deep, past the interpreter's stack.
+        terms = " + ".join(f"{k}*x1*y1" for k in range(1, 1001))
+        path = tmp_path / "deep.json"
+        path.write_text(
+            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 1, "F": [[terms]]}),
+            encoding="utf-8",
+        )
+        return path
+
+    def test_deep_expression_is_a_one_line_error(self, run, deep):
+        code, out, err = run("prolong", deep)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {deep}: expression too deeply nested to process\n"
+
+    def test_deep_expression_names_every_input(self, run, deep, sample_dir):
+        other = sample_dir / "conn_exp.json"
+        code, _, err = run("product", deep, other)
+        assert code == 1
+        assert err.startswith(f"error: {deep} and {other}: ")
+        assert err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, run, sample_dir, tmp_path):

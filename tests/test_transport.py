@@ -254,3 +254,72 @@ class TestHolonomy:
         assert np.array_equal(res.matrix, basis)
         with pytest.raises(DimensionMismatchError, match="2-row"):
             loop_holonomy(g, loop, basis=np.ones((3, 1)), steps=20)
+
+
+class TestFailureOrder:
+    """The first failure in time order is reported, whether F or the curve.
+
+    Each stage evaluates the curve at its node, then F there, so an F
+    failure at an earlier node must win over a curve failure at a later
+    one, even when the later node is already evaluated in a batch.  The
+    messages were recorded from the step-by-step integrator.  1024 steps
+    on [0, 1] make every node time exact and span several curve batches.
+    """
+
+    CASES = {
+        "F early, curve late": (
+            "y1/(x1 - 0.75)", ("t", "ln(0.9 - t)"), 1024,
+            "division by zero at t = 0.75",
+        ),
+        "curve early, F late": (
+            "y1/(x1 - 0.95)", ("t", "ln(0.9 - t)"), 1024,
+            "ln of a non-positive argument at t = 0.900390625",
+        ),
+        "F at a midpoint, curve at the same step's end": (
+            "y1/(x1 - 0.68408203125)", ("t", "ln(0.6845703125 - t)"), 1024,
+            "division by zero at t = 0.68408203125",
+        ),
+        "curve at a midpoint": (
+            "y1", ("t", "1/(t - 0.68408203125)"), 1024,
+            "division by zero at t = 0.68408203125",
+        ),
+        "curve before F at the same node": (
+            "y1/(x1 - 0.5)", ("t", "ln(0.5 - t)"), 4,
+            "ln of a non-positive argument at t = 0.5",
+        ),
+        "F non-finite": (
+            "exp(1000*x1)", ("t", "ln(0.9 - t)"), 1024,
+            {
+                "1": "non-finite expression value at t = 0.7099609375",
+                "2": "non-finite expression value at t = 0.703125",
+                "ode2": "non-finite expression value at t = 0.703125",
+            },
+        ),
+        "curve non-finite": (
+            "y1", ("t", "exp(exp(10*t))"), 600,
+            {
+                "1": "non-finite expression value at t = 0.6558333333333334",
+                "2": "non-finite expression value at t = 0.6558333333333334",
+                "ode2": "non-finite expression value at t = 0.6541666666666667",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", ["1", "2", "ode2"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_failure_reported(self, case, variant):
+        f, comps, steps, expected = self.CASES[case]
+        if isinstance(expected, dict):
+            expected = expected[variant]
+        u = SymbolUniverse(2, 1)
+        g = Connection1(u, ((parse_expr(f, u), Const(0)),))
+        c = curve_of(comps, 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TransportError) as err:
+                if variant == "1":
+                    transport1(g, c, (1.0,), steps)
+                elif variant == "2":
+                    transport2(ehresmann_prolongation(g), c, (1.0,), ((0.0, 0.0),), steps)
+                else:
+                    second_order_ode(ehresmann_prolongation(g), c, (1.0,), steps)
+        assert str(err.value) == expected
