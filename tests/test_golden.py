@@ -1,4 +1,4 @@
-"""Golden transcripts of the transport commands on ``sample_inputs/``.
+"""Golden transcripts of the CLI subcommands on ``sample_inputs/``.
 
 Each case pins the stdout bytes, stderr text and exit code of one CLI run,
 made from the root of the repository with relative paths.  The files under
@@ -65,6 +65,21 @@ CASES = {
     "holonomy_open_curve": [
         "holonomy", S + "conn_exp.json", S + "curve_unit.json", "--steps", "10",
     ],
+    "validate_linear": ["validate", S + "conn_linear.json"],
+    "product_a_b": ["product", S + "conn_a.json", S + "conn_b.json"],
+    "curvature_a": ["curvature", S + "conn_a.json"],
+    "exchange_zero2": ["exchange", S + "conn_zero2.json"],
+    "family_a": ["family", S + "conn_a.json", "--k", "0.5"],
+    # classify, twofold and jacobian sample through the batch kernel.
+    "classify_zero2": ["classify", S + "conn_zero2.json", "--seed", "1"],
+    "classify_prolonged": ["classify", PROLONGED, "--seed", "1"],
+    "semiholonomy_semi": ["semiholonomy", S + "jet_semi.json"],
+    "semiholonomy_nonholo": ["semiholonomy", S + "jet_nonholo.json"],
+    "frames_a": ["frames", S + "conn_a.json"],
+    "frames_zero2": ["frames", S + "conn_zero2.json"],
+    "frames_linear_at": ["frames", S + "conn_linear.json", "--at", "1.0,2.0,3.0,4.0"],
+    "twofold": ["twofold", S + "twofold.json", "--seed", "1"],
+    "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
 }
 
 
