@@ -1,8 +1,8 @@
-"""Compare the compiled evaluation kernel against the pure-Python fallback.
+"""Time the evaluation kernel on a batch and on a transport run.
 
 Two workloads: batch evaluation of a compiled coefficient grid over many
 points, and an RK4 transport run whose inner loop is dominated by small
-per-step evaluations.  Usage:
+per-step evaluations.  Each time is the best of ``--repeat`` runs.  Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
 """
@@ -22,7 +22,6 @@ from jetconn import (
     transport1,
 )
 from jetconn._tape import compile_program
-from jetconn.kernel import available_backends, backend_name, force_backend
 
 
 def build_program():
@@ -38,31 +37,29 @@ def build_program():
     return compile_program(flat, u.variable_names), len(u.variable_names)
 
 
-def bench_batch(backend, points, repeat):
+def bench_batch(points, repeat):
     program, width = build_program()
     rng = np.random.default_rng(7)
     batch = rng.uniform(-1.5, 1.5, size=(points, width))
     best = float("inf")
-    with force_backend(backend):
-        for _ in range(repeat):
-            start = time.perf_counter()
-            out, status = program(batch)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out, status = program(batch)
+        best = min(best, time.perf_counter() - start)
     assert not status.any()
     assert np.all(np.isfinite(out))
     return best
 
 
-def bench_transport(backend, steps, repeat):
+def bench_transport(steps, repeat):
     u = SymbolUniverse(1, 1)
     g = Connection1(u, ((parse_expr("sin(x1)*y1", u),),))
     curve = Curve(1, (CURVE_UNIVERSE.var("t"),), 0.0, 1.0)
     best = float("inf")
-    with force_backend(backend):
-        for _ in range(repeat):
-            start = time.perf_counter()
-            result = transport1(g, curve, (1.0,), steps)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = transport1(g, curve, (1.0,), steps)
+        best = min(best, time.perf_counter() - start)
     assert np.isfinite(result.values[-1][0])
     return best
 
@@ -74,30 +71,10 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    backends = available_backends()
-    print(f"active backend: {backend_name()}; available: {', '.join(backends)}")
-    if "compiled" not in backends:
-        print("compiled kernel not built; timing the python backend alone")
-
-    results = {}
-    for backend in backends:
-        results[backend] = (
-            bench_batch(backend, args.points, args.repeat),
-            bench_transport(backend, args.steps, args.repeat),
-        )
-
-    header = f"{'backend':<10} {'batch (s)':>12} {'transport (s)':>15}"
-    print(header)
-    print("-" * len(header))
-    for backend, (tb, tt) in results.items():
-        print(f"{backend:<10} {tb:>12.4f} {tt:>15.4f}")
-    if "compiled" in results and "python" in results:
-        cb, ct = results["compiled"]
-        pb, pt = results["python"]
-        print(
-            f"speedup: batch {pb / cb:.1f}x, transport {pt / ct:.1f}x "
-            f"(python time / compiled time)"
-        )
+    batch = bench_batch(args.points, args.repeat)
+    transport = bench_transport(args.steps, args.repeat)
+    print(f"batch, {args.points} points: {batch:.4f} s")
+    print(f"transport, {args.steps} steps: {transport:.4f} s")
 
 
 if __name__ == "__main__":

@@ -1,38 +1,37 @@
 """Compilation of expression trees to a flat postfix tape.
 
 A program holds one tape per expression, concatenated, with ``starts``
-marking segment boundaries.  Both evaluation backends interpret the same
-tape, so their results can be compared instruction for instruction.
+marking segment boundaries.  :mod:`jetconn.kernel` defines the
+instructions and runs the tape.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Sequence
 
 import numpy as np
 
+from . import kernel
 from .errors import EvalError
 from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var
-
-OP_CONST = 0
-OP_VAR = 1
-OP_NEG = 2
-OP_ADD = 3
-OP_SUB = 4
-OP_MUL = 5
-OP_DIV = 6
-OP_POW = 7
-OP_SIN = 8
-OP_COS = 9
-OP_EXP = 10
-OP_LN = 11
+from .kernel import (
+    OP_ADD,
+    OP_CONST,
+    OP_COS,
+    OP_DIV,
+    OP_EXP,
+    OP_LN,
+    OP_MUL,
+    OP_NEG,
+    OP_POW,
+    OP_SIN,
+    OP_SUB,
+    OP_VAR,
+    STATUS_DIV_BY_ZERO,
+    STATUS_LN_DOMAIN,
+)
 
 _FN_OPS = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN}
-
-STATUS_OK = 0
-STATUS_DIV_BY_ZERO = 1
-STATUS_LN_DOMAIN = 2
 
 STATUS_MESSAGES = {
     STATUS_DIV_BY_ZERO: "division by zero",
@@ -41,10 +40,12 @@ STATUS_MESSAGES = {
 
 
 class Program:
-    """Compiled batch evaluator for a fixed tuple of expressions."""
+    """Compiled batch evaluator for a fixed tuple of expressions.
 
-    __slots__ = ("var_names", "n_exprs", "code", "arg", "starts", "consts",
-                 "stack_need", "_lists")
+    The tape is kept as Python lists, the form the kernel runs.
+    """
+
+    __slots__ = ("var_names", "n_exprs", "code", "arg", "starts", "consts", "stack_need")
 
     def __init__(self, var_names, n_exprs, code, arg, starts, consts, stack_need):
         self.var_names = var_names
@@ -54,54 +55,42 @@ class Program:
         self.starts = starts
         self.consts = consts
         self.stack_need = stack_need
-        self._lists = None
 
-    def __call__(self, points: np.ndarray, backend=None):
+    def __call__(self, points: np.ndarray):
         """Evaluate all expressions at each row of ``points``.
 
         Returns ``(values, status)`` of shape (npoints, nexprs).  A nonzero
         status marks the matching value slot as NaN; evaluation continues
         with the next expression.
         """
-        pts = np.ascontiguousarray(points, dtype=np.float64)
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.shape[1] != len(self.var_names):
             raise EvalError(
                 f"program expects {len(self.var_names)} variables, got {pts.shape[1]}"
             )
-        out = np.empty((pts.shape[0], self.n_exprs), dtype=np.float64)
-        status = np.empty((pts.shape[0], self.n_exprs), dtype=np.uint8)
-        fn = _kernel().active(backend)
-        fn(self.code, self.arg, self.starts, self.consts, pts, out, status,
-           self.stack_need)
-        return out, status
+        return kernel.active()(
+            self.code, self.arg, self.starts, self.consts, pts, self.stack_need
+        )
 
     def row(self, point: list):
         """Evaluate all expressions at one point, a list of floats.
 
         Returns ``(values, status)`` as two Python lists, equal slot for slot
-        to the single row of ``self(point)``.  The Python backend runs the
-        tape as lists, made on the first call and kept; any other backend
-        goes through the batch call.
+        to the single row of ``self(point)``, without going through numpy.
         """
-        kernel = _kernel()
-        if kernel.backend_name() != "python":
-            out, status = self(point)
-            return out[0].tolist(), status[0].tolist()
         if len(point) != len(self.var_names):
             raise EvalError(
                 f"program expects {len(self.var_names)} variables, got {len(point)}"
             )
-        if self._lists is None:
-            self._lists = (
-                self.code.tolist(), self.arg.tolist(), self.starts.tolist(), self.consts.tolist()
-            )
-        return kernel.eval_rows(*self._lists, (point,), self.stack_need)
+        return kernel.eval_rows(
+            self.code, self.arg, self.starts, self.consts, (point,), self.stack_need
+        )
 
-    def eval_checked(self, points: np.ndarray, backend=None) -> np.ndarray:
+    def eval_checked(self, points: np.ndarray) -> np.ndarray:
         """Like calling the program, but any nonzero status raises EvalError."""
-        out, status = self(points, backend)
+        out, status = self(points)
         if status.any():
             row, col = np.argwhere(status)[0]
             raise EvalError(STATUS_MESSAGES[int(status[row, col])])
@@ -174,18 +163,9 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     return Program(
         var_names=var_names,
         n_exprs=len(exprs),
-        code=np.asarray(code, dtype=np.int32),
-        arg=np.asarray(arg, dtype=np.int32),
-        starts=np.asarray(starts, dtype=np.int32),
-        consts=np.asarray(consts if consts else [0.0], dtype=np.float64),
+        code=code,
+        arg=arg,
+        starts=starts,
+        consts=consts,
         stack_need=stack_need,
     )
-
-
-@cache
-def _kernel():
-    # Imported on first evaluation rather than with this module, because
-    # importing the kernel module reads and checks JETCONN_KERNEL.
-    from . import kernel
-
-    return kernel

@@ -1,14 +1,12 @@
-"""Tape compiler and the two evaluation backends.
+"""Tape compiler and the evaluation kernel.
 
-The backends must be observationally identical: same values bit for bit,
-same status codes, on every input. Guarded failures travel through the
-status plane, never through exceptions.
+The kernel is checked against a reference that walks the expression tree
+with :mod:`math` and gives C's results where :mod:`math` raises.  Both must
+agree bit for bit and in status on every input: guarded failures travel
+through the status plane, never through exceptions.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,62 +15,127 @@ from hypothesis import strategies as st
 
 from jetconn import EvalError, SymbolUniverse, parse_expr
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
-from jetconn import kernel
+from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
 
 from conftest import random_expr
 
 U = SymbolUniverse(2, 1)
-
-pytestmark = pytest.mark.skipif(
-    "compiled" not in kernel.available_backends(),
-    reason="compiled kernel unavailable; parity has nothing to compare",
-)
+NAMES = ("x1", "x2", "y1")
 
 
-def both(exprs, names, points):
-    prog = compile_program(exprs, names)
+class Guarded(Exception):
+    def __init__(self, status):
+        self.status = status
+
+
+def _c_call(fn, x, overflow):
+    # C returns nan for sin/cos of an infinity and +-inf on overflow.
+    try:
+        return fn(x)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return overflow
+
+
+def _c_pow(x, n):
+    try:
+        return math.pow(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def reference(e, env):
+    """Value of ``e`` at ``env``, operands left to right as the tape runs them."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -reference(e.arg, env)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left = reference(e.left, env)
+        right = reference(e.right, env)
+        if isinstance(e, Add):
+            return left + right
+        if isinstance(e, Sub):
+            return left - right
+        if isinstance(e, Mul):
+            return left * right
+        if right == 0.0:
+            raise Guarded(STATUS_DIV_BY_ZERO)
+        return left / right
+    if isinstance(e, Pow):
+        base = reference(e.base, env)
+        if e.exponent < 0 and base == 0.0:
+            raise Guarded(STATUS_DIV_BY_ZERO)
+        return _c_pow(base, e.exponent)
+    x = reference(e.arg, env)
+    if e.name == "ln":
+        if x <= 0.0:
+            raise Guarded(STATUS_LN_DOMAIN)
+        return math.log(x)
+    fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.name]
+    return _c_call(fn, x, math.inf)
+
+
+def reference_batch(exprs, points):
+    values = np.empty((len(points), len(exprs)))
+    status = np.zeros((len(points), len(exprs)), dtype=np.uint8)
+    for r, point in enumerate(points):
+        env = dict(zip(NAMES, (float(v) for v in point)))
+        for c, e in enumerate(exprs):
+            try:
+                values[r, c] = reference(e, env)
+            except Guarded as g:
+                values[r, c] = math.nan
+                status[r, c] = g.status
+    return values, status
+
+
+def assert_matches_reference(exprs, points):
+    """Evaluate through the kernel; return its (values, status)."""
     pts = np.asarray(points, dtype=np.float64)
-    with kernel.force_backend("compiled"):
-        vc, sc = prog(pts)
-    with kernel.force_backend("python"):
-        vp, sp = prog(pts)
-    return (vc, sc), (vp, sp)
+    values, status = compile_program(exprs, NAMES)(pts)
+    ref_values, ref_status = reference_batch(exprs, pts)
+    assert np.array_equal(status, ref_status)
+    # nan != nan, so compare bit patterns
+    assert np.array_equal(values.view(np.uint64), ref_values.view(np.uint64))
+    return values, status
 
 
 class TestParity:
     @given(st.integers(min_value=0, max_value=20000))
     @settings(max_examples=250, deadline=None)
-    def test_backends_agree_exactly(self, seed):
+    def test_kernel_matches_reference(self, seed):
         gen = np.random.default_rng(seed)
-        exprs = [random_expr(gen, ("x1", "x2", "y1")) for _ in range(3)]
-        pts = gen.uniform(-3, 3, size=(8, 3))
-        (vc, sc), (vp, sp) = both(exprs, ("x1", "x2", "y1"), pts)
-        assert np.array_equal(sc, sp)
-        # nan != nan, so compare bit patterns
-        assert np.array_equal(vc.view(np.uint64), vp.view(np.uint64))
+        exprs = [random_expr(gen, NAMES) for _ in range(3)]
+        pts = gen.uniform(-3, 3, size=(8, 3)).tolist()
+        # integer points hit exact zeros of divisors and ln arguments
+        pts += gen.integers(-2, 3, size=(4, 3)).astype(float).tolist()
+        assert_matches_reference(exprs, pts)
 
-    def test_parity_on_singular_points(self):
+    def test_singular_points(self):
         exprs = [
             parse_expr("1/x1", U),
             parse_expr("ln(x1)", U),
             parse_expr("x1^-1", U),
         ]
         pts = [[0.0, 1.0, 1.0], [-2.0, 1.0, 1.0], [3.0, 1.0, 1.0]]
-        (vc, sc), (vp, sp) = both(exprs, ("x1", "x2", "y1"), pts)
-        assert np.array_equal(sc, sp)
-        assert np.array_equal(vc.view(np.uint64), vp.view(np.uint64))
-        assert sc[0, 0] == STATUS_DIV_BY_ZERO
-        assert sc[1, 1] == STATUS_LN_DOMAIN
-        assert sc[0, 2] == STATUS_DIV_BY_ZERO  # 0^-1 guarded like division
+        _, status = assert_matches_reference(exprs, pts)
+        assert status[0, 0] == STATUS_DIV_BY_ZERO
+        assert status[1, 1] == STATUS_LN_DOMAIN
+        assert status[0, 2] == STATUS_DIV_BY_ZERO  # 0^-1 guarded like division
 
     def test_overflow_matches_c_semantics(self):
-        # exp overflow returns inf in C; the python backend must match
-        exprs = [parse_expr("exp(x1)", U)]
-        pts = [[1000.0, 0.0, 0.0]]
-        (vc, sc), (vp, sp) = both(exprs, ("x1", "x2", "y1"), pts)
-        assert np.array_equal(sc, sp)
-        assert vc[0, 0] == math.inf
-        assert vp[0, 0] == math.inf
+        # C returns inf (or nan) where Python's math module raises
+        exprs = [parse_expr(s, U) for s in ("exp(x1)", "x1^401", "sin(x2)")]
+        pts = [[1000.0, math.inf, 0.0], [-10.0, 0.0, 0.0]]
+        values, status = assert_matches_reference(exprs, pts)
+        assert not status.any()
+        assert values[0, 0] == math.inf
+        assert values[1, 1] == -math.inf
+        assert math.isnan(values[0, 2])
 
 
 class TestProgram:
@@ -102,41 +165,3 @@ class TestProgram:
         prog = compile_program([parse_expr("1/x1", U)], ("x1",))
         with pytest.raises(EvalError, match="division by zero"):
             prog.eval_checked(np.array([[0.0]]))
-
-
-class TestSelection:
-    def test_force_backend_restores(self):
-        before = kernel.backend_name()
-        with kernel.force_backend("python"):
-            assert kernel.backend_name() == "python"
-        assert kernel.backend_name() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            with kernel.force_backend("fortran"):
-                pass
-
-    def test_env_override_python(self):
-        code = (
-            "from jetconn import kernel; "
-            "print(kernel.backend_name())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "JETCONN_KERNEL": "python"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "python"
-
-    def test_env_override_invalid_fails_loud(self):
-        code = "import jetconn.kernel"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "JETCONN_KERNEL": "cuda"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "JETCONN_KERNEL" in out.stderr

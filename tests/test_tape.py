@@ -1,7 +1,7 @@
 """Single-row evaluation against the batch call of the same program.
 
 ``Program.row`` must equal ``Program.__call__`` slot for slot, in values
-(bit for bit, NaN included) and in status, under every available backend.
+(bit for bit, NaN included) and in status.
 """
 
 import math
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetconn import EvalError, SymbolUniverse, parse_expr
-from jetconn import kernel
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
 
 from conftest import random_expr
@@ -26,14 +25,12 @@ def bits(values):
 
 
 def assert_rows_match_batch(prog, points):
-    for backend in kernel.available_backends():
-        with kernel.force_backend(backend):
-            batch_values, batch_status = prog(np.asarray(points, dtype=np.float64))
-            for p, point in enumerate(points):
-                values, status = prog.row(list(point))
-                assert type(values) is list and type(status) is list
-                assert status == batch_status[p].tolist()
-                assert bits(values) == bits(batch_values[p])
+    batch_values, batch_status = prog(np.asarray(points, dtype=np.float64))
+    for p, point in enumerate(points):
+        values, status = prog.row(list(point))
+        assert type(values) is list and type(status) is list
+        assert status == batch_status[p].tolist()
+        assert bits(values) == bits(batch_values[p])
 
 
 @given(st.integers(min_value=0, max_value=20000))
@@ -48,7 +45,7 @@ def test_row_equals_batch_on_random_programs(seed):
 
 
 def test_row_equals_batch_across_blocks():
-    # The Python kernel converts a batch to and from numpy in blocks of rows.
+    # The kernel converts a batch to and from numpy in blocks of rows.
     gen = np.random.default_rng(7)
     prog = compile_program([random_expr(gen, NAMES) for _ in range(3)], NAMES)
     points = gen.integers(-3, 4, size=(700, 3)).astype(float).tolist()
@@ -77,7 +74,5 @@ def test_row_equals_batch_on_singular_points():
 
 def test_row_checks_width():
     prog = compile_program([parse_expr("x1", U)], ("x1", "x2"))
-    for backend in kernel.available_backends():
-        with kernel.force_backend(backend):
-            with pytest.raises(EvalError, match="expects 2 variables"):
-                prog.row([1.0, 2.0, 3.0])
+    with pytest.raises(EvalError, match="expects 2 variables"):
+        prog.row([1.0, 2.0, 3.0])
