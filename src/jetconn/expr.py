@@ -958,4 +958,6 @@ def _coeff_times(coeff, core) -> Expr:
         return Const(coeff)
     if coeff == 1:
         return core
-    return Mul(Const(coeff), core)
+    # The chain c*f1*f2*... that _product_of builds, so that simplifying
+    # the term again leaves it unchanged.
+    return _product_of([Const(coeff), core])
