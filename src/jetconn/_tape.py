@@ -7,6 +7,7 @@ instructions and runs the tape.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +115,10 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     def emit(e: Expr) -> int:
         # Returns the stack depth consumed by this subtree's evaluation peak.
         if isinstance(e, Const):
-            v = float(e.value)
+            try:
+                v = float(e.value)
+            except OverflowError:  # outside double range: as the tape gives 10^400
+                v = math.inf if e.value > 0 else -math.inf
             idx = const_slot.get(v)
             if idx is None:
                 idx = len(consts)

@@ -179,13 +179,17 @@ def _integrate_rk4(rhs, chunks, curve: Curve, y0: np.ndarray, steps: int) -> Tra
     values = np.empty((steps + 1, y0.shape[0]))
     values[0] = y0
     y = y0
-    for k, (a, b, c) in enumerate(_node_triples(chunks, curve.dim)):
-        k1 = rhs(a, y)
-        k2 = rhs(b, y + (h / 2) * k1)
-        k3 = rhs(b, y + (h / 2) * k2)
-        k4 = rhs(c, y + h * k3)
-        y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[k + 1] = y
+    # numpy warns when the state overflows.  The warning names a source
+    # line and is no diagnostic: an overflowing coefficient already fails
+    # its finite check with one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (a, b, c) in enumerate(_node_triples(chunks, curve.dim)):
+            k1 = rhs(a, y)
+            k2 = rhs(b, y + (h / 2) * k1)
+            k3 = rhs(b, y + (h / 2) * k2)
+            k4 = rhs(c, y + h * k3)
+            y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values[k + 1] = y
     return TransportResult(times, values, steps, 4 * steps)
 
 

@@ -374,6 +374,23 @@ class TestFailureEdges:
         assert err.startswith(f"error: {deep} and {other}: ")
         assert err.count("\n") == 1
 
+    def test_constant_beyond_double_range(self, run, sample_dir, tmp_path):
+        # prolong folds 10^400 into an exact constant in H; F keeps the power.
+        conn = tmp_path / "huge.json"
+        conn.write_text(
+            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 1, "F": [["10^400*y1"]]}),
+            encoding="utf-8",
+        )
+        prolonged = tmp_path / "prolonged.json"
+        assert run("prolong", conn, "--output", prolonged)[0] == 0
+        assert "10^400" not in json.loads(prolonged.read_text(encoding="utf-8"))["H"][0][0][0]
+        curve = sample_dir / "curve_unit.json"
+        for variant, path in (("1", conn), ("2", prolonged)):
+            code, out, err = run("transport", variant, path, curve, "--y0", "1", "--steps", "4")
+            assert code == 1
+            assert out == ""
+            assert err == "error: non-finite expression value at t = 0.0\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, run, sample_dir, tmp_path):

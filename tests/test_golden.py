@@ -16,6 +16,7 @@ import json
 import os
 import pathlib
 import sys
+import warnings
 
 import pytest
 
@@ -65,6 +66,11 @@ CASES = {
     "holonomy_open_curve": [
         "holonomy", S + "conn_exp.json", S + "curve_unit.json", "--steps", "10",
     ],
+    # F overflows while the RK4 state does too: stderr holds only the error line.
+    "transport1_overflow": [
+        "transport", "1", "tests/golden/conn_exp1000.json", S + "curve_unit.json", "--y0", "1",
+        "--steps", "1024",
+    ],
     "validate_linear": ["validate", S + "conn_linear.json"],
     "product_a_b": ["product", S + "conn_a.json", S + "conn_b.json"],
     "curvature_a": ["curvature", S + "conn_a.json"],
@@ -84,14 +90,20 @@ CASES = {
 
 
 def run_cli(argv):
-    """Run ``jetconn`` in-process from the repository root."""
+    """Run ``jetconn`` in-process from the repository root.
+
+    Any warning raises: a warning would reach a real run's stderr, which a
+    transcript pins, but under pytest it is captured instead.
+    """
     from jetconn.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(list(argv))
     finally:
         os.chdir(cwd)

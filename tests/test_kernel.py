@@ -7,6 +7,10 @@ through the status plane, never through exceptions.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from conftest import random_expr
 
 U = SymbolUniverse(2, 1)
 NAMES = ("x1", "x2", "y1")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class Guarded(Exception):
@@ -28,14 +33,14 @@ class Guarded(Exception):
         self.status = status
 
 
-def _c_call(fn, x, overflow):
-    # C returns nan for sin/cos of an infinity and +-inf on overflow.
+def _c_call(fn, x):
+    # C returns nan for sin/cos of an infinity and inf when exp overflows.
     try:
         return fn(x)
     except ValueError:
         return math.nan
     except OverflowError:
-        return overflow
+        return math.inf
 
 
 def _c_pow(x, n):
@@ -76,7 +81,7 @@ def reference(e, env):
             raise Guarded(STATUS_LN_DOMAIN)
         return math.log(x)
     fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.name]
-    return _c_call(fn, x, math.inf)
+    return _c_call(fn, x)
 
 
 def reference_batch(exprs, points):
@@ -165,3 +170,15 @@ class TestProgram:
         prog = compile_program([parse_expr("1/x1", U)], ("x1",))
         with pytest.raises(EvalError, match="division by zero"):
             prog.eval_checked(np.array([[0.0]]))
+
+
+def test_bench_kernel_runs():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    out = subprocess.run(
+        [sys.executable, "benchmarks/bench_kernel.py",
+         "--points", "200", "--steps", "200", "--repeat", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
