@@ -959,5 +959,13 @@ def _coeff_times(coeff, core) -> Expr:
     if coeff == 1:
         return core
     # The chain c*f1*f2*... that _product_of builds, so that simplifying
-    # the term again leaves it unchanged.
-    return _product_of([Const(coeff), core])
+    # the term again leaves it unchanged.  A core is one factor or a
+    # chain f1*f2*... leaning left.
+    spine = []
+    while isinstance(core, Mul):
+        spine.append(core.right)
+        core = core.left
+    e = Mul(Const(coeff), core)
+    for f in reversed(spine):
+        e = Mul(e, f)
+    return e
