@@ -46,11 +46,10 @@ class Program:
     The tape is kept as Python lists, the form the kernel runs.
     """
 
-    __slots__ = ("var_names", "n_exprs", "code", "arg", "starts", "consts", "stack_need")
+    __slots__ = ("var_names", "code", "arg", "starts", "consts", "stack_need")
 
-    def __init__(self, var_names, n_exprs, code, arg, starts, consts, stack_need):
+    def __init__(self, var_names, code, arg, starts, consts, stack_need):
         self.var_names = var_names
-        self.n_exprs = n_exprs
         self.code = code
         self.arg = arg
         self.starts = starts
@@ -166,7 +165,6 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
 
     return Program(
         var_names=var_names,
-        n_exprs=len(exprs),
         code=code,
         arg=arg,
         starts=starts,
