@@ -16,11 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import DimensionMismatchError
 from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
-from .expr import Const, Expr, SymbolUniverse, as_expr, diff, simplify, substitute
+from .expr import (
+    Const,
+    Expr,
+    SymbolUniverse,
+    as_expr,
+    diff,
+    expr_sum,
+    simplify,
+    substitute,
+)
 
 HOLONOMIC = "holonomic"
 SEMIHOLONOMIC = "semiholonomic"
@@ -176,12 +185,11 @@ def product(gamma: Connection1, gamma_bar: Connection1) -> Connection2:
         rows = []
         for i in range(1, m + 1):
             f = gamma.F[p - 1][i - 1]
+            fiber = [diff(f, f"y{q}") for q in range(1, n + 1)]
             row = []
             for j in range(1, m + 1):
-                total = diff(f, f"x{j}")
-                for q in range(1, n + 1):
-                    total = total + diff(f, f"y{q}") * gamma_bar.F[q - 1][j - 1]
-                row.append(simplify(total))
+                terms = [fiber[q] * gamma_bar.F[q][j - 1] for q in range(n)]
+                row.append(simplify(expr_sum([diff(f, f"x{j}")] + terms)))
             rows.append(tuple(row))
         H.append(tuple(rows))
     return Connection2(u, gamma.F, gamma_bar.F, tuple(H))
@@ -284,12 +292,7 @@ def linear_to_general(linear: LinearConnection1) -> Connection1:
     m, n = u.base_dim, u.fiber_dim
     F = tuple(
         tuple(
-            simplify(
-                _dot(
-                    [linear.coeff[p][i][q] for q in range(n)],
-                    [u.y(q + 1) for q in range(n)],
-                )
-            )
+            simplify(expr_sum(linear.coeff[p][i][q] * u.y(q + 1) for q in range(n)))
             for i in range(m)
         )
         for p in range(n)
@@ -309,24 +312,13 @@ def affine_to_general(affine: AffineConnection) -> Connection1:
     F = tuple(
         tuple(
             simplify(
-                -_dot(
-                    [affine.christoffel[k][j][l] for l in range(d)],
-                    [u.y(l + 1) for l in range(d)],
-                )
+                -expr_sum(affine.christoffel[k][j][l] * u.y(l + 1) for l in range(d))
             )
             for j in range(d)
         )
         for k in range(d)
     )
     return Connection1(u, F)
-
-
-def _dot(coeffs: Sequence[Expr], variables: Sequence[Expr]) -> Expr:
-    total = None
-    for c, v in zip(coeffs, variables):
-        term = c * v
-        total = term if total is None else total + term
-    return total if total is not None else Const(0)
 
 
 def is_fiber_linear(gamma: Connection1) -> bool:

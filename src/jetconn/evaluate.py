@@ -15,6 +15,10 @@ from .expr import Const, Expr, Sub, simplify
 SYMBOLIC = "symbolic"
 PROBABILISTIC = "probabilistic"
 
+# Sample points are drawn uniformly from [SAMPLE_LOW, SAMPLE_HIGH] per variable.
+SAMPLE_LOW = -2.0
+SAMPLE_HIGH = 2.0
+
 
 @dataclass(frozen=True)
 class SamplePolicy:
@@ -26,8 +30,6 @@ class SamplePolicy:
     """
 
     points: int = 64
-    low: float = -2.0
-    high: float = 2.0
     tol: float = 1e-9
     seed: int = 0
 
@@ -88,7 +90,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     names = tuple(sorted(a.free_vars() | b.free_vars()))
     program = compile_program([a, b], names)
     rng = np.random.default_rng(policy.seed)
-    points = rng.uniform(policy.low, policy.high, size=(policy.points, len(names)))
+    points = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(policy.points, len(names)))
     values, status = program(points)
     regular = (status == 0).all(axis=1) & np.isfinite(values).all(axis=1)
     if not regular.any():

@@ -129,9 +129,33 @@ def as_expr(value) -> "Expr":
 
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable.
 
-    __slots__ = ()
+    Each node class sets its fields and ``_hash`` in ``__init__``, lists its
+    fields in ``_key()`` and its subtrees in ``children()``.  The hash is
+    built from the children's stored hashes, so hashing never walks the
+    tree.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self._key() == other._key()
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -182,6 +206,9 @@ class Expr:
         return frozenset(out)
 
 
+_set = object.__setattr__
+
+
 class Const(Expr):
     """Numeric literal.  ``value`` is a Fraction (exact) or a float (IEEE)."""
 
@@ -194,23 +221,13 @@ class Const(Expr):
             value = Fraction(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError("constants must be finite")
-        object.__setattr__(self, "value", value)
+        _set(self, "value", value)
+        # Fraction(2) == 2.0 holds and their hashes agree, so mixed exact and
+        # float constants of equal value are equal nodes as well.
+        _set(self, "_hash", hash((Const, value)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        # Fraction(2) == 2.0 holds, and Python hashes agree, so mixed exact
-        # and float constants of equal value compare equal here as well.
-        return type(other) is Const and self.value == other.value
-
-    def __hash__(self):
-        return hash((Const, self.value))
-
-    def __repr__(self):
-        return f"Const({self.value!r})"
+    def _key(self):
+        return (self.value,)
 
     @property
     def is_exact(self) -> bool:
@@ -223,21 +240,11 @@ class Var(Expr):
     def __init__(self, name: str):
         if not _IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
-        object.__setattr__(self, "name", name)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Var, name)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return type(other) is Var and self.name == other.name
-
-    def __hash__(self):
-        return hash((Var, self.name))
-
-    def __repr__(self):
-        return f"Var({self.name!r})"
+    def _key(self):
+        return (self.name,)
 
 
 class _Unary(Expr):
@@ -246,24 +253,14 @@ class _Unary(Expr):
     def __init__(self, arg: Expr):
         if not isinstance(arg, Expr):
             raise TypeError("operand must be an expression")
-        object.__setattr__(self, "arg", arg)
+        _set(self, "arg", arg)
+        _set(self, "_hash", hash((type(self), arg._hash)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
+    def _key(self):
+        return (self.arg,)
 
     def children(self):
         return (self.arg,)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return type(other) is type(self) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((type(self), self.arg))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.arg!r})"
 
 
 class _Binary(Expr):
@@ -272,29 +269,15 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         if not isinstance(left, Expr) or not isinstance(right, Expr):
             raise TypeError("operands must be expressions")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
+    def _key(self):
+        return (self.left, self.right)
 
     def children(self):
         return (self.left, self.right)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return (
-            type(other) is type(self)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((type(self), self.left, self.right))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
 
 
 class Neg(_Unary):
@@ -327,29 +310,15 @@ class Pow(Expr):
             raise TypeError("power base must be an expression")
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise TypeError("power exponent must be an int")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_hash", hash((Pow, base._hash, exponent)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
+    def _key(self):
+        return (self.base, self.exponent)
 
     def children(self):
         return (self.base,)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return (
-            type(other) is Pow
-            and self.base == other.base
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash((Pow, self.base, self.exponent))
-
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.exponent})"
 
 
 class Fn(_Unary):
@@ -360,19 +329,14 @@ class Fn(_Unary):
     def __init__(self, name: str, arg: Expr):
         if name not in FUNCTIONS:
             raise ValueError(f"unknown function {name!r}")
-        super().__init__(arg)
-        object.__setattr__(self, "name", name)
+        if not isinstance(arg, Expr):
+            raise TypeError("operand must be an expression")
+        _set(self, "name", name)
+        _set(self, "arg", arg)
+        _set(self, "_hash", hash((Fn, name, arg._hash)))
 
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return type(other) is Fn and self.name == other.name and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((Fn, self.name, self.arg))
-
-    def __repr__(self):
-        return f"Fn({self.name!r}, {self.arg!r})"
+    def _key(self):
+        return (self.name, self.arg)
 
 
 def sin(e) -> Fn:
@@ -389,6 +353,14 @@ def exp(e) -> Fn:
 
 def ln(e) -> Fn:
     return Fn("ln", as_expr(e))
+
+
+def expr_sum(terms) -> Expr:
+    """The left fold ``(t1 + t2) + t3 ...`` of ``terms``; ``Const(0)`` when empty."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return Const(0) if total is None else total
 
 
 # --- parsing ---------------------------------------------------------------
@@ -841,10 +813,9 @@ def _mul_chain(factors) -> Expr:
     return e
 
 
-def _product_of(parts) -> Expr:
-    """Combine already simplified factors, folding constants together."""
+def _flatten(parts):
+    """Split the product of ``parts`` into (coefficient, non-constant factors)."""
     coeff = Fraction(1)
-    sign = 1
     factors = []
     stack = list(reversed(parts))
     while stack:
@@ -853,66 +824,43 @@ def _product_of(parts) -> Expr:
             stack.append(node.right)
             stack.append(node.left)
         elif isinstance(node, Neg):
-            sign = -sign
+            coeff = -coeff
             stack.append(node.arg)
         elif isinstance(node, Const):
             coeff = coeff * node.value
         else:
             factors.append(node)
-    if sign < 0:
-        coeff = -coeff
+    return coeff, tuple(factors)
+
+
+def _product_of(parts) -> Expr:
+    """Combine already simplified factors, folding constants together."""
+    coeff, factors = _flatten(parts)
     if coeff == 0:
         return Const(0)
     if isinstance(coeff, float) and not math.isfinite(coeff):
         # Refuse to fold a non-finite coefficient; rebuild untouched.
         return _mul_chain(list(parts))
-    if not factors:
-        return Const(coeff)
-    if coeff == 1:
-        return _mul_chain(factors)
-    if coeff == -1:
+    if factors and coeff == -1:
         return Neg(_mul_chain(factors))
-    return _mul_chain([Const(coeff)] + factors)
+    return _coeff_times(coeff, factors)
 
 
 def _term_parts(e: Expr):
-    """Split a simplified expression into (coefficient, core-or-None)."""
-    if isinstance(e, Const):
-        return e.value, None
-    if isinstance(e, Neg):
-        coeff, core = _term_parts(e.arg)
-        return -coeff, core
-    if isinstance(e, Mul):
-        coeff = Fraction(1)
-        factors = []
-        stack = [e.right, e.left]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Mul):
-                stack.append(node.right)
-                stack.append(node.left)
-            elif isinstance(node, Const):
-                coeff = coeff * node.value
-            elif isinstance(node, Neg):
-                coeff = -coeff
-                stack.append(node.arg)
-            else:
-                factors.append(node)
-        if not factors:
-            return coeff, None
-        return coeff, _mul_chain(factors)
+    """Split a simplified summand into (coefficient, factors); () means a constant."""
+    if isinstance(e, (Const, Mul, Neg)):
+        return _flatten((e,))
     if isinstance(e, Div) and isinstance(e.right, Const):
         div = e.right.value
         if isinstance(div, Fraction) and div != 0:
-            coeff, core = _term_parts(e.left)
-            return coeff / div, core
-    return Fraction(1), e
+            coeff, factors = _term_parts(e.left)
+            return coeff / div, factors
+    return Fraction(1), (e,)
 
 
 def _sum_of(signed) -> Expr:
     """Combine signed, already simplified summands, merging like terms."""
-    order = []
-    coeffs = {}
+    coeffs = {}  # factors -> coefficient, in order of first appearance
     const_acc = Fraction(0)
     stack = list(reversed(signed))
     while stack:
@@ -926,26 +874,24 @@ def _sum_of(signed) -> Expr:
         elif isinstance(node, Neg):
             stack.append((-sign, node.arg))
         else:
-            coeff, core = _term_parts(node)
+            coeff, factors = _term_parts(node)
             if sign < 0:
                 coeff = -coeff
-            if core is None:
+            if not factors:
                 const_acc = const_acc + coeff
-                continue
-            if core not in coeffs:
-                order.append(core)
-                coeffs[core] = coeff
+            elif factors in coeffs:
+                coeffs[factors] = coeffs[factors] + coeff
             else:
-                coeffs[core] = coeffs[core] + coeff
+                coeffs[factors] = coeff
 
-    terms = [(coeffs[core], core) for core in order if coeffs[core] != 0]
+    terms = [(coeff, factors) for factors, coeff in coeffs.items() if coeff != 0]
     if const_acc != 0 or not terms:
-        terms.append((const_acc, None))
+        terms.append((const_acc, ()))
 
     out = None
-    for coeff, core in terms:
+    for coeff, factors in terms:
         positive = coeff >= 0
-        piece = _coeff_times(abs(coeff) if not positive else coeff, core)
+        piece = _coeff_times(coeff if positive else abs(coeff), factors)
         if out is None:
             out = piece if positive else _neg(piece)
         else:
@@ -953,19 +899,10 @@ def _sum_of(signed) -> Expr:
     return out
 
 
-def _coeff_times(coeff, core) -> Expr:
-    if core is None:
+def _coeff_times(coeff, factors) -> Expr:
+    """The chain c*f1*f2*... that _product_of builds, so simplify leaves it alone."""
+    if not factors:
         return Const(coeff)
     if coeff == 1:
-        return core
-    # The chain c*f1*f2*... that _product_of builds, so that simplifying
-    # the term again leaves it unchanged.  A core is one factor or a
-    # chain f1*f2*... leaning left.
-    spine = []
-    while isinstance(core, Mul):
-        spine.append(core.right)
-        core = core.left
-    e = Mul(Const(coeff), core)
-    for f in reversed(spine):
-        e = Mul(e, f)
-    return e
+        return _mul_chain(factors)
+    return _mul_chain((Const(coeff),) + factors)

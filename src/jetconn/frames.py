@@ -21,7 +21,7 @@ from ._tape import compile_program
 from .connections import Connection1, Connection2
 from .errors import DimensionMismatchError, FrameVerificationError
 from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
-from .expr import Const, Expr, SymbolUniverse, as_expr, diff, simplify
+from .expr import Const, Expr, SymbolUniverse, as_expr, diff, expr_sum, simplify
 
 
 def _matrix(rows) -> Tuple:
@@ -44,11 +44,7 @@ def symbolic_matmul(a, b) -> Tuple:
     for i in range(rows):
         row = []
         for j in range(cols):
-            total = None
-            for k in range(inner):
-                term = a[i][k] * b[k][j]
-                total = term if total is None else total + term
-            row.append(simplify(total))
+            row.append(simplify(expr_sum(a[i][k] * b[k][j] for k in range(inner))))
         out.append(tuple(row))
     return tuple(out)
 
@@ -85,16 +81,22 @@ def adapted_frame(gamma: Connection1) -> AdaptedFrame:
     return AdaptedFrame(u, _matrix(frame), _matrix(coframe))
 
 
+def twofold_names(dims) -> Tuple[str, ...]:
+    """The coordinates u1..un, v1..vr1, w1..wr2, z1..zr12, in that order."""
+    if len(dims) != 4:
+        raise ValueError("dims must be (n, r1, r2, r12)")
+    return tuple(
+        f"{letter}{k}"
+        for letter, count in zip("uvwz", dims)
+        for k in range(1, count + 1)
+    )
+
+
 def twofold_universe(dims) -> SymbolUniverse:
     """Symbol universe holding u/v/w/z coordinates for the given dims."""
-    n, r1, r2, r12 = dims
-    if min(n, r1, r2, r12) < 1:
+    names = twofold_names(dims)
+    if min(dims) < 1:
         raise ValueError("all two-fold dimensions must be positive")
-    names = set()
-    names.update(f"u{i}" for i in range(1, n + 1))
-    names.update(f"v{a}" for a in range(1, r1 + 1))
-    names.update(f"w{a}" for a in range(1, r2 + 1))
-    names.update(f"z{a}" for a in range(1, r12 + 1))
     return SymbolUniverse(0, 0, frozenset(names))
 
 
@@ -153,13 +155,40 @@ class TwoFoldConnection:
         return sum(self.dims)
 
     def variable_names(self) -> Tuple[str, ...]:
-        n, r1, r2, r12 = self.dims
-        return (
-            tuple(f"u{i}" for i in range(1, n + 1))
-            + tuple(f"v{a}" for a in range(1, r1 + 1))
-            + tuple(f"w{a}" for a in range(1, r2 + 1))
-            + tuple(f"z{a}" for a in range(1, r12 + 1))
-        )
+        return twofold_names(self.dims)
+
+
+def _alpha12_base(conn: TwoFoldConnection, g12_base) -> Tuple:
+    """The alpha12-row base block: ``g12_base`` if given, else the connection's."""
+    if g12_base is None:
+        return conn.g12_base
+    n, r12 = conn.dims[0], conn.dims[3]
+    return _tf_grid(g12_base, conn.universe, (r12, n), "g12_base")
+
+
+def _block_matrix(dims, g1_base, g2_base, g12_base, g12_f1, g12_f2) -> Tuple:
+    """The unit lower-triangular matrix with the five blocks in place.
+
+    The alpha1 and alpha2 rows take their base blocks; the alpha12 rows take
+    their base block and the two mixed fiber blocks.
+    """
+    n, r1, r2, _ = dims
+    size = sum(dims)
+    rows = [[Const(0)] * size for _ in range(size)]
+    for d in range(size):
+        rows[d][d] = Const(1)
+    o1, o2, o12 = n, n + r1, n + r1 + r2  # first alpha1, alpha2, alpha12 row
+    placed = (
+        (o1, 0, g1_base),
+        (o2, 0, g2_base),
+        (o12, 0, g12_base),
+        (o12, o1, g12_f1),
+        (o12, o2, g12_f2),
+    )
+    for first_row, first_col, block in placed:
+        for a, entries in enumerate(block):
+            rows[first_row + a][first_col : first_col + len(entries)] = entries
+    return _matrix(rows)
 
 
 def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
@@ -168,32 +197,14 @@ def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
     Optionally installs a replacement for the alpha12-row base block (the
     frame entry the dual coframe derivation treats as chosen data).
     """
-    n, r1, r2, r12 = conn.dims
-    size = conn.size
-    if g12_base is None:
-        g12_base = conn.g12_base
-    else:
-        g12_base = _tf_grid(g12_base, conn.universe, (r12, n), "g12_base")
-    rows = [[Const(0)] * size for _ in range(size)]
-    for d in range(size):
-        rows[d][d] = Const(1)
-    o1 = n           # first alpha1 row
-    o2 = n + r1      # first alpha2 row
-    o12 = n + r1 + r2
-    for a in range(r1):
-        for j in range(n):
-            rows[o1 + a][j] = conn.g1_base[a][j]
-    for a in range(r2):
-        for j in range(n):
-            rows[o2 + a][j] = conn.g2_base[a][j]
-    for a in range(r12):
-        for j in range(n):
-            rows[o12 + a][j] = g12_base[a][j]
-        for b in range(r1):
-            rows[o12 + a][o1 + b] = conn.g12_f1[a][b]
-        for b in range(r2):
-            rows[o12 + a][o2 + b] = conn.g12_f2[a][b]
-    return _matrix(rows)
+    return _block_matrix(
+        conn.dims,
+        conn.g1_base,
+        conn.g2_base,
+        _alpha12_base(conn, g12_base),
+        conn.g12_f1,
+        conn.g12_f2,
+    )
 
 
 @dataclass(frozen=True)
@@ -224,11 +235,7 @@ def twofold_dual_coframe(
     """
     n, r1, r2, r12 = conn.dims
     size = conn.size
-    u = conn.universe
-    if g12_base is None:
-        g12_base = conn.g12_base
-    else:
-        g12_base = _tf_grid(g12_base, u, (r12, n), "g12_base")
+    g12_base = _alpha12_base(conn, g12_base)
 
     gamma_bar = []
     for a in range(r12):
@@ -243,24 +250,10 @@ def twofold_dual_coframe(
         gamma_bar.append(tuple(row))
     gamma_bar = tuple(gamma_bar)
 
-    rows = [[Const(0)] * size for _ in range(size)]
-    for d in range(size):
-        rows[d][d] = Const(1)
-    o1, o2, o12 = n, n + r1, n + r1 + r2
-    for a in range(r1):
-        for j in range(n):
-            rows[o1 + a][j] = simplify(-conn.g1_base[a][j])
-    for a in range(r2):
-        for j in range(n):
-            rows[o2 + a][j] = simplify(-conn.g2_base[a][j])
-    for a in range(r12):
-        for j in range(n):
-            rows[o12 + a][j] = simplify(-gamma_bar[a][j])
-        for b in range(r1):
-            rows[o12 + a][o1 + b] = simplify(-conn.g12_f1[a][b])
-        for b in range(r2):
-            rows[o12 + a][o2 + b] = simplify(-conn.g12_f2[a][b])
-    coframe = _matrix(rows)
+    # The coframe holds every block negated, gamma_bar as the alpha12 base block.
+    blocks = (conn.g1_base, conn.g2_base, gamma_bar, conn.g12_f1, conn.g12_f2)
+    negated = [tuple(tuple(simplify(-e) for e in row) for row in b) for b in blocks]
+    coframe = _block_matrix(conn.dims, *negated)
 
     frame = twofold_frame(conn, g12_base)
     names = conn.variable_names()
@@ -369,28 +362,28 @@ def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
 
     g1_base = tuple(
         tuple(
-            simplify(_sum(lin.c1[a][j][b] * v(b + 1) for b in range(r1)))
+            simplify(expr_sum(lin.c1[a][j][b] * v(b + 1) for b in range(r1)))
             for j in range(n)
         )
         for a in range(r1)
     )
     g2_base = tuple(
         tuple(
-            simplify(_sum(lin.c2[a][j][b] * w(b + 1) for b in range(r2)))
+            simplify(expr_sum(lin.c2[a][j][b] * w(b + 1) for b in range(r2)))
             for j in range(n)
         )
         for a in range(r2)
     )
     g12_f1 = tuple(
         tuple(
-            simplify(_sum(lin.c12_f1f2[a][b1][b2] * w(b2 + 1) for b2 in range(r2)))
+            simplify(expr_sum(lin.c12_f1f2[a][b1][b2] * w(b2 + 1) for b2 in range(r2)))
             for b1 in range(r1)
         )
         for a in range(r12)
     )
     g12_f2 = tuple(
         tuple(
-            simplify(_sum(lin.c12_f2f1[a][b2][b1] * v(b1 + 1) for b1 in range(r1)))
+            simplify(expr_sum(lin.c12_f2f1[a][b2][b1] * v(b1 + 1) for b1 in range(r1)))
             for b2 in range(r2)
         )
         for a in range(r12)
@@ -398,25 +391,18 @@ def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
     g12_base = tuple(
         tuple(
             simplify(
-                _sum(
+                expr_sum(
                     lin.c12_jf1f2[a][j][b1][b2] * v(b1 + 1) * w(b2 + 1)
                     for b1 in range(r1)
                     for b2 in range(r2)
                 )
-                + _sum(lin.c12_jf12[a][j][b] * z(b + 1) for b in range(r12))
+                + expr_sum(lin.c12_jf12[a][j][b] * z(b + 1) for b in range(r12))
             )
             for j in range(n)
         )
         for a in range(r12)
     )
     return TwoFoldConnection(lin.dims, g1_base, g2_base, g12_base, g12_f1, g12_f2)
-
-
-def _sum(terms) -> Expr:
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return total if total is not None else Const(0)
 
 
 @dataclass(frozen=True)
@@ -466,12 +452,7 @@ def validate_twofold_jacobian(
     with the component and variable names on violation.
     """
     n, r1, r2, r12 = transform.dims
-    names = (
-        tuple(f"u{i}" for i in range(1, n + 1))
-        + tuple(f"v{a}" for a in range(1, r1 + 1))
-        + tuple(f"w{a}" for a in range(1, r2 + 1))
-        + tuple(f"z{a}" for a in range(1, r12 + 1))
-    )
+    names = twofold_names(transform.dims)
     jacobian = tuple(
         tuple(diff(c, name) for name in names) for c in transform.components
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DimensionMismatchError
-from .expr import Expr, SymbolUniverse, diff, simplify
+from .expr import Expr, SymbolUniverse, diff, expr_sum, simplify
 
 MAX_ORDER = 4
 MAX_BASE_DIM = 3
@@ -318,23 +318,16 @@ def function_differentials(
     grad = [diff(f, f"x{i}") for i in range(1, m + 1)]
 
     def contract(suffix):
-        total = None
-        for i in range(1, m + 1):
-            term = grad[i - 1] * extended.var(f"x{i}_{suffix}")
-            total = term if total is None else total + term
-        return simplify(total)
+        return [grad[i - 1] * extended.var(f"x{i}_{suffix}") for i in range(1, m + 1)]
 
-    d1 = contract("1")
+    d1 = simplify(expr_sum(contract("1")))
     if level == 1:
         return FunctionDifferentials(extended, 1, d1)
-    d2 = contract("2")
-    pieces = None
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            second = diff(grad[i - 1], f"x{j}")
-            term = second * extended.var(f"x{i}_1") * extended.var(f"x{j}_2")
-            pieces = term if pieces is None else pieces + term
-    for i in range(1, m + 1):
-        term = grad[i - 1] * extended.var(f"x{i}_12")
-        pieces = pieces + term
-    return FunctionDifferentials(extended, 2, d1, d2, simplify(pieces))
+    d2 = simplify(expr_sum(contract("2")))
+    second = [
+        diff(grad[i - 1], f"x{j}") * extended.var(f"x{i}_1") * extended.var(f"x{j}_2")
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    ]
+    d12 = simplify(expr_sum(second + contract("12")))
+    return FunctionDifferentials(extended, 2, d1, d2, d12)

@@ -69,6 +69,21 @@ class TestUniverse:
         assert u.variable_names == ("t",)
 
 
+# One node of each type, with its repr as the printed form to keep.
+NODES = {
+    "Const": (Const(Fraction(1, 3)), "Const(Fraction(1, 3))"),
+    "Const float": (Const(0.5), "Const(0.5)"),
+    "Var": (Var("x1"), "Var('x1')"),
+    "Neg": (Neg(Var("x1")), "Neg(Var('x1'))"),
+    "Add": (Add(Var("x1"), Const(2)), "Add(Var('x1'), Const(Fraction(2, 1)))"),
+    "Sub": (Sub(Var("x1"), Const(2)), "Sub(Var('x1'), Const(Fraction(2, 1)))"),
+    "Mul": (Mul(Var("x1"), Var("x2")), "Mul(Var('x1'), Var('x2'))"),
+    "Div": (Div(Var("x1"), Var("x2")), "Div(Var('x1'), Var('x2'))"),
+    "Pow": (Pow(Var("x1"), -3), "Pow(Var('x1'), -3)"),
+    "Fn": (Fn("sin", Var("x1")), "Fn('sin', Var('x1'))"),
+}
+
+
 class TestNodes:
     def test_structural_equality_and_hash(self):
         a = Add(Var("x1"), Const(2))
@@ -76,11 +91,34 @@ class TestNodes:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Add(Const(2), Var("x1"))
+        # Exact and float constants of equal value are equal nodes.
+        assert Const(Fraction(2)) == Const(2.0)
+        assert hash(Const(Fraction(2))) == hash(Const(2.0))
+        assert Add(Var("x1"), Const(2)) == Add(Var("x1"), Const(2.0))
+        # Equal fields under a different node type or function are unequal.
+        x, y = Var("x1"), Var("x2")
+        assert Add(x, y) != Sub(x, y)
+        assert Mul(x, y) != Div(x, y)
+        assert Neg(x) != Fn("sin", x)
+        assert Fn("sin", x) != Fn("cos", x)
+        assert Pow(x, 2) != Pow(x, 3)
+        # A 1000-term sum nests 1000 deep; hashing it must not recurse.
+        text = " + ".join(f"{k}*x1*y1" for k in range(1, 1001))
+        assert hash(parse_expr(text, U21)) == hash(parse_expr(text, U21))
+
+    def test_repr(self):
+        for node, text in NODES.values():
+            assert repr(node) == text
 
     def test_immutable(self):
         e = Mul(Var("x1"), Var("x2"))
         with pytest.raises(AttributeError):
             e.left = Const(0)
+        fields = ("_hash", "value", "name", "arg", "left", "right", "base", "exponent")
+        for node, _ in NODES.values():
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(node, name, Const(0))
 
     def test_const_normalizes_int_to_fraction(self):
         c = Const(3)
