@@ -85,6 +85,30 @@ def _int_field(data, key, kind) -> int:
     return value
 
 
+def _number(value, convert, what):
+    """``convert(value)``; a JSON value no number converts from is a FormatError."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise FormatError(f"{what} must be a number") from None
+
+
+def _numbers(value, convert, what) -> tuple:
+    if isinstance(value, list):
+        try:
+            return tuple(convert(v) for v in value)
+        except TypeError:
+            pass
+    raise FormatError(f"{what} must be an array of numbers")
+
+
+def _dims(data, kind) -> tuple:
+    dims = _need(data, "dims", kind)
+    if not isinstance(dims, list) or len(dims) != 4:
+        raise FormatError(f"{kind} dims must be a 4-element array")
+    return _numbers(dims, int, f"{kind} dims")
+
+
 def _parse_grid(node, universe, depth):
     if depth == 0:
         if not isinstance(node, str):
@@ -131,10 +155,7 @@ def load_data(data) -> Document:
             AffineConnection(n, _parse_grid(_need(data, "christoffel", kind), u, 3)),
         )
     if kind == "twofold":
-        dims = _need(data, "dims", kind)
-        if not isinstance(dims, list) or len(dims) != 4:
-            raise FormatError("twofold dims must be a 4-element array")
-        dims = tuple(int(d) for d in dims)
+        dims = _dims(data, kind)
         u = twofold_universe(dims)
         blocks = _need(data, "blocks", kind)
         if not isinstance(blocks, dict):
@@ -153,45 +174,45 @@ def load_data(data) -> Document:
         override = None
         if "gamma12_base" in data:
             override = _parse_grid(data["gamma12_base"], u, 2)
+            n, r12 = dims[0], dims[3]
+            if len(override) != r12 or any(len(row) != n for row in override):
+                raise FormatError(f"gamma12_base must be a {r12}x{n} grid")
         return Document(kind, conn, override)
     if kind == "transform":
-        dims = _need(data, "dims", kind)
-        if not isinstance(dims, list) or len(dims) != 4:
-            raise FormatError("transform dims must be a 4-element array")
-        dims = tuple(int(d) for d in dims)
+        dims = _dims(data, kind)
         u = twofold_universe(dims)
         comps = _need(data, "components", kind)
         if not isinstance(comps, list):
             raise FormatError("transform components must be an array")
-        return Document(
-            kind,
-            TwofoldTransform(dims, tuple(parse_expr(c, u) for c in comps)),
-        )
+        return Document(kind, TwofoldTransform(dims, _parse_grid(comps, u, 1)))
     if kind == "jet":
         r = _int_field(data, "order", kind)
         m = _int_field(data, "base_dim", kind)
         n = _int_field(data, "fiber_dim", kind)
-        base = _need(data, "base", kind)
+        base = _numbers(_need(data, "base", kind), float, "jet base")
         records = _need(data, "values", kind)
+        if not isinstance(records, list):
+            raise FormatError("jet values must be an array of records")
         table = {}
         for rec in records:
             if not isinstance(rec, dict):
                 raise FormatError("jet values must be an array of records")
-            key = (int(rec["p"]), tuple(int(k) for k in rec["seq"]))
-            if key in table:
-                raise FormatError(f"duplicate jet record for p={key[0]}, seq={key[1]}")
-            table[key] = float(rec["value"])
+            p = _number(_need(rec, "p", "jet record"), int, "jet record field 'p'")
+            seq = _need(rec, "seq", "jet record")
+            seq = _numbers(seq, int, "jet record field 'seq'")
+            if (p, seq) in table:
+                raise FormatError(f"duplicate jet record for p={p}, seq={seq}")
+            value = _need(rec, "value", "jet record")
+            table[(p, seq)] = _number(value, float, "jet record field 'value'")
         return Document(kind, JetPoint(r, m, n, base, table))
     if kind == "curve":
         dim = _int_field(data, "dim", kind)
         comps = _need(data, "components", kind)
         if not isinstance(comps, list):
             raise FormatError("curve components must be an array")
-        parsed = tuple(parse_expr(c, CURVE_UNIVERSE) for c in comps)
-        return Document(
-            kind,
-            Curve(dim, parsed, _need(data, "t0", kind), _need(data, "t1", kind)),
-        )
+        t0 = _number(_need(data, "t0", kind), float, "curve field 't0'")
+        t1 = _number(_need(data, "t1", kind), float, "curve field 't1'")
+        return Document(kind, Curve(dim, _parse_grid(comps, CURVE_UNIVERSE, 1), t0, t1))
     # curvature grids round-trip as raw payload; validate only inspects them
     m = _int_field(data, "base_dim", kind)
     n = _int_field(data, "fiber_dim", kind)

@@ -180,7 +180,7 @@ def _integrate_rk4(rhs, chunks, curve: Curve, y0: np.ndarray, steps: int) -> Tra
     values[0] = y0
     y = y0
     # numpy warns when the state overflows.  The warning names a source
-    # line and is no diagnostic: an overflowing coefficient already fails
+    # line and is no diagnostic: a non-finite state or coefficient fails
     # its finite check with one.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (a, b, c) in enumerate(_node_triples(chunks, curve.dim)):
@@ -188,8 +188,15 @@ def _integrate_rk4(rhs, chunks, curve: Curve, y0: np.ndarray, steps: int) -> Tra
             k2 = rhs(b, y + (h / 2) * k1)
             k3 = rhs(b, y + (h / 2) * k2)
             k4 = rhs(c, y + h * k3)
-            y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            values[k + 1] = y
+            y_next = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not all(map(isfinite, y_next.tolist())):
+                # The stage sum k1 + 2*k2 + ... overflows before the state does.
+                y_next = y + (h / 6) * k1 + (h / 3) * k2 + (h / 3) * k3 + (h / 6) * k4
+                if not all(map(isfinite, y_next.tolist())):
+                    raise TransportError(
+                        f"non-finite fiber value at t = {float(times[k + 1])}"
+                    )
+            y = values[k + 1] = y_next
     return TransportResult(times, values, steps, 4 * steps)
 
 

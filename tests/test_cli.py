@@ -392,6 +392,83 @@ class TestFailureEdges:
             assert err == "error: non-finite expression value at t = 0.0\n"
 
 
+    # Every rate is 1.5e308 along x1 = t: y = y0 + 1.5e308*t, and for
+    # variant 2 also y_1 = yj0 + 1.5e308*t.  From 1e308 either passes the
+    # largest double between t = 0.5 and t = 0.75.
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [("2", ["--y0", "1e308"]), ("2", ["--y0", "0", "--yj0", "1e308"]),
+         ("ode2", ["--y0", "1e308"])],
+    )
+    def test_state_overflow(self, run, sample_dir, tmp_path, variant, extra):
+        conn = tmp_path / "huge2.json"
+        conn.write_text(
+            json.dumps(
+                {"order": 2, "base_dim": 1, "fiber_dim": 1, "F": [["1.5e308"]],
+                 "G": [["1.5e308"]], "H": [[["1.5e308"]]]}
+            ),
+            encoding="utf-8",
+        )
+        curve = sample_dir / "curve_unit.json"
+        code, out, err = run("transport", variant, conn, curve, "--steps", "4", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: non-finite fiber value at t = 0.75\n"
+
+
+class TestMalformedInput:
+    """Each malformed document is a one-line diagnostic naming the file."""
+
+    JET = {"order": 1, "base_dim": 1, "fiber_dim": 1, "base": [0.0]}
+    CURVE = {"dim": 1, "components": ["t"], "t0": 0.0, "t1": 1.0}
+    BLOCKS = ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2")
+    TWOFOLD = {"dims": [1, 1, 1, 1], "blocks": {name: [["0"]] for name in BLOCKS}}
+    CASES = {
+        "jet record without p": (
+            {**JET, "values": [{"seq": [0], "value": 1.0},
+                               {"p": 1, "seq": [1], "value": 0.0}]},
+            "jet record document is missing the 'p' field",
+        ),
+        "jet value null": (
+            {**JET, "values": [{"p": 1, "seq": [0], "value": None},
+                               {"p": 1, "seq": [1], "value": 0.0}]},
+            "jet record field 'value' must be a number",
+        ),
+        "jet base null": (
+            {**JET, "base": [None], "values": [{"p": 1, "seq": [0], "value": 1.0},
+                                               {"p": 1, "seq": [1], "value": 0.0}]},
+            "jet base must be an array of numbers",
+        ),
+        "curve t0 null": ({**CURVE, "t0": None}, "curve field 't0' must be a number"),
+        "curve component not text": (
+            {**CURVE, "components": [3]}, "expected expression text, got int"
+        ),
+        "transform component not text": (
+            {"transform": True, "dims": [1, 1, 1, 1],
+             "components": ["u1", "v1", "w1", 3]},
+            "expected expression text, got int",
+        ),
+        "twofold dims null": (
+            {**TWOFOLD, "dims": [1, None, 1, 1]},
+            "twofold dims must be an array of numbers",
+        ),
+        "twofold gamma12_base shape": (
+            {**TWOFOLD, "gamma12_base": [["0", "0"]]},
+            "gamma12_base must be a 1x1 grid",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_line_error(self, run, tmp_path, case):
+        document, message = self.CASES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run("validate", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, run, sample_dir, tmp_path):
         prolonged = tmp_path / "prolonged.json"

@@ -26,6 +26,7 @@ MANIFEST = GOLDEN / "transcripts.json"
 
 S = "sample_inputs/"
 PROLONGED = "tests/golden/conn_a_prolonged.json"
+HUGE = "tests/golden/conn_huge.json"
 
 CASES = {
     "transport1_exp": ["transport", "1", S + "conn_exp.json", S + "curve_unit.json", "--y0", "1"],
@@ -70,6 +71,14 @@ CASES = {
     "transport1_overflow": [
         "transport", "1", "tests/golden/conn_exp1000.json", S + "curve_unit.json", "--y0", "1",
         "--steps", "1024",
+    ],
+    # F = 1.5e308: the solution 1.5e308*t stays finite though the RK4 stage
+    # sum k1 + 2*k2 + 2*k3 + k4 overflows; from y0 = 1e308 it does not.
+    "transport1_huge_rate": [
+        "transport", "1", HUGE, S + "curve_unit.json", "--y0", "0", "--steps", "4",
+    ],
+    "transport1_state_overflow": [
+        "transport", "1", HUGE, S + "curve_unit.json", "--y0", "1e308", "--steps", "4",
     ],
     "validate_linear": ["validate", S + "conn_linear.json"],
     "product_a_b": ["product", S + "conn_a.json", S + "conn_b.json"],
