@@ -9,7 +9,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io
@@ -23,14 +22,13 @@ from .connections import (
     linear_to_general,
     product,
 )
-from .errors import DimensionMismatchError, FormatError, JetconnError
+from .errors import FormatError, JetconnError
 from .evaluate import SamplePolicy, eval_expr
 from .expr import Expr, to_text
 from .frames import (
     adapted_frame,
     horizontal_lift_field,
     twofold_dual_coframe,
-    twofold_frame,
     validate_twofold_jacobian,
 )
 from .jets import is_holonomic_point, is_semiholonomic_point, projections_agree
@@ -122,13 +120,7 @@ def _cmd_validate(args) -> str:
 def _cmd_product(args) -> str:
     gamma = _first_order(_load(args.first))
     gamma_bar = _first_order(_load(args.second))
-    try:
-        result = product(gamma, gamma_bar)
-    except DimensionMismatchError as err:
-        raise DimensionMismatchError(
-            f"{args.first} and {args.second}: {err}"
-        ) from None
-    return io.dump_json(io.connection2_to_data(result))
+    return io.dump_json(io.connection2_to_data(product(gamma, gamma_bar)))
 
 
 def _cmd_prolong(args) -> str:
@@ -204,13 +196,12 @@ def _cmd_twofold(args) -> str:
     conn = _expect(doc, "twofold")
     points = args.samples if args.samples is not None else 100
     tol = args.tol if args.tol is not None else 1e-10
-    frame = twofold_frame(conn, doc.extra)
     dual = twofold_dual_coframe(
         conn, doc.extra, points=points, tol=tol, seed=args.seed
     )
     return io.dump_json(
         {
-            "frame": _grid_out(frame, None),
+            "frame": _grid_out(dual.frame, None),
             "coframe": _grid_out(dual.matrix, None),
             "gamma_bar": _grid_out(dual.gamma_bar, None),
             "max_deviation": dual.max_deviation,
@@ -239,41 +230,31 @@ def _cmd_transport(args) -> str:
     steps = args.steps
     if steps < 1:
         raise FormatError("--steps must be a positive integer")
-    try:
-        if args.variant == "1":
-            result = transport1(_first_order(conn_doc), curve, y0, steps)
-        elif args.variant == "2":
-            delta = _second_order(conn_doc)
-            n = delta.universe.fiber_dim
-            m = delta.universe.base_dim
-            if args.yj0 is None:
-                yj0 = tuple((0.0,) * m for _ in range(n))
-            else:
-                flat = _floats(args.yj0, "--yj0")
-                if len(flat) != n * m:
-                    raise FormatError(
-                        f"--yj0 needs {n * m} values (row-major y_i^p), got {len(flat)}"
-                    )
-                yj0 = tuple(flat[p * m : (p + 1) * m] for p in range(n))
-            result = transport2(delta, curve, y0, yj0, steps)
+    if args.variant == "1":
+        result = transport1(_first_order(conn_doc), curve, y0, steps)
+    elif args.variant == "2":
+        delta = _second_order(conn_doc)
+        n = delta.universe.fiber_dim
+        m = delta.universe.base_dim
+        if args.yj0 is None:
+            yj0 = tuple((0.0,) * m for _ in range(n))
         else:
-            result = second_order_ode(_second_order(conn_doc), curve, y0, steps)
-    except DimensionMismatchError as err:
-        raise DimensionMismatchError(
-            f"{args.connection} and {args.curve}: {err}"
-        ) from None
+            flat = _floats(args.yj0, "--yj0")
+            if len(flat) != n * m:
+                raise FormatError(
+                    f"--yj0 needs {n * m} values (row-major y_i^p), got {len(flat)}"
+                )
+            yj0 = tuple(flat[p * m : (p + 1) * m] for p in range(n))
+        result = transport2(delta, curve, y0, yj0, steps)
+    else:
+        result = second_order_ode(_second_order(conn_doc), curve, y0, steps)
     return io.transport_csv(result)
 
 
 def _cmd_holonomy(args) -> str:
     gamma = _first_order(_load(args.connection))
     loop = _expect(_load(args.loop), "curve")
-    try:
-        result = loop_holonomy(gamma, loop, steps=args.steps)
-    except DimensionMismatchError as err:
-        raise DimensionMismatchError(
-            f"{args.connection} and {args.loop}: {err}"
-        ) from None
+    result = loop_holonomy(gamma, loop, steps=args.steps)
     return io.dump_json(
         {
             "defect": result.defect,
@@ -411,18 +392,19 @@ def main(argv=None) -> int:
     try:
         text = args.run(args)
         _emit(args, text)
-    except (JetconnError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except (FormatError, OSError, ValueError) as err:
+        # A FormatError from loading already names its file.
+        message = str(err)
+    except JetconnError as err:
+        message = f"{_inputs(args)}: {err}"
     except RecursionError:
         # The expression core recurses over the tree; very deep or very
         # long expressions exhaust the interpreter's stack.
-        print(
-            f"error: {_inputs(args)}: expression too deeply nested to process",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        message = f"{_inputs(args)}: expression too deeply nested to process"
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .expr import (
     SymbolUniverse,
     as_expr,
     diff,
+    expr_grid,
     expr_sum,
     simplify,
     substitute,
@@ -36,42 +37,6 @@ SEMIHOLONOMIC = "semiholonomic"
 NONHOLONOMIC = "nonholonomic"
 
 
-def _entry(value, universe: SymbolUniverse, what: str, base_only=False) -> Expr:
-    e = as_expr(value)
-    allowed = set(universe.base_names)
-    if not base_only:
-        allowed |= set(universe.fiber_names)
-    stray = sorted(e.free_vars() - allowed)
-    if stray:
-        raise ValueError(f"{what} references variables {stray} outside the universe")
-    return e
-
-
-def _grid2(rows, universe, shape, what, base_only=False) -> Tuple:
-    n, m = shape
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != n or any(len(row) != m for row in rows):
-        raise DimensionMismatchError(f"{what} must be a {n}x{m} grid")
-    return tuple(
-        tuple(_entry(e, universe, what, base_only) for e in row) for row in rows
-    )
-
-
-def _grid3(rows, universe, shape, what, base_only=False) -> Tuple:
-    n, m, k = shape
-    rows = tuple(tuple(tuple(inner) for inner in row) for row in rows)
-    if len(rows) != n or any(len(row) != m for row in rows) or any(
-        len(inner) != k for row in rows for inner in row
-    ):
-        raise DimensionMismatchError(f"{what} must be a {n}x{m}x{k} grid")
-    return tuple(
-        tuple(
-            tuple(_entry(e, universe, what, base_only) for e in inner) for inner in row
-        )
-        for row in rows
-    )
-
-
 @dataclass(frozen=True)
 class Connection1:
     """First order connection: y_i^p = F_i^p(x, y)."""
@@ -80,8 +45,9 @@ class Connection1:
     F: Tuple
 
     def __post_init__(self):
-        shape = (self.universe.fiber_dim, self.universe.base_dim)
-        object.__setattr__(self, "F", _grid2(self.F, self.universe, shape, "F"))
+        u = self.universe
+        shape, names = (u.fiber_dim, u.base_dim), u.base_names + u.fiber_names
+        object.__setattr__(self, "F", expr_grid(self.F, shape, names, "F"))
 
 
 @dataclass(frozen=True)
@@ -94,10 +60,11 @@ class Connection2:
     H: Tuple
 
     def __post_init__(self):
-        n, m = self.universe.fiber_dim, self.universe.base_dim
-        object.__setattr__(self, "F", _grid2(self.F, self.universe, (n, m), "F"))
-        object.__setattr__(self, "G", _grid2(self.G, self.universe, (n, m), "G"))
-        object.__setattr__(self, "H", _grid3(self.H, self.universe, (n, m, m), "H"))
+        u = self.universe
+        n, m, names = u.fiber_dim, u.base_dim, u.base_names + u.fiber_names
+        object.__setattr__(self, "F", expr_grid(self.F, (n, m), names, "F"))
+        object.__setattr__(self, "G", expr_grid(self.G, (n, m), names, "G"))
+        object.__setattr__(self, "H", expr_grid(self.H, (n, m, m), names, "H"))
 
 
 @dataclass(frozen=True)
@@ -111,12 +78,9 @@ class LinearConnection1:
     coeff: Tuple
 
     def __post_init__(self):
-        n, m = self.universe.fiber_dim, self.universe.base_dim
-        object.__setattr__(
-            self,
-            "coeff",
-            _grid3(self.coeff, self.universe, (n, m, n), "coeff", base_only=True),
-        )
+        u = self.universe
+        shape = (u.fiber_dim, u.base_dim, u.fiber_dim)
+        object.__setattr__(self, "coeff", expr_grid(self.coeff, shape, u.base_names, "coeff"))
 
 
 @dataclass(frozen=True)
@@ -133,15 +97,9 @@ class AffineConnection:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        u = self.universe
-        object.__setattr__(
-            self,
-            "christoffel",
-            _grid3(
-                self.christoffel, u, (self.dim, self.dim, self.dim),
-                "christoffel", base_only=True,
-            ),
-        )
+        shape = (self.dim, self.dim, self.dim)
+        gamma = expr_grid(self.christoffel, shape, self.universe.base_names, "christoffel")
+        object.__setattr__(self, "christoffel", gamma)
 
     @property
     def universe(self) -> SymbolUniverse:

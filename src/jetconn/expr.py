@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
+    DimensionMismatchError,
     FunctionArityError,
     ParseError,
     UnknownIdentifierError,
@@ -361,6 +362,40 @@ def expr_sum(terms) -> Expr:
     for term in terms:
         total = term if total is None else total + term
     return Const(0) if total is None else total
+
+
+def expr_grid(value, shape, allowed, what: str):
+    """``value`` as nested tuples of expressions of exactly ``shape``.
+
+    The whole shape is checked before any entry is converted: a wrong length
+    or nesting at any depth raises :class:`DimensionMismatchError`, and an
+    entry that uses a name outside ``allowed`` raises ``ValueError``.  Both
+    messages start with ``what``.  ``shape == ()`` checks one expression.
+    """
+    allowed = frozenset(allowed)
+    size = "x".join(str(k) for k in shape)
+    wanted = {0: "one expression", 1: f"a list of {size}"}.get(len(shape), f"a {size} grid")
+
+    def nest(node, depth):
+        if depth == len(shape):
+            if not isinstance(node, (tuple, list)):
+                return node
+        elif hasattr(node, "__iter__"):
+            node = tuple(node)
+            if len(node) == shape[depth]:
+                return tuple(nest(child, depth + 1) for child in node)
+        raise DimensionMismatchError(f"{what} must be {wanted}")
+
+    def entry(node, depth):
+        if depth < len(shape):
+            return tuple(entry(child, depth + 1) for child in node)
+        e = as_expr(node)
+        stray = sorted(e.free_vars() - allowed)
+        if stray:
+            raise ValueError(f"{what} references variables {stray} outside the universe")
+        return e
+
+    return entry(nest(value, 0), 0)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from ._tape import compile_program
 from .connections import Connection1, Connection2
-from .errors import DimensionMismatchError, FrameVerificationError
+from .errors import FrameVerificationError
 from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
-from .expr import Const, Expr, SymbolUniverse, as_expr, diff, expr_sum, simplify
+from .expr import Const, SymbolUniverse, diff, expr_grid, expr_sum, simplify
 
 
 def _matrix(rows) -> Tuple:
@@ -81,6 +81,10 @@ def adapted_frame(gamma: Connection1) -> AdaptedFrame:
     return AdaptedFrame(u, _matrix(frame), _matrix(coframe))
 
 
+# Largest n + r1 + r2 + r12: the frame is a 64x64 matrix of 4096 entries.
+MAX_TWOFOLD_SIZE = 64
+
+
 def twofold_names(dims) -> Tuple[str, ...]:
     """The coordinates u1..un, v1..vr1, w1..wr2, z1..zr12, in that order."""
     if len(dims) != 4:
@@ -93,26 +97,21 @@ def twofold_names(dims) -> Tuple[str, ...]:
 
 
 def twofold_universe(dims) -> SymbolUniverse:
-    """Symbol universe holding u/v/w/z coordinates for the given dims."""
-    names = twofold_names(dims)
+    """Symbol universe holding u/v/w/z coordinates for the given dims.
+
+    Every dimension must be positive and n + r1 + r2 + r12 at most
+    :data:`MAX_TWOFOLD_SIZE`, the side of the frame matrix; both are
+    checked before any name is built.
+    """
+    if len(dims) != 4:
+        raise ValueError("dims must be (n, r1, r2, r12)")
     if min(dims) < 1:
         raise ValueError("all two-fold dimensions must be positive")
-    return SymbolUniverse(0, 0, frozenset(names))
-
-
-def _tf_entry(value, universe, what) -> Expr:
-    e = as_expr(value)
-    stray = sorted(e.free_vars() - universe.extra_symbols)
-    if stray:
-        raise ValueError(f"{what} references unknown variables {stray}")
-    return e
-
-
-def _tf_grid(rows, universe, shape, what) -> Tuple:
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-        raise DimensionMismatchError(f"{what} must be a {shape[0]}x{shape[1]} grid")
-    return tuple(tuple(_tf_entry(e, universe, what) for e in r) for r in rows)
+    if sum(dims) > MAX_TWOFOLD_SIZE:
+        raise ValueError(
+            f"two-fold dimensions sum to {sum(dims)}, above the bound {MAX_TWOFOLD_SIZE}"
+        )
+    return SymbolUniverse(0, 0, frozenset(twofold_names(dims)))
 
 
 @dataclass(frozen=True)
@@ -132,19 +131,18 @@ class TwoFoldConnection:
     g12_f2: Tuple    # (r12 x r2) Gamma_{beta2}^{alpha12}
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 4:
-            raise ValueError("dims must be (n, r1, r2, r12)")
-        object.__setattr__(self, "dims", dims)
-        n, r1, r2, r12 = dims
-        u = self.universe
-        object.__setattr__(self, "g1_base", _tf_grid(self.g1_base, u, (r1, n), "g1_base"))
-        object.__setattr__(self, "g2_base", _tf_grid(self.g2_base, u, (r2, n), "g2_base"))
-        object.__setattr__(
-            self, "g12_base", _tf_grid(self.g12_base, u, (r12, n), "g12_base")
-        )
-        object.__setattr__(self, "g12_f1", _tf_grid(self.g12_f1, u, (r12, r1), "g12_f1"))
-        object.__setattr__(self, "g12_f2", _tf_grid(self.g12_f2, u, (r12, r2), "g12_f2"))
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        names = self.universe.extra_symbols
+        n, r1, r2, r12 = self.dims
+        shapes = {
+            "g1_base": (r1, n),
+            "g2_base": (r2, n),
+            "g12_base": (r12, n),
+            "g12_f1": (r12, r1),
+            "g12_f2": (r12, r2),
+        }
+        for what, shape in shapes.items():
+            object.__setattr__(self, what, expr_grid(getattr(self, what), shape, names, what))
 
     @property
     def universe(self) -> SymbolUniverse:
@@ -162,8 +160,8 @@ def _alpha12_base(conn: TwoFoldConnection, g12_base) -> Tuple:
     """The alpha12-row base block: ``g12_base`` if given, else the connection's."""
     if g12_base is None:
         return conn.g12_base
-    n, r12 = conn.dims[0], conn.dims[3]
-    return _tf_grid(g12_base, conn.universe, (r12, n), "g12_base")
+    shape = (conn.dims[3], conn.dims[0])
+    return expr_grid(g12_base, shape, conn.universe.extra_symbols, "g12_base")
 
 
 def _block_matrix(dims, g1_base, g2_base, g12_base, g12_f1, g12_f2) -> Tuple:
@@ -209,12 +207,16 @@ def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
 
 @dataclass(frozen=True)
 class TwofoldCoframe:
-    """Derived dual coframe plus the numeric duality verification record."""
+    """Derived dual coframe plus the numeric duality verification record.
+
+    ``frame`` is the adapted frame the coframe was verified against.
+    """
 
     matrix: Tuple
     gamma_bar: Tuple
     max_deviation: float
     checked_points: int
+    frame: Tuple
 
 
 def twofold_dual_coframe(
@@ -278,7 +280,7 @@ def twofold_dual_coframe(
                 f"coframe is not inverse to the frame at {point} (deviation {dev:.3e})"
             )
         worst = max(worst, float(dev))
-    return TwofoldCoframe(coframe, gamma_bar, worst, points)
+    return TwofoldCoframe(coframe, gamma_bar, worst, points, frame)
 
 
 @dataclass(frozen=True)
@@ -302,44 +304,19 @@ class LinearTwoFoldCoefficients:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
+        twofold_universe(dims)  # checks the dims
         n, r1, r2, r12 = dims
-        u = twofold_universe(dims)
-        base = {f"u{i}" for i in range(1, n + 1)}
-
-        def tensor(value, shape, what):
-            def walk(node, depth):
-                if depth == len(shape):
-                    e = as_expr(node)
-                    stray = sorted(e.free_vars() - base)
-                    if stray:
-                        raise ValueError(
-                            f"{what} must depend on base coordinates only, found {stray}"
-                        )
-                    return e
-                node = tuple(node)
-                if len(node) != shape[depth]:
-                    raise DimensionMismatchError(
-                        f"{what} has length {len(node)} at depth {depth}, "
-                        f"expected {shape[depth]}"
-                    )
-                return tuple(walk(child, depth + 1) for child in node)
-
-            return walk(value, 0)
-
-        object.__setattr__(self, "c1", tensor(self.c1, (r1, n, r1), "c1"))
-        object.__setattr__(self, "c2", tensor(self.c2, (r2, n, r2), "c2"))
-        object.__setattr__(
-            self, "c12_f1f2", tensor(self.c12_f1f2, (r12, r1, r2), "c12_f1f2")
-        )
-        object.__setattr__(
-            self, "c12_f2f1", tensor(self.c12_f2f1, (r12, r2, r1), "c12_f2f1")
-        )
-        object.__setattr__(
-            self, "c12_jf1f2", tensor(self.c12_jf1f2, (r12, n, r1, r2), "c12_jf1f2")
-        )
-        object.__setattr__(
-            self, "c12_jf12", tensor(self.c12_jf12, (r12, n, r12), "c12_jf12")
-        )
+        base = twofold_names((n, 0, 0, 0))
+        shapes = {
+            "c1": (r1, n, r1),
+            "c2": (r2, n, r2),
+            "c12_f1f2": (r12, r1, r2),
+            "c12_f2f1": (r12, r2, r1),
+            "c12_jf1f2": (r12, n, r1, r2),
+            "c12_jf12": (r12, n, r12),
+        }
+        for what, shape in shapes.items():
+            object.__setattr__(self, what, expr_grid(getattr(self, what), shape, base, what))
 
 
 def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
@@ -415,16 +392,8 @@ class TwofoldTransform:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        u = twofold_universe(dims)
-        comps = tuple(as_expr(c) for c in self.components)
-        if len(comps) != sum(dims):
-            raise DimensionMismatchError(
-                f"transform needs {sum(dims)} components, got {len(comps)}"
-            )
-        for c in comps:
-            stray = sorted(c.free_vars() - u.extra_symbols)
-            if stray:
-                raise ValueError(f"transform references unknown variables {stray}")
+        names = twofold_universe(dims).extra_symbols
+        comps = expr_grid(self.components, (sum(dims),), names, "transform components")
         object.__setattr__(self, "components", comps)
 
 

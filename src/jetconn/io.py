@@ -17,7 +17,7 @@ from .connections import (
     LinearConnection1,
 )
 from .errors import FormatError
-from .expr import Expr, SymbolUniverse, parse_expr, to_text
+from .expr import Expr, SymbolUniverse, expr_grid, parse_expr, to_text
 from .frames import TwoFoldConnection, TwofoldTransform, twofold_universe
 from .jets import JetPoint
 from .transport import CURVE_UNIVERSE, Curve, TransportResult
@@ -173,10 +173,8 @@ def load_data(data) -> Document:
         )
         override = None
         if "gamma12_base" in data:
-            override = _parse_grid(data["gamma12_base"], u, 2)
-            n, r12 = dims[0], dims[3]
-            if len(override) != r12 or any(len(row) != n for row in override):
-                raise FormatError(f"gamma12_base must be a {r12}x{n} grid")
+            grid = _parse_grid(data["gamma12_base"], u, 2)
+            override = expr_grid(grid, (dims[3], dims[0]), u.extra_symbols, "gamma12_base")
         return Document(kind, conn, override)
     if kind == "transform":
         dims = _dims(data, kind)

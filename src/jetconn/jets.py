@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DimensionMismatchError
-from .expr import Expr, SymbolUniverse, diff, expr_sum, simplify
+from .expr import Expr, SymbolUniverse, diff, expr_grid, expr_sum, simplify
 
 MAX_ORDER = 4
 MAX_BASE_DIM = 3
@@ -309,10 +309,7 @@ def function_differentials(
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
-    allowed = set(universe.base_names)
-    stray = sorted(f.free_vars() - allowed)
-    if stray:
-        raise ValueError(f"function must use base variables only, found {stray}")
+    f = expr_grid(f, (), universe.base_names, "function")
     extended = tangent_universe(universe, level)
     m = universe.base_dim
     grad = [diff(f, f"x{i}") for i in range(1, m + 1)]

@@ -18,7 +18,7 @@ import numpy as np
 from ._tape import STATUS_MESSAGES, Program, compile_program
 from .connections import Connection1, Connection2, is_fiber_linear
 from .errors import DimensionMismatchError, TransportError
-from .expr import Expr, SymbolUniverse, as_expr, diff, substitute
+from .expr import Expr, SymbolUniverse, as_expr, diff, expr_grid, substitute
 
 CURVE_UNIVERSE = SymbolUniverse(0, 0, frozenset({"t"}))
 
@@ -33,15 +33,8 @@ class Curve:
     t1: float
 
     def __post_init__(self):
-        comps = tuple(as_expr(c) for c in self.components)
-        if len(comps) != self.dim:
-            raise DimensionMismatchError(
-                f"curve needs {self.dim} components, got {len(comps)}"
-            )
-        for c in comps:
-            stray = sorted(c.free_vars() - {"t"})
-            if stray:
-                raise ValueError(f"curve components may use only t, found {stray}")
+        names = CURVE_UNIVERSE.extra_symbols
+        comps = expr_grid(self.components, (self.dim,), names, "curve components")
         t0, t1 = float(self.t0), float(self.t1)
         if not (np.isfinite(t0) and np.isfinite(t1)):
             raise ValueError("interval endpoints must be finite")

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +219,46 @@ class TestTwofoldCommands:
         assert data["max_deviation"] < 1e-10
         assert data["checked_points"] == 100
 
+    def test_twofold_builds_the_frame_once(self, run, sample_dir, monkeypatch):
+        import jetconn.cli
+        import jetconn.frames
+
+        calls = []
+        build = jetconn.frames.twofold_frame
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(jetconn.frames, "twofold_frame", counted)
+        # Also count a call the command would make through its own import.
+        monkeypatch.setattr(jetconn.cli, "twofold_frame", counted, raising=False)
+        assert run("twofold", sample_dir / "twofold.json")[0] == 0
+        assert len(calls) == 1
+
+    def test_twofold_dims_bounded(self, tmp_path):
+        # The dims are checked before a single coordinate name is built.  A
+        # separate process with a timeout and a 2 GB address-space limit keeps
+        # an unbounded build contained.
+        doc = tmp_path / "huge.json"
+        blocks = {name: [["0"]] for name in ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2")}
+        doc.write_text(
+            json.dumps({"dims": [1000000000, 1, 1, 1], "blocks": blocks}), encoding="utf-8"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        out = subprocess.run(
+            [sys.executable, "-m", "jetconn.cli", "validate", str(doc)],
+            env=env, capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == (
+            f"error: {doc}: two-fold dimensions sum to 1000000003, above the bound 64\n"
+        )
+
     def test_jacobian_valid(self, run, sample_dir):
         code, out, _ = run("jacobian", sample_dir / "transform.json")
         assert code == 0
@@ -389,7 +434,7 @@ class TestFailureEdges:
             code, out, err = run("transport", variant, path, curve, "--y0", "1", "--steps", "4")
             assert code == 1
             assert out == ""
-            assert err == "error: non-finite expression value at t = 0.0\n"
+            assert err == f"error: {path} and {curve}: non-finite expression value at t = 0.0\n"
 
 
     # Every rate is 1.5e308 along x1 = t: y = y0 + 1.5e308*t, and for
@@ -413,7 +458,7 @@ class TestFailureEdges:
         code, out, err = run("transport", variant, conn, curve, "--steps", "4", *extra)
         assert code == 1
         assert out == ""
-        assert err == "error: non-finite fiber value at t = 0.75\n"
+        assert err == f"error: {conn} and {curve}: non-finite fiber value at t = 0.75\n"
 
 
 class TestMalformedInput:

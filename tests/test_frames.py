@@ -24,7 +24,7 @@ from jetconn import (
     validate_twofold_jacobian,
 )
 from jetconn.expr import Add, Const, Mul, Sub, Var
-from jetconn.frames import identity_matrix, symbolic_matmul
+from jetconn.frames import MAX_TWOFOLD_SIZE, identity_matrix, symbolic_matmul
 
 from conftest import poly_expr, random_connection1
 
@@ -152,6 +152,15 @@ class TestTwofoldFrame:
         assert M[3][0] == P("u1^2")
         dual = twofold_dual_coframe(c, override)
         assert expr_equal(dual.gamma_bar[0][0], P("u1^2"))
+        assert dual.frame == M  # the frame the coframe was verified against
+
+    def test_size_bound(self):
+        at_bound = (MAX_TWOFOLD_SIZE - 3, 1, 1, 1)
+        assert len(twofold_universe(at_bound).extra_symbols) == MAX_TWOFOLD_SIZE
+        with pytest.raises(ValueError, match=f"sum to 65, above the bound {MAX_TWOFOLD_SIZE}"):
+            twofold_universe((MAX_TWOFOLD_SIZE - 2, 1, 1, 1))
+        with pytest.raises(ValueError, match="positive"):
+            twofold_universe((1, 0, 1, 1))
 
 
 class TestLinearTwofold:
