@@ -24,7 +24,6 @@ from .connections import (
 )
 from .errors import FormatError, JetconnError
 from .evaluate import SamplePolicy, eval_expr
-from .expr import Expr, to_text
 from .frames import (
     adapted_frame,
     horizontal_lift_field,
@@ -97,11 +96,10 @@ def _assignment(universe, text: str) -> dict:
 
 
 def _grid_out(grid, assignment):
-    if isinstance(grid, Expr):
-        if assignment is None:
-            return to_text(grid)
-        return eval_expr(grid, assignment)
-    return [_grid_out(child, assignment) for child in grid]
+    """``grid`` for JSON: its text, or its values at the ``--at`` assignment."""
+    if assignment is None:
+        return io.grid_to_data(grid)
+    return io.grid_to_data(grid, lambda e: eval_expr(e, assignment))
 
 
 def _emit(args, text: str) -> None:
@@ -201,9 +199,9 @@ def _cmd_twofold(args) -> str:
     )
     return io.dump_json(
         {
-            "frame": _grid_out(dual.frame, None),
-            "coframe": _grid_out(dual.matrix, None),
-            "gamma_bar": _grid_out(dual.gamma_bar, None),
+            "frame": io.grid_to_data(dual.frame),
+            "coframe": io.grid_to_data(dual.matrix),
+            "gamma_bar": io.grid_to_data(dual.gamma_bar),
             "max_deviation": dual.max_deviation,
             "checked_points": dual.checked_points,
         }
@@ -218,7 +216,7 @@ def _cmd_jacobian(args) -> str:
             "valid": report.valid,
             "confidence": report.confidence,
             "violations": [list(v) for v in report.violations],
-            "jacobian": _grid_out(report.jacobian, None),
+            "jacobian": io.grid_to_data(report.jacobian),
         }
     )
 

@@ -25,6 +25,8 @@ from .expr import (
     Expr,
     SymbolUniverse,
     as_expr,
+    build_grid,
+    contract,
     diff,
     expr_grid,
     expr_sum,
@@ -138,19 +140,13 @@ def product(gamma: Connection1, gamma_bar: Connection1) -> Connection2:
         )
     u = gamma.universe
     m, n = u.base_dim, u.fiber_dim
-    H = []
-    for p in range(1, n + 1):
-        rows = []
-        for i in range(1, m + 1):
-            f = gamma.F[p - 1][i - 1]
-            fiber = [diff(f, f"y{q}") for q in range(1, n + 1)]
-            row = []
-            for j in range(1, m + 1):
-                terms = [fiber[q] * gamma_bar.F[q][j - 1] for q in range(n)]
-                row.append(simplify(expr_sum([diff(f, f"x{j}")] + terms)))
-            rows.append(tuple(row))
-        H.append(tuple(rows))
-    return Connection2(u, gamma.F, gamma_bar.F, tuple(H))
+    fiber = build_grid((n, m, n), lambda p, i, q: diff(gamma.F[p][i], f"y{q + 1}"))
+
+    def h(p, i, j):
+        terms = [fiber[p][i][q] * gamma_bar.F[q][j] for q in range(n)]
+        return simplify(expr_sum([diff(gamma.F[p][i], f"x{j + 1}")] + terms))
+
+    return Connection2(u, gamma.F, gamma_bar.F, build_grid((n, m, m), h))
 
 
 def ehresmann_prolongation(gamma: Connection1) -> Connection2:
@@ -160,29 +156,18 @@ def ehresmann_prolongation(gamma: Connection1) -> Connection2:
 
 def curvature(gamma: Connection1) -> Tuple:
     """Antisymmetric part R_ij^p = H_ij^p - H_ji^p of the self-product's H."""
-    H = ehresmann_prolongation(gamma).H
-    n = gamma.universe.fiber_dim
-    m = gamma.universe.base_dim
-    return tuple(
-        tuple(
-            tuple(
-                simplify(H[p][i][j] - H[p][j][i]) for j in range(m)
-            )
-            for i in range(m)
-        )
-        for p in range(n)
-    )
+    u, H = gamma.universe, ehresmann_prolongation(gamma).H
+    shape = (u.fiber_dim, u.base_dim, u.base_dim)
+    return build_grid(shape, lambda p, i, j: simplify(H[p][i][j] - H[p][j][i]))
 
 
 def exchange(delta: Connection2) -> Connection2:
     """Swap the two first order parts and transpose H.  An involution."""
-    m = delta.universe.base_dim
-    n = delta.universe.fiber_dim
-    transposed = tuple(
-        tuple(tuple(delta.H[p][j][i] for j in range(m)) for i in range(m))
-        for p in range(n)
+    u = delta.universe
+    transposed = build_grid(
+        (u.fiber_dim, u.base_dim, u.base_dim), lambda p, i, j: delta.H[p][j][i]
     )
-    return Connection2(delta.universe, delta.G, delta.F, transposed)
+    return Connection2(u, delta.G, delta.F, transposed)
 
 
 def family(gamma: Connection1, k) -> Connection2:
@@ -194,21 +179,14 @@ def family(gamma: Connection1, k) -> Connection2:
     if isinstance(k, bool) or not isinstance(k, (int, float, Fraction)):
         raise TypeError("family parameter must be a real number")
     delta = ehresmann_prolongation(gamma)
-    m = delta.universe.base_dim
-    n = delta.universe.fiber_dim
+    u, H = delta.universe, delta.H
     ck = as_expr(k)
     cj = as_expr(1 - k)
-    H = tuple(
-        tuple(
-            tuple(
-                simplify(ck * delta.H[p][i][j] + cj * delta.H[p][j][i])
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        for p in range(n)
+    H = build_grid(
+        (u.fiber_dim, u.base_dim, u.base_dim),
+        lambda p, i, j: simplify(ck * H[p][i][j] + cj * H[p][j][i]),
     )
-    return Connection2(delta.universe, delta.F, delta.G, H)
+    return Connection2(u, delta.F, delta.G, H)
 
 
 def classify(delta: Connection2, policy: SamplePolicy = None) -> Classification:
@@ -247,15 +225,8 @@ def classify(delta: Connection2, policy: SamplePolicy = None) -> Classification:
 def linear_to_general(linear: LinearConnection1) -> Connection1:
     """Expand F_i^p = sum_q F_iq^p * y^q into a general connection."""
     u = linear.universe
-    m, n = u.base_dim, u.fiber_dim
-    F = tuple(
-        tuple(
-            simplify(expr_sum(linear.coeff[p][i][q] * u.y(q + 1) for q in range(n)))
-            for i in range(m)
-        )
-        for p in range(n)
-    )
-    return Connection1(u, F)
+    fiber = [u.var(name) for name in u.fiber_names]
+    return Connection1(u, contract(linear.coeff, fiber, 2))
 
 
 def affine_to_general(affine: AffineConnection) -> Connection1:
@@ -266,17 +237,12 @@ def affine_to_general(affine: AffineConnection) -> Connection1:
     column j) = -sum_l Gamma^k_jl * y^l.
     """
     u = affine.universe
-    d = affine.dim
-    F = tuple(
-        tuple(
-            simplify(
-                -expr_sum(affine.christoffel[k][j][l] * u.y(l + 1) for l in range(d))
-            )
-            for j in range(d)
-        )
-        for k in range(d)
-    )
-    return Connection1(u, F)
+    fiber = [u.var(name) for name in u.fiber_names]
+
+    def entry(k, j):
+        return simplify(-expr_sum(g * y for g, y in zip(affine.christoffel[k][j], fiber)))
+
+    return Connection1(u, build_grid((affine.dim, affine.dim), entry))
 
 
 def is_fiber_linear(gamma: Connection1) -> bool:

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import (
@@ -362,6 +363,30 @@ def expr_sum(terms) -> Expr:
     for term in terms:
         total = term if total is None else total + term
     return Const(0) if total is None else total
+
+
+def build_grid(shape, entry):
+    """Nested tuples of ``shape`` holding ``entry(*index)``, first axis outermost.
+
+    Entries are built in row-major order, the order of the nested
+    comprehensions this stands for; ``shape == ()`` gives ``entry()``.
+    """
+    if not shape:
+        return entry()
+    return tuple(build_grid(shape[1:], partial(entry, k)) for k in range(shape[0]))
+
+
+def contract(tensor, vector, depth: int = 0):
+    """The last axis of ``tensor`` summed against ``vector``.
+
+    ``depth`` counts the axes of ``tensor`` before the summed one, and the
+    result is a grid of that many axes.  Each entry is
+    ``simplify(t1*v1 + t2*v2 + ...)``, and ``Const(0)`` when the summed axis
+    is empty.
+    """
+    if depth:
+        return tuple(contract(row, vector, depth - 1) for row in tensor)
+    return simplify(expr_sum(t * v for t, v in zip(tensor, vector)))
 
 
 def expr_grid(value, shape, allowed, what: str):

@@ -13,6 +13,7 @@ for the three fiber families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Tuple
 
 import numpy as np
@@ -21,32 +22,48 @@ from ._tape import compile_program
 from .connections import Connection1, Connection2
 from .errors import FrameVerificationError
 from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
-from .expr import Const, SymbolUniverse, diff, expr_grid, expr_sum, simplify
+from .expr import (
+    Const,
+    Sub,
+    SymbolUniverse,
+    build_grid,
+    contract,
+    diff,
+    expr_grid,
+    expr_sum,
+    simplify,
+)
 
 
-def _matrix(rows) -> Tuple:
-    return tuple(tuple(row) for row in rows)
+def _unit_lower(size: int, blocks=(), entry=None) -> Tuple:
+    """The ``size`` square identity with ``blocks`` placed below the diagonal.
+
+    Each block is ``(first_row, first_col, grid)``.  ``entry``, if given,
+    maps every placed expression; the coframes place negated blocks.
+    """
+    placed = {
+        (first_row + a, first_col + b): e if entry is None else entry(e)
+        for first_row, first_col, grid in blocks
+        for a, row in enumerate(grid)
+        for b, e in enumerate(row)
+    }
+    return build_grid(
+        (size, size), lambda r, c: placed.get((r, c), Const(1) if r == c else Const(0))
+    )
+
+
+def _negated(e):
+    return simplify(-e)
 
 
 def identity_matrix(size: int) -> Tuple:
-    return tuple(
-        tuple(Const(1) if i == j else Const(0) for j in range(size))
-        for i in range(size)
-    )
+    return _unit_lower(size)
 
 
 def symbolic_matmul(a, b) -> Tuple:
     """Entrywise simplified product of two expression matrices."""
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            row.append(simplify(expr_sum(a[i][k] * b[k][j] for k in range(inner))))
-        out.append(tuple(row))
-    return tuple(out)
+    columns = tuple(zip(*b))
+    return build_grid((len(a), len(columns)), lambda i, j: contract(a[i], columns[j]))
 
 
 @dataclass(frozen=True)
@@ -66,19 +83,8 @@ def adapted_frame(gamma: Connection1) -> AdaptedFrame:
     by construction.
     """
     u = gamma.universe
-    m, n = u.base_dim, u.fiber_dim
-    size = m + n
-    frame = [[Const(0)] * size for _ in range(size)]
-    coframe = [[Const(0)] * size for _ in range(size)]
-    for d in range(size):
-        frame[d][d] = Const(1)
-        coframe[d][d] = Const(1)
-    for p in range(n):
-        for i in range(m):
-            entry = gamma.F[p][i]
-            frame[m + p][i] = entry
-            coframe[m + p][i] = simplify(-entry)
-    return AdaptedFrame(u, _matrix(frame), _matrix(coframe))
+    size, block = u.base_dim + u.fiber_dim, [(u.base_dim, 0, gamma.F)]
+    return AdaptedFrame(u, _unit_lower(size, block), _unit_lower(size, block, _negated))
 
 
 # Largest n + r1 + r2 + r12: the frame is a 64x64 matrix of 4096 entries.
@@ -164,29 +170,18 @@ def _alpha12_base(conn: TwoFoldConnection, g12_base) -> Tuple:
     return expr_grid(g12_base, shape, conn.universe.extra_symbols, "g12_base")
 
 
-def _block_matrix(dims, g1_base, g2_base, g12_base, g12_f1, g12_f2) -> Tuple:
+def _block_matrix(dims, blocks, entry=None) -> Tuple:
     """The unit lower-triangular matrix with the five blocks in place.
 
-    The alpha1 and alpha2 rows take their base blocks; the alpha12 rows take
-    their base block and the two mixed fiber blocks.
+    ``blocks`` is (g1_base, g2_base, g12_base, g12_f1, g12_f2).  The alpha1
+    and alpha2 rows take their base blocks; the alpha12 rows take their base
+    block and the two mixed fiber blocks.  ``entry`` is as for
+    :func:`_unit_lower`.
     """
     n, r1, r2, _ = dims
-    size = sum(dims)
-    rows = [[Const(0)] * size for _ in range(size)]
-    for d in range(size):
-        rows[d][d] = Const(1)
     o1, o2, o12 = n, n + r1, n + r1 + r2  # first alpha1, alpha2, alpha12 row
-    placed = (
-        (o1, 0, g1_base),
-        (o2, 0, g2_base),
-        (o12, 0, g12_base),
-        (o12, o1, g12_f1),
-        (o12, o2, g12_f2),
-    )
-    for first_row, first_col, block in placed:
-        for a, entries in enumerate(block):
-            rows[first_row + a][first_col : first_col + len(entries)] = entries
-    return _matrix(rows)
+    placed = zip((o1, o2, o12, o12, o12), (0, 0, 0, o1, o2), blocks)
+    return _unit_lower(sum(dims), placed, entry)
 
 
 def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
@@ -195,14 +190,9 @@ def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
     Optionally installs a replacement for the alpha12-row base block (the
     frame entry the dual coframe derivation treats as chosen data).
     """
-    return _block_matrix(
-        conn.dims,
-        conn.g1_base,
-        conn.g2_base,
-        _alpha12_base(conn, g12_base),
-        conn.g12_f1,
-        conn.g12_f2,
-    )
+    g12_base = _alpha12_base(conn, g12_base)
+    blocks = (conn.g1_base, conn.g2_base, g12_base, conn.g12_f1, conn.g12_f2)
+    return _block_matrix(conn.dims, blocks)
 
 
 @dataclass(frozen=True)
@@ -239,23 +229,15 @@ def twofold_dual_coframe(
     size = conn.size
     g12_base = _alpha12_base(conn, g12_base)
 
-    gamma_bar = []
-    for a in range(r12):
-        row = []
-        for j in range(n):
-            e = g12_base[a][j]
-            for b in range(r1):
-                e = e - conn.g12_f1[a][b] * conn.g1_base[b][j]
-            for b in range(r2):
-                e = e - conn.g12_f2[a][b] * conn.g2_base[b][j]
-            row.append(simplify(e))
-        gamma_bar.append(tuple(row))
-    gamma_bar = tuple(gamma_bar)
+    def gamma_bar_entry(a, j):
+        products = [conn.g12_f1[a][b] * conn.g1_base[b][j] for b in range(r1)]
+        products += [conn.g12_f2[a][b] * conn.g2_base[b][j] for b in range(r2)]
+        return simplify(reduce(Sub, products, g12_base[a][j]))
 
+    gamma_bar = build_grid((r12, n), gamma_bar_entry)
     # The coframe holds every block negated, gamma_bar as the alpha12 base block.
     blocks = (conn.g1_base, conn.g2_base, gamma_bar, conn.g12_f1, conn.g12_f2)
-    negated = [tuple(tuple(simplify(-e) for e in row) for row in b) for b in blocks]
-    coframe = _block_matrix(conn.dims, *negated)
+    coframe = _block_matrix(conn.dims, blocks, _negated)
 
     frame = twofold_frame(conn, g12_base)
     names = conn.variable_names()
@@ -327,59 +309,24 @@ def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
     """
     n, r1, r2, r12 = lin.dims
     u = twofold_universe(lin.dims)
+    v, w, z = (
+        [u.var(f"{letter}{k}") for k in range(1, count + 1)]
+        for letter, count in zip("vwz", (r1, r2, r12))
+    )
 
-    def v(a):
-        return u.var(f"v{a}")
+    def g12_base(a, j):
+        vw, cz = lin.c12_jf1f2[a][j], lin.c12_jf12[a][j]
+        bilinear = (vw[b1][b2] * v[b1] * w[b2] for b1 in range(r1) for b2 in range(r2))
+        return simplify(expr_sum(bilinear) + expr_sum(c * zc for c, zc in zip(cz, z)))
 
-    def w(a):
-        return u.var(f"w{a}")
-
-    def z(a):
-        return u.var(f"z{a}")
-
-    g1_base = tuple(
-        tuple(
-            simplify(expr_sum(lin.c1[a][j][b] * v(b + 1) for b in range(r1)))
-            for j in range(n)
-        )
-        for a in range(r1)
+    return TwoFoldConnection(
+        lin.dims,
+        contract(lin.c1, v, 2),
+        contract(lin.c2, w, 2),
+        build_grid((r12, n), g12_base),
+        contract(lin.c12_f1f2, w, 2),
+        contract(lin.c12_f2f1, v, 2),
     )
-    g2_base = tuple(
-        tuple(
-            simplify(expr_sum(lin.c2[a][j][b] * w(b + 1) for b in range(r2)))
-            for j in range(n)
-        )
-        for a in range(r2)
-    )
-    g12_f1 = tuple(
-        tuple(
-            simplify(expr_sum(lin.c12_f1f2[a][b1][b2] * w(b2 + 1) for b2 in range(r2)))
-            for b1 in range(r1)
-        )
-        for a in range(r12)
-    )
-    g12_f2 = tuple(
-        tuple(
-            simplify(expr_sum(lin.c12_f2f1[a][b2][b1] * v(b1 + 1) for b1 in range(r1)))
-            for b2 in range(r2)
-        )
-        for a in range(r12)
-    )
-    g12_base = tuple(
-        tuple(
-            simplify(
-                expr_sum(
-                    lin.c12_jf1f2[a][j][b1][b2] * v(b1 + 1) * w(b2 + 1)
-                    for b1 in range(r1)
-                    for b2 in range(r2)
-                )
-                + expr_sum(lin.c12_jf12[a][j][b] * z(b + 1) for b in range(r12))
-            )
-            for j in range(n)
-        )
-        for a in range(r12)
-    )
-    return TwoFoldConnection(lin.dims, g1_base, g2_base, g12_base, g12_f1, g12_f2)
 
 
 @dataclass(frozen=True)
@@ -422,9 +369,8 @@ def validate_twofold_jacobian(
     """
     n, r1, r2, r12 = transform.dims
     names = twofold_names(transform.dims)
-    jacobian = tuple(
-        tuple(diff(c, name) for name in names) for c in transform.components
-    )
+    comps = transform.components
+    jacobian = build_grid((len(comps), len(names)), lambda r, c: diff(comps[r], names[c]))
 
     o1, o2, o12 = n, n + r1, n + r1 + r2
     forbidden_cols = []
@@ -472,9 +418,11 @@ def horizontal_lift_field(delta: Connection2) -> Tuple[LiftRow, ...]:
     """
     u = delta.universe
     m, n = u.base_dim, u.fiber_dim
-    rows = []
-    for i in range(m):
-        dy = tuple(delta.F[p][i] for p in range(n))
-        dyj = tuple(tuple(delta.H[p][i][j] for j in range(m)) for p in range(n))
-        rows.append(LiftRow(i + 1, dy, dyj))
-    return tuple(rows)
+    return tuple(
+        LiftRow(
+            i + 1,
+            build_grid((n,), lambda p: delta.F[p][i]),
+            build_grid((n, m), lambda p, j: delta.H[p][i][j]),
+        )
+        for i in range(m)
+    )

@@ -228,10 +228,14 @@ def load_path(path) -> Document:
     return load_data(data)
 
 
-def _text_grid(grid):
+def grid_to_data(grid, leaf=to_text) -> list:
+    """``grid`` as nested lists for JSON, each expression replaced by ``leaf(e)``.
+
+    The default writes each expression's text, which parses back in.
+    """
     if isinstance(grid, Expr):
-        return to_text(grid)
-    return [_text_grid(child) for child in grid]
+        return leaf(grid)
+    return [grid_to_data(child, leaf) for child in grid]
 
 
 def connection1_to_data(conn: Connection1) -> dict:
@@ -239,7 +243,7 @@ def connection1_to_data(conn: Connection1) -> dict:
         "order": 1,
         "base_dim": conn.universe.base_dim,
         "fiber_dim": conn.universe.fiber_dim,
-        "F": _text_grid(conn.F),
+        "F": grid_to_data(conn.F),
     }
 
 
@@ -248,9 +252,9 @@ def connection2_to_data(conn: Connection2) -> dict:
         "order": 2,
         "base_dim": conn.universe.base_dim,
         "fiber_dim": conn.universe.fiber_dim,
-        "F": _text_grid(conn.F),
-        "G": _text_grid(conn.G),
-        "H": _text_grid(conn.H),
+        "F": grid_to_data(conn.F),
+        "G": grid_to_data(conn.G),
+        "H": grid_to_data(conn.H),
     }
 
 
@@ -259,7 +263,7 @@ def curvature_to_data(grid, universe: SymbolUniverse) -> dict:
         "curvature": True,
         "base_dim": universe.base_dim,
         "fiber_dim": universe.fiber_dim,
-        "R": _text_grid(grid),
+        "R": grid_to_data(grid),
     }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DimensionMismatchError
-from .expr import Expr, SymbolUniverse, diff, expr_grid, expr_sum, simplify
+from .expr import Expr, SymbolUniverse, Var, contract, diff, expr_grid, expr_sum, simplify
 
 MAX_ORDER = 4
 MAX_BASE_DIM = 3
@@ -311,20 +311,13 @@ def function_differentials(
         raise ValueError("level must be 1 or 2")
     f = expr_grid(f, (), universe.base_names, "function")
     extended = tangent_universe(universe, level)
-    m = universe.base_dim
-    grad = [diff(f, f"x{i}") for i in range(1, m + 1)]
-
-    def contract(suffix):
-        return [grad[i - 1] * extended.var(f"x{i}_{suffix}") for i in range(1, m + 1)]
-
-    d1 = simplify(expr_sum(contract("1")))
+    base = universe.base_names
+    grad = [diff(f, name) for name in base]
+    dx1, dx2, dx12 = ([Var(f"{name}_{s}") for name in base] for s in ("1", "2", "12"))
+    d1 = contract(grad, dx1)
     if level == 1:
         return FunctionDifferentials(extended, 1, d1)
-    d2 = simplify(expr_sum(contract("2")))
-    second = [
-        diff(grad[i - 1], f"x{j}") * extended.var(f"x{i}_1") * extended.var(f"x{j}_2")
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    ]
-    d12 = simplify(expr_sum(second + contract("12")))
-    return FunctionDifferentials(extended, 2, d1, d2, d12)
+    d2 = contract(grad, dx2)
+    terms = [diff(g, b) * v1 * v2 for g, v1 in zip(grad, dx1) for b, v2 in zip(base, dx2)]
+    terms += [g * dx for g, dx in zip(grad, dx12)]
+    return FunctionDifferentials(extended, 2, d1, d2, simplify(expr_sum(terms)))
