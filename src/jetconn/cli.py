@@ -9,6 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import io
@@ -22,8 +23,9 @@ from .connections import (
     linear_to_general,
     product,
 )
-from .errors import FormatError, JetconnError
-from .evaluate import SamplePolicy, eval_expr
+from .errors import EvalError, FormatError, JetconnError
+from .evaluate import SamplePolicy, check_sampling, eval_expr
+from .expr import to_text
 from .frames import (
     adapted_frame,
     horizontal_lift_field,
@@ -72,17 +74,22 @@ def _expect(doc: io.Document, kind: str):
     return doc.value
 
 
-def _policy(args) -> SamplePolicy:
-    points = args.samples if args.samples is not None else 64
-    tol = args.tol if args.tol is not None else 1e-9
+def _policy(args, points: int = 64, tol: float = 1e-9) -> SamplePolicy:
+    """--samples, --tol and --seed, with the command's defaults for the first two."""
+    points = points if args.samples is None else args.samples
+    tol = tol if args.tol is None else args.tol
+    check_sampling(points, tol, ("--samples", "--tol"))
     return SamplePolicy(points=points, tol=tol, seed=args.seed)
 
 
 def _floats(text: str, what: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise FormatError(f"{what} must be comma-separated numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"{what} must be finite numbers")
+    return values
 
 
 def _assignment(universe, text: str) -> dict:
@@ -99,7 +106,14 @@ def _grid_out(grid, assignment):
     """``grid`` for JSON: its text, or its values at the ``--at`` assignment."""
     if assignment is None:
         return io.grid_to_data(grid)
-    return io.grid_to_data(grid, lambda e: eval_expr(e, assignment))
+
+    def value(e):
+        v = eval_expr(e, assignment)
+        if not math.isfinite(v):
+            raise EvalError(f"{to_text(e)} is not finite at the --at point")
+        return v
+
+    return io.grid_to_data(grid, value)
 
 
 def _emit(args, text: str) -> None:
@@ -139,6 +153,8 @@ def _cmd_exchange(args) -> str:
 
 def _cmd_family(args) -> str:
     gamma = _first_order(_load(args.file))
+    if not math.isfinite(args.k):
+        raise FormatError("--k must be a finite number")
     return io.dump_json(io.connection2_to_data(family(gamma, args.k)))
 
 
@@ -192,10 +208,9 @@ def _cmd_frames(args) -> str:
 def _cmd_twofold(args) -> str:
     doc = _load(args.file)
     conn = _expect(doc, "twofold")
-    points = args.samples if args.samples is not None else 100
-    tol = args.tol if args.tol is not None else 1e-10
+    policy = _policy(args, points=100, tol=1e-10)
     dual = twofold_dual_coframe(
-        conn, doc.extra, points=points, tol=tol, seed=args.seed
+        conn, doc.extra, points=policy.points, tol=policy.tol, seed=policy.seed
     )
     return io.dump_json(
         {
@@ -226,8 +241,6 @@ def _cmd_transport(args) -> str:
     curve = _expect(_load(args.curve), "curve")
     y0 = _floats(args.y0, "--y0")
     steps = args.steps
-    if steps < 1:
-        raise FormatError("--steps must be a positive integer")
     if args.variant == "1":
         result = transport1(_first_order(conn_doc), curve, y0, steps)
     elif args.variant == "2":
@@ -399,6 +412,8 @@ def main(argv=None) -> int:
         # The expression core recurses over the tree; very deep or very
         # long expressions exhaust the interpreter's stack.
         message = f"{_inputs(args)}: expression too deeply nested to process"
+    except MemoryError:
+        message = f"{_inputs(args)}: out of memory"
     else:
         return 0
     print(f"error: {message}", file=sys.stderr)

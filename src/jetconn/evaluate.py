@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -26,12 +28,27 @@ class SamplePolicy:
 
     ``tol`` is an absolute tolerance scaled by 1 + |left value| at each
     sample point.  Points where either side fails to evaluate (division by
-    zero, ln domain, overflow to non-finite) are skipped.
+    zero, ln domain, overflow to non-finite) are skipped.  Construction
+    checks both settings with :func:`check_sampling`.
     """
 
     points: int = 64
     tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        check_sampling(self.points, self.tol)
+
+
+def check_sampling(points, tol, names=("points", "tol")) -> None:
+    """Raise ``ValueError`` unless ``points`` is an int >= 1 and ``tol`` finite and >= 0.
+
+    ``names`` are what the messages call the two settings.
+    """
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
+        raise ValueError(f"{names[0]} must be a positive integer")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ValueError(f"{names[1]} must be a finite number >= 0")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ for the three fiber families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Tuple
@@ -21,7 +22,15 @@ import numpy as np
 from ._tape import compile_program
 from .connections import Connection1, Connection2
 from .errors import FrameVerificationError
-from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
+from .evaluate import (
+    PROBABILISTIC,
+    SAMPLE_HIGH,
+    SAMPLE_LOW,
+    SYMBOLIC,
+    SamplePolicy,
+    check_sampling,
+    expr_equal,
+)
 from .expr import (
     Const,
     Sub,
@@ -225,6 +234,7 @@ def twofold_dual_coframe(
     as a two-sided inverse at random sample points; failure raises
     :class:`FrameVerificationError` with the offending point.
     """
+    check_sampling(points, tol)
     n, r1, r2, r12 = conn.dims
     size = conn.size
     g12_base = _alpha12_base(conn, g12_base)
@@ -244,18 +254,22 @@ def twofold_dual_coframe(
     flat = [e for row in frame for e in row] + [e for row in coframe for e in row]
     program = compile_program(flat, names)
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(-2.0, 2.0, size=(points, len(names)))
+    samples = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(points, len(names)))
     values = program.eval_checked(samples)
     count = size * size
     eye = np.eye(size)
     worst = 0.0
     for row_index in range(points):
-        fr = values[row_index, :count].reshape(size, size)
-        co = values[row_index, count:].reshape(size, size)
-        dev = max(
-            np.abs(co @ fr - eye).max(),
-            np.abs(fr @ co - eye).max(),
-        )
+        row = values[row_index]
+        if np.isfinite(row).all():
+            fr = row[:count].reshape(size, size)
+            co = row[count:].reshape(size, size)
+            dev = max(
+                np.abs(co @ fr - eye).max(),
+                np.abs(fr @ co - eye).max(),
+            )
+        else:
+            dev = math.inf  # an entry overflowed; its products would hold NaN
         if dev > tol:
             point = dict(zip(names, samples[row_index].tolist()))
             raise FrameVerificationError(

@@ -268,7 +268,8 @@ def curvature_to_data(grid, universe: SymbolUniverse) -> dict:
 
 
 def dump_json(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``data`` as indented JSON; a NaN or infinity raises ``ValueError``."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def transport_csv(result: TransportResult) -> str:

@@ -73,6 +73,11 @@ class TransportResult:
     jet_values: np.ndarray = None
 
 
+# Largest step count of one integration.  Each step keeps one row of
+# 8-byte floats, the time plus the state, so 10^6 steps of a state of
+# size s hold about 8*(s + 1) MB of trajectory before any output is written.
+MAX_STEPS = 10**6
+
 # RK4 steps whose curve nodes one batched program call evaluates.  A
 # constant, so memory stays flat however many steps a run asks for.
 _CHUNK = 64
@@ -106,8 +111,8 @@ def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps):
             f"curve dimension {curve.dim} does not match base dimension "
             f"{universe.base_dim}"
         )
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError("steps must be a positive integer")
+    if not isinstance(steps, int) or not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be a positive integer, at most {MAX_STEPS}")
     y = np.asarray(y0, dtype=np.float64)
     if y.shape != (universe.fiber_dim,):
         raise DimensionMismatchError(

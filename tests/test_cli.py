@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from jetconn.cli import main
+from jetconn.transport import MAX_STEPS
 
 SAMPLE_NAMES = [
     "conn_a.json",
@@ -459,6 +460,81 @@ class TestFailureEdges:
         assert code == 1
         assert out == ""
         assert err == f"error: {conn} and {curve}: non-finite fiber value at t = 0.75\n"
+
+
+class TestOptionRanges:
+    """Out-of-range options fail with exit 1 and a diagnostic naming the option."""
+
+    SAMPLING = {
+        "twofold": "twofold.json",
+        "classify": "conn_zero2.json",
+        "jacobian": "transform.json",
+    }
+
+    @pytest.mark.parametrize("command", sorted(SAMPLING))
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--samples", "0", "--samples must be a positive integer"),
+         ("--samples", "-2", "--samples must be a positive integer"),
+         ("--tol", "-1", "--tol must be a finite number >= 0"),
+         ("--tol", "nan", "--tol must be a finite number >= 0")],
+    )
+    def test_sampling_options(self, run, sample_dir, command, option, value, message):
+        code, out, err = run(command, sample_dir / self.SAMPLING[command], option, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["nan,1,2", "1,inf,2", "1,2,-inf"])
+    def test_at_must_be_finite(self, run, sample_dir, value):
+        code, out, err = run("frames", sample_dir / "conn_a.json", "--at", value)
+        assert (code, out, err) == (1, "", "error: --at must be finite numbers\n")
+
+    def test_at_value_must_be_finite(self, run, tmp_path):
+        # x1*x2 overflows at the point, though both coordinates are finite.
+        conn = tmp_path / "product.json"
+        conn.write_text(
+            json.dumps({"order": 1, "base_dim": 2, "fiber_dim": 1, "F": [["x1*x2", "y1"]]}),
+            encoding="utf-8",
+        )
+        code, out, err = run("frames", conn, "--at", "1e200,1e200,1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {conn}: x1*x2 is not finite at the --at point\n"
+
+    @pytest.mark.parametrize(
+        "variant, option, value",
+        [("1", "--y0", "nan"), ("2", "--y0", "inf"), ("2", "--yj0", "0,nan")],
+    )
+    def test_initial_values_must_be_finite(self, run, sample_dir, variant, option, value):
+        conn = sample_dir / ("conn_exp.json" if variant == "1" else "conn_zero2.json")
+        argv = ["transport", variant, conn, sample_dir / "curve_revolution.json", "--y0", "1"]
+        if variant == "1":
+            argv[3] = sample_dir / "curve_unit.json"
+        code, out, err = run(*argv, option, value)
+        assert (code, out, err) == (1, "", f"error: {option} must be finite numbers\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_family_parameter_must_be_finite(self, run, sample_dir, value):
+        code, out, err = run("family", sample_dir / "conn_a.json", "--k", value)
+        assert (code, out, err) == (1, "", "error: --k must be a finite number\n")
+
+    @pytest.mark.parametrize("steps", ["0", "-3", str(MAX_STEPS + 1)])
+    def test_steps_bounded_for_both_commands(self, run, sample_dir, steps):
+        # Refused before any step is taken or any row is allocated.
+        message = f"error: steps must be a positive integer, at most {MAX_STEPS}\n"
+        conn, loop = sample_dir / "conn_affine_polar.json", sample_dir / "loop_polar.json"
+        for argv in (("transport", "1", conn, loop, "--y0", "1,0"), ("holonomy", conn, loop)):
+            code, out, err = run(*argv, "--steps", steps)
+            assert (code, out, err) == (1, "", message)
+
+    def test_out_of_memory_names_the_inputs(self, run, sample_dir, monkeypatch):
+        import jetconn.cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(jetconn.cli, "loop_holonomy", exhausted)
+        conn, loop = sample_dir / "conn_affine_polar.json", sample_dir / "loop_polar.json"
+        code, out, err = run("holonomy", conn, loop, "--steps", "10")
+        assert (code, out, err) == (1, "", f"error: {conn} and {loop}: out of memory\n")
 
 
 class TestMalformedInput:

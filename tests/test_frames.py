@@ -141,6 +141,31 @@ class TestTwofoldFrame:
         with pytest.raises(FrameVerificationError, match="deviation"):
             twofold_dual_coframe(c, tol=0.0)
 
+    def test_non_finite_frame_is_not_verified(self):
+        # exp(1000) overflows at every point.  The products of frame and
+        # coframe would hold NaN, which must not pass as a small deviation.
+        u = twofold_universe((1, 1, 1, 1))
+        one = lambda s: ((parse_expr(s, u),),)
+        c = TwoFoldConnection((1, 1, 1, 1), one("exp(1000)"), one("0"), one("z1"),
+                              one("w1"), one("0"))
+        with pytest.raises(FrameVerificationError, match=r"\(deviation inf\)$"):
+            twofold_dual_coframe(c, points=3)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"points": 0}, "points must be a positive integer"),
+         ({"points": -2}, "points must be a positive integer"),
+         ({"points": 2.0}, "points must be a positive integer"),
+         ({"tol": -1.0}, "tol must be a finite number >= 0"),
+         ({"tol": float("nan")}, "tol must be a finite number >= 0"),
+         ({"tol": float("inf")}, "tol must be a finite number >= 0")],
+    )
+    def test_sampling_settings_checked(self, settings, message):
+        zero = ((Const(0),),)
+        c = TwoFoldConnection((1, 1, 1, 1), zero, zero, zero, zero, zero)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            twofold_dual_coframe(c, **settings)
+
     def test_gamma12_override(self):
         dims = (1, 1, 1, 1)
         u = twofold_universe(dims)

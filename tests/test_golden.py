@@ -93,9 +93,26 @@ CASES = {
     "frames_a": ["frames", S + "conn_a.json"],
     "frames_zero2": ["frames", S + "conn_zero2.json"],
     "frames_linear_at": ["frames", S + "conn_linear.json", "--at", "1.0,2.0,3.0,4.0"],
+    # NaN is no JSON number: a non-finite --at coordinate is refused.
+    "frames_at_nan": ["frames", S + "conn_a.json", "--at", "nan,1,2"],
     "twofold": ["twofold", S + "twofold.json", "--seed", "1"],
     "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
 }
+
+# Subcommands whose stdout is one JSON document.
+JSON_COMMANDS = {
+    "product", "prolong", "curvature", "exchange", "family", "frames", "twofold",
+    "jacobian", "holonomy",
+}
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(argv):
@@ -140,6 +157,14 @@ def test_transcript(name):
     assert code == record["exit"]
     assert err == record["stderr"]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    if code == 0 and CASES[name][0] in JSON_COMMANDS:
+        strict_json(out)
+
+
+def test_strict_json_refuses_non_finite_numbers():
+    for text in ("NaN", "[Infinity]", '{"a": -Infinity}'):
+        with pytest.raises(ValueError, match="is not valid JSON"):
+            strict_json(text)
 
 
 def regenerate():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetconn import EvalError, SymbolUniverse, parse_expr
+from jetconn import EvalError, SamplePolicy, SymbolUniverse, expr_equal, parse_expr
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
 from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
 
@@ -170,6 +170,30 @@ class TestProgram:
         prog = compile_program([parse_expr("1/x1", U)], ("x1",))
         with pytest.raises(EvalError, match="division by zero"):
             prog.eval_checked(np.array([[0.0]]))
+
+
+class TestSamplePolicy:
+    def test_hidden_zero_is_equal_by_default(self):
+        u = SymbolUniverse(2, 0)
+        left = parse_expr("(x1+x2)^2 - x1^2 - 2*x1*x2", u)
+        assert expr_equal(left, parse_expr("x2^2", u), SamplePolicy()).equal
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"points": 0}, "points must be a positive integer"),
+         ({"points": -2}, "points must be a positive integer"),
+         ({"points": True}, "points must be a positive integer"),
+         ({"tol": -1.0}, "tol must be a finite number >= 0"),
+         ({"tol": math.nan}, "tol must be a finite number >= 0"),
+         ({"tol": math.inf}, "tol must be a finite number >= 0")],
+    )
+    def test_settings_checked_at_construction(self, settings, message):
+        # A negative or NaN tolerance would make every sampled identity unequal.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SamplePolicy(**settings)
+
+    def test_numpy_integer_count_accepted(self):
+        assert SamplePolicy(points=np.int64(3)).points == 3
 
 
 def test_bench_kernel_runs():

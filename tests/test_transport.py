@@ -22,6 +22,7 @@ from jetconn import (
     transport2,
 )
 from jetconn.expr import Const
+from jetconn.transport import MAX_STEPS
 
 from conftest import random_connection1
 
@@ -145,6 +146,18 @@ class TestTransport1:
             transport1(g, good, (1.0, 2.0), 5)
         with pytest.raises(ValueError, match="positive integer"):
             transport1(g, good, (1.0,), 0)
+
+    def test_steps_bounded_before_allocation(self):
+        # MAX_STEPS + 1 fails at once; an allocation of that many rows would
+        # show as a slow test.
+        u = SymbolUniverse(1, 1)
+        g = Connection1(u, ((Const(0),),))
+        message = f"^steps must be a positive integer, at most {MAX_STEPS}$"
+        with pytest.raises(ValueError, match=message):
+            transport1(g, curve_of(("t",), 0.0, 1.0), (1.0,), MAX_STEPS + 1)
+        loop = curve_of(("cos(t)",), 0.0, 2 * math.pi)
+        with pytest.raises(ValueError, match=message):
+            loop_holonomy(g, loop, steps=MAX_STEPS + 1)
 
 
 class TestTransport2:
