@@ -2,7 +2,9 @@
 
 Two workloads: batch evaluation of a compiled coefficient grid over many
 points, and an RK4 transport run whose inner loop is dominated by small
-per-step evaluations.  Each time is the best of ``--repeat`` runs.  Usage:
+per-step evaluations.  It also times generating the grid's function from
+its tape, per program and per op.  Each time is the best of ``--repeat``
+runs.  Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
 """
@@ -21,6 +23,7 @@ from jetconn import (
     parse_expr,
     transport1,
 )
+from jetconn import kernel
 from jetconn._tape import compile_program
 
 
@@ -51,6 +54,17 @@ def bench_batch(points, repeat):
     return best
 
 
+def bench_codegen(repeat):
+    program, width = build_program()
+    tape = (program.code, program.arg, program.starts, program.consts, width)
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        kernel.generate(*tape)
+        best = min(best, time.perf_counter() - start)
+    return best, len(program.code)
+
+
 def bench_transport(steps, repeat):
     u = SymbolUniverse(1, 1)
     g = Connection1(u, ((parse_expr("sin(x1)*y1", u),),))
@@ -73,8 +87,10 @@ def main():
 
     batch = bench_batch(args.points, args.repeat)
     transport = bench_transport(args.steps, args.repeat)
+    codegen, ops = bench_codegen(args.repeat)
     print(f"batch, {args.points} points: {batch:.4f} s")
     print(f"transport, {args.steps} steps: {transport:.4f} s")
+    print(f"codegen, {ops} ops: {codegen:.4f} s ({1e6 * codegen / ops:.1f} us/op)")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A program holds one tape per expression, concatenated, with ``starts``
 marking segment boundaries.  :mod:`jetconn.kernel` defines the
-instructions and runs the tape.
+instructions and compiles the tape to the function that runs it.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ STATUS_MESSAGES = {
 
 
 class Program:
-    """Compiled batch evaluator for a fixed tuple of expressions.
+    """Compiled evaluator for a fixed tuple of expressions.
 
-    The tape is kept as Python lists, the form the kernel runs.
+    The tape is kept as Python lists; ``run`` is the function the kernel
+    generated from it.
     """
 
-    __slots__ = ("var_names", "code", "arg", "starts", "consts", "stack_need")
+    __slots__ = ("var_names", "code", "arg", "starts", "consts", "stack_need", "run")
 
     def __init__(self, var_names, code, arg, starts, consts, stack_need):
         self.var_names = var_names
@@ -55,6 +56,7 @@ class Program:
         self.starts = starts
         self.consts = consts
         self.stack_need = stack_need
+        self.run = kernel.generate(code, arg, starts, consts, len(var_names))
 
     def __call__(self, points: np.ndarray):
         """Evaluate all expressions at each row of ``points``.
@@ -70,9 +72,7 @@ class Program:
             raise EvalError(
                 f"program expects {len(self.var_names)} variables, got {pts.shape[1]}"
             )
-        return kernel.active()(
-            self.code, self.arg, self.starts, self.consts, pts, self.stack_need
-        )
+        return kernel.active()(self.run, pts, len(self.starts) - 1)
 
     def row(self, point: list):
         """Evaluate all expressions at one point, a list of floats.
@@ -84,9 +84,7 @@ class Program:
             raise EvalError(
                 f"program expects {len(self.var_names)} variables, got {len(point)}"
             )
-        return kernel.eval_rows(
-            self.code, self.arg, self.starts, self.consts, (point,), self.stack_need
-        )
+        return self.run((point,))
 
     def eval_checked(self, points: np.ndarray) -> np.ndarray:
         """Like calling the program, but any nonzero status raises EvalError."""
@@ -97,10 +95,15 @@ class Program:
         return out
 
 
+_NODE_OPS = {Neg: OP_NEG, Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL, Div: OP_DIV}
+
+
 def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     """Flatten expressions into one postfix tape over the given variables.
 
     Every free variable of every expression must appear in ``var_names``.
+    The tree is walked with an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     var_names = tuple(var_names)
     slots = {name: i for i, name in enumerate(var_names)}
@@ -111,56 +114,51 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     const_slot = {}
     stack_need = 1
 
-    def emit(e: Expr) -> int:
-        # Returns the stack depth consumed by this subtree's evaluation peak.
+    def instruction(e: Expr):
+        """(opcode, argument) of one node, emitted after its operands."""
         if isinstance(e, Const):
             try:
                 v = float(e.value)
             except OverflowError:  # outside double range: as the tape gives 10^400
                 v = math.inf if e.value > 0 else -math.inf
-            idx = const_slot.get(v)
-            if idx is None:
-                idx = len(consts)
+            key = (v, math.copysign(1.0, v))  # keeps 0.0 and -0.0 apart
+            if key not in const_slot:
+                const_slot[key] = len(consts)
                 consts.append(v)
-                const_slot[v] = idx
-            code.append(OP_CONST)
-            arg.append(idx)
-            return 1
+            return OP_CONST, const_slot[key]
         if isinstance(e, Var):
             if e.name not in slots:
                 raise EvalError(f"no value bound for variable {e.name!r}")
-            code.append(OP_VAR)
-            arg.append(slots[e.name])
-            return 1
-        if isinstance(e, Neg):
-            depth = emit(e.arg)
-            code.append(OP_NEG)
-            arg.append(0)
-            return depth
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            d1 = emit(e.left)
-            d2 = emit(e.right)
-            code.append(
-                {Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL, Div: OP_DIV}[type(e)]
-            )
-            arg.append(0)
-            return max(d1, 1 + d2)
+            return OP_VAR, slots[e.name]
         if isinstance(e, Pow):
-            depth = emit(e.base)
             if not -(2**31) <= e.exponent < 2**31:
                 raise EvalError("power exponent out of range")
-            code.append(OP_POW)
-            arg.append(e.exponent)
-            return depth
+            return OP_POW, e.exponent
         if isinstance(e, Fn):
-            depth = emit(e.arg)
-            code.append(_FN_OPS[e.name])
-            arg.append(0)
-            return depth
-        raise TypeError(f"not an expression: {e!r}")
+            return _FN_OPS[e.name], 0
+        return _NODE_OPS[type(e)], 0
 
     for e in exprs:
-        stack_need = max(stack_need, emit(e))
+        depths = []  # peak stack depth of each operand emitted so far
+        todo = [(e, False)]
+        while todo:
+            node, ready = todo.pop()
+            if not isinstance(node, Expr):
+                raise TypeError(f"not an expression: {node!r}")
+            operands = node.children()
+            if operands and not ready:
+                todo.append((node, True))
+                todo.extend((child, False) for child in reversed(operands))
+                continue
+            opcode, a = instruction(node)
+            code.append(opcode)
+            arg.append(a)
+            if not operands:
+                depths.append(1)
+            elif len(operands) == 2:
+                right = depths.pop()
+                depths[-1] = max(depths[-1], 1 + right)
+        stack_need = max(stack_need, depths[0])
         starts.append(len(code))
 
     return Program(
@@ -171,3 +169,4 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
         consts=consts,
         stack_need=stack_need,
     )
+

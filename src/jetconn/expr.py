@@ -22,6 +22,7 @@ carry IEEE semantics.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -833,15 +834,9 @@ def _power(base: Expr, n: int) -> Expr:
         return Const(1)
     if n == 1:
         return base
-    if isinstance(base, Const):
-        v = base.value
-        if v != 0 or n > 0:
-            try:
-                folded = v**n
-            except OverflowError:
-                folded = math.inf
-            if not isinstance(folded, Fraction) and not math.isfinite(folded):
-                return Pow(base, n)
+    if isinstance(base, Const) and (base.value != 0 or n > 0):
+        folded = _fold(operator.pow, base.value, n)
+        if folded is not None:
             return Const(folded)
     return Pow(base, n)
 
@@ -849,10 +844,8 @@ def _power(base: Expr, n: int) -> Expr:
 def _quotient(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Const) and b.value != 0:
         if isinstance(a, Const):
-            value = a.value / b.value
-            if isinstance(value, Fraction) or math.isfinite(value):
-                return Const(value)
-            return Div(a, b)
+            value = _fold(operator.truediv, a.value, b.value)
+            return Div(a, b) if value is None else Const(value)
         if b.value == 1:
             return a
         if b.value == -1:
@@ -866,6 +859,21 @@ def _quotient(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
+def _fold(op, a, b):
+    """``op(a, b)`` on constant values, or None where a float result would
+    not be finite: such a fold is refused and its nodes are kept apart.
+
+    The loops of _flatten and _sum_of make the same check inline.
+    """
+    try:
+        value = op(a, b)
+    except (OverflowError, ZeroDivisionError):
+        # Float overflow, or a Fraction that leaves double range (too large,
+        # or so small that a float divisor becomes 0.0) when met by a float.
+        return None
+    return value if isinstance(value, Fraction) or math.isfinite(value) else None
+
+
 def _mul_chain(factors) -> Expr:
     e = factors[0]
     for f in factors[1:]:
@@ -874,7 +882,10 @@ def _mul_chain(factors) -> Expr:
 
 
 def _flatten(parts):
-    """Split the product of ``parts`` into (coefficient, non-constant factors)."""
+    """Split the product of ``parts`` into (coefficient, non-constant factors).
+
+    The coefficient is None when folding the constants would not be finite.
+    """
     coeff = Fraction(1)
     factors = []
     stack = list(reversed(parts))
@@ -887,41 +898,56 @@ def _flatten(parts):
             coeff = -coeff
             stack.append(node.arg)
         elif isinstance(node, Const):
-            coeff = coeff * node.value
+            try:
+                coeff = coeff * node.value
+            except OverflowError:  # a Fraction beyond double range met a float
+                coeff = math.inf
         else:
             factors.append(node)
+    if isinstance(coeff, float) and not math.isfinite(coeff):
+        coeff = None
     return coeff, tuple(factors)
 
 
 def _product_of(parts) -> Expr:
     """Combine already simplified factors, folding constants together."""
     coeff, factors = _flatten(parts)
-    if coeff == 0:
-        return Const(0)
-    if isinstance(coeff, float) and not math.isfinite(coeff):
+    if coeff is None:
         # Refuse to fold a non-finite coefficient; rebuild untouched.
         return _mul_chain(list(parts))
+    if coeff == 0:
+        return Const(0)
     if factors and coeff == -1:
         return Neg(_mul_chain(factors))
     return _coeff_times(coeff, factors)
 
 
 def _term_parts(e: Expr):
-    """Split a simplified summand into (coefficient, factors); () means a constant."""
+    """Split a simplified summand into (coefficient, factors); () means a constant.
+
+    A summand whose coefficient would not be finite is one opaque factor.
+    """
+    coeff = None
     if isinstance(e, (Const, Mul, Neg)):
-        return _flatten((e,))
-    if isinstance(e, Div) and isinstance(e.right, Const):
+        coeff, factors = _flatten((e,))
+    elif isinstance(e, Div) and isinstance(e.right, Const):
         div = e.right.value
         if isinstance(div, Fraction) and div != 0:
             coeff, factors = _term_parts(e.left)
-            return coeff / div, factors
-    return Fraction(1), (e,)
+            coeff = _fold(operator.truediv, coeff, div)
+    if coeff is None:
+        return Fraction(1), (e,)
+    return coeff, factors
 
 
 def _sum_of(signed) -> Expr:
-    """Combine signed, already simplified summands, merging like terms."""
-    coeffs = {}  # factors -> coefficient, in order of first appearance
-    const_acc = Fraction(0)
+    """Combine signed, already simplified summands, merging like terms.
+
+    A merge whose coefficient would not be finite is refused: the summands
+    stay apart, as _product_of leaves such a product unfolded.
+    """
+    terms = []  # [coefficient, factors], in order of first appearance
+    latest = {}  # factors -> the last of terms with them; () for constants
     stack = list(reversed(signed))
     while stack:
         sign, node = stack.pop()
@@ -937,16 +963,25 @@ def _sum_of(signed) -> Expr:
             coeff, factors = _term_parts(node)
             if sign < 0:
                 coeff = -coeff
-            if not factors:
-                const_acc = const_acc + coeff
-            elif factors in coeffs:
-                coeffs[factors] = coeffs[factors] + coeff
-            else:
-                coeffs[factors] = coeff
+            term = latest.get(factors)
+            if term is None and not factors:
+                coeff = Fraction(0) + coeff  # the constant part starts from exact 0
+            elif term is not None:
+                try:
+                    merged = term[0] + coeff
+                except OverflowError:  # a Fraction beyond double range met a float
+                    merged = math.inf
+                if not isinstance(merged, float) or math.isfinite(merged):
+                    term[0] = merged
+                    continue
+            term = latest[factors] = [coeff, factors]
+            terms.append(term)
 
-    terms = [(coeff, factors) for factors, coeff in coeffs.items() if coeff != 0]
-    if const_acc != 0 or not terms:
-        terms.append((const_acc, ()))
+    consts = [coeff for coeff, factors in terms if not factors]
+    terms = [(coeff, factors) for coeff, factors in terms if factors and coeff != 0]
+    terms += [(coeff, ()) for coeff in consts if coeff != 0]
+    if not terms:
+        terms.append((consts[0] if consts else Fraction(0), ()))
 
     out = None
     for coeff, factors in terms:

@@ -1,16 +1,26 @@
-"""The evaluation kernel: a pure-Python interpreter for the postfix tape.
+"""The evaluation kernel: each tape compiled to one straight-line function.
 
-One interpreter loop, :func:`eval_rows`, works on plain lists: it serves
-batches through :func:`eval_program` and single points through
-``Program.row`` without any numpy call in between, which is what keeps one
-RK4 stage cheap.
+:func:`generate` turns a program's postfix tape into the source of one
+flat Python function, ``run(rows)``, and ``exec``s it once.  The function
+has one statement per tape op, in tape order: every stack slot is a local
+(``s0``, ``s1``, ...), every variable a local unpacked from the row
+(``x0``, ...), every constant a local unpacked from the program's constant
+list (``c0``, ...), and the last op of expression ``e`` writes ``v{e}``.
+``run`` serves batches through :func:`eval_program` and single points
+through ``Program.row``, on plain lists, without any numpy call in between.
+
+No input text reaches the generated source: it is built from the tape
+alone, so it holds only slot indices, integer exponents (range-checked by
+the compiler) and the fixed helper names below.  Every constant, inf from
+a constant beyond double range included, is read from the constant list.
 
 Numeric contract: every operation is one IEEE double operation or one
 libm call through :mod:`math`, so results are bit-for-bit reproducible on a
 given platform (and may differ in the last bit where another platform's
 libm does).  The wrappers below return what C returns where the math
-module raises instead of returning inf or nan.  Guarded failures leave NaN
-and a status code in their slot; they never raise.
+module raises instead of returning inf or nan.  Guarded failures (division
+by 0.0, a negative power of 0.0, ln of a value <= 0) leave NaN and a status
+code in their slot and move on to the next expression; they never raise.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ STATUS_LN_DOMAIN = 2
 
 _INF = math.inf
 _NAN = math.nan
-_BLOCK_SLOTS = 256  # input and output values converted per block
+_BLOCK_SLOTS = 4096  # input and output values converted per block
 
 
 def _sin(x):
@@ -74,83 +84,100 @@ def _pow(x, n):
         return _INF
 
 
-def eval_rows(code, arg, starts, consts, rows, stack_need):
-    """Run the tape on each row of ``rows``, all as plain Python lists.
+_BINARY = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*", OP_DIV: "/"}
+_CALLS = {OP_SIN: "_sin", OP_COS: "_cos", OP_EXP: "_exp", OP_LN: "_log"}
 
-    Returns ``(values, status)``, two flat lists with one slot per row and
-    expression, row after row.  A guarded failure leaves NaN in the value
-    slot and its code in the status slot.
+
+def _expression(code, arg, first, end, e):
+    """Statements leaving expression ``e`` in ``v{e}``, and whether any is guarded."""
+    lines = []
+
+    def guard(failed, status):
+        lines.append(f"if {failed}: v{e} = _nan; t{e} = {status}; break")
+
+    sp = 0  # stack depth before the op
+    for pc in range(first, end):
+        op, a = code[pc], int(arg[pc])
+        if op == OP_CONST or op == OP_VAR:
+            value = f"c{a}" if op == OP_CONST else f"x{a}"
+            sp += 1
+        elif op in _BINARY:
+            sp -= 1
+            if op == OP_DIV:
+                guard(f"s{sp} == 0.0", STATUS_DIV_BY_ZERO)
+            value = f"s{sp - 1} {_BINARY[op]} s{sp}"
+        elif op == OP_NEG:
+            value = f"-s{sp - 1}"
+        elif op == OP_POW:
+            if a < 0:
+                guard(f"s{sp - 1} == 0.0", STATUS_DIV_BY_ZERO)
+            value = f"_pow(s{sp - 1}, {a})"
+        else:
+            if op == OP_LN:
+                guard(f"s{sp - 1} <= 0.0", STATUS_LN_DOMAIN)
+            value = f"{_CALLS[op]}(s{sp - 1})"
+        target = f"v{e}" if pc == end - 1 else f"s{sp - 1}"
+        lines.append(f"{target} = {value}")
+    return lines, len(lines) > end - first
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(item + ", " for item in items) + ")"
+
+
+def generate(code, arg, starts, consts, n_vars):
+    """Compile the tape to ``run(rows) -> (values, status)``.
+
+    ``rows`` is a sequence of rows of ``n_vars`` floats.  ``values`` and
+    ``status`` are flat lists with one slot per row and expression, row
+    after row.
     """
-    n_expr = len(starts) - 1
-    stack = [0.0] * stack_need
-    log = math.log
-    values = []
+    row = []  # the statements of one row
     status = []
-    put_value = values.append
-    put_status = status.append
-    for row in rows:
-        for e in range(n_expr):
-            sp = 0
-            err = 0
-            for pc in range(starts[e], starts[e + 1]):
-                op = code[pc]
-                a = arg[pc]
-                if op == OP_CONST:
-                    stack[sp] = consts[a]
-                    sp += 1
-                elif op == OP_VAR:
-                    stack[sp] = row[a]
-                    sp += 1
-                elif op == OP_ADD:
-                    sp -= 1
-                    stack[sp - 1] = stack[sp - 1] + stack[sp]
-                elif op == OP_SUB:
-                    sp -= 1
-                    stack[sp - 1] = stack[sp - 1] - stack[sp]
-                elif op == OP_MUL:
-                    sp -= 1
-                    stack[sp - 1] = stack[sp - 1] * stack[sp]
-                elif op == OP_DIV:
-                    sp -= 1
-                    if stack[sp] == 0.0:
-                        err = STATUS_DIV_BY_ZERO
-                        break
-                    stack[sp - 1] = stack[sp - 1] / stack[sp]
-                elif op == OP_NEG:
-                    stack[sp - 1] = -stack[sp - 1]
-                elif op == OP_POW:
-                    x = stack[sp - 1]
-                    if a < 0 and x == 0.0:
-                        err = STATUS_DIV_BY_ZERO
-                        break
-                    stack[sp - 1] = _pow(x, a)
-                elif op == OP_SIN:
-                    stack[sp - 1] = _sin(stack[sp - 1])
-                elif op == OP_COS:
-                    stack[sp - 1] = _cos(stack[sp - 1])
-                elif op == OP_EXP:
-                    stack[sp - 1] = _exp(stack[sp - 1])
-                else:  # OP_LN
-                    x = stack[sp - 1]
-                    if x <= 0.0:
-                        err = STATUS_LN_DOMAIN
-                        break
-                    stack[sp - 1] = log(x)
-            if err:
-                put_value(_NAN)
-                put_status(err)
-            else:
-                put_value(stack[sp - 1])
-                put_status(0)  # STATUS_OK
-    return values, status
+    for e in range(len(starts) - 1):
+        lines, guarded = _expression(code, arg, starts[e], starts[e + 1], e)
+        if guarded:
+            # A guard's break leaves the one-pass loop for the next expression.
+            row += [f"t{e} = 0", "while True:", *("    " + line for line in lines), "    break"]
+            status.append(f"t{e}")
+        else:
+            row += lines
+            status.append("0")
+    row.append(f"put_values({_tuple(f'v{e}' for e in range(len(status)))})")
+    row.append(f"put_status({_tuple(status)})")
+    consts_target = ", ".join(f"c{i}" for i in range(len(consts)))
+    vars_target = ", ".join(f"x{i}" for i in range(n_vars))
+    source = "\n".join(
+        [
+            "def run(rows):",
+            f"    [{consts_target}] = _consts",
+            "    values = []",
+            "    status = []",
+            "    put_values = values.extend",
+            "    put_status = status.extend",
+            f"    for [{vars_target}] in rows:",
+            *("        " + line for line in row),
+            "    return values, status",
+        ]
+    )
+    namespace = {
+        "_consts": list(consts),
+        "_nan": _NAN,
+        "_pow": _pow,
+        "_sin": _sin,
+        "_cos": _cos,
+        "_exp": _exp,
+        "_log": math.log,
+    }
+    exec(compile(source, "<jetconn program>", "exec"), namespace)
+    return namespace["run"]
 
 
-def eval_program(code, arg, starts, consts, points, stack_need):
-    """Run the tape on each row of ``points``, a 2-d float64 array.
+def eval_program(run, points, n_expr):
+    """Run a generated function on each row of ``points``, a 2-d float64 array.
 
     Returns ``(values, status)`` as arrays of shape (npoints, nexprs).
     """
-    n_expr = len(starts) - 1
     out = np.empty((points.shape[0], n_expr), dtype=np.float64)
     status = np.empty((points.shape[0], n_expr), dtype=np.uint8)
     # Rows go to and from numpy a block at a time: one conversion per
@@ -159,7 +186,7 @@ def eval_program(code, arg, starts, consts, points, stack_need):
     block = max(1, _BLOCK_SLOTS // (1 + points.shape[1] + n_expr))
     for first in range(0, points.shape[0], block):
         rows = points[first : first + block].tolist()
-        values, codes = eval_rows(code, arg, starts, consts, rows, stack_need)
+        values, codes = run(rows)
         shape = (len(rows), n_expr)
         out[first : first + len(rows)] = np.reshape(values, shape)
         status[first : first + len(rows)] = np.reshape(codes, shape)

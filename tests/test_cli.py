@@ -420,6 +420,21 @@ class TestFailureEdges:
         assert err.startswith(f"error: {deep} and {other}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "entry, h",
+        [("1e308*10*y1", "1e+308*10*0 + 1e+308*10*1*(1e+308*10*y1)"),
+         ("10^400*1e308*y1", "10^400*1e+308*0 + 10^400*1e+308*1*(10^400*1e+308*y1)")],
+    )
+    def test_coefficient_beyond_double_range_stays_unfolded(self, run, tmp_path, entry, h):
+        conn = tmp_path / "overflow.json"
+        conn.write_text(
+            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 1, "F": [[entry]]}),
+            encoding="utf-8",
+        )
+        code, out, err = run("prolong", conn)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["H"][0][0][0].replace(str(10**400), "10^400") == h
+
     def test_constant_beyond_double_range(self, run, sample_dir, tmp_path):
         # prolong folds 10^400 into an exact constant in H; F keeps the power.
         conn = tmp_path / "huge.json"

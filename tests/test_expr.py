@@ -351,6 +351,39 @@ class TestSimplify:
         e = parse_expr("x1/0", U21)
         assert isinstance(simplify(e), Div)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1e308*y1 + 1e308*y1", "1e+308*y1 + 1e+308*y1"),
+         ("-y1*1e308 - 1e308*y1", "-1e+308*y1 - 1e+308*y1"),
+         ("1e308 + 1e308", "1e+308 + 1e+308"),
+         ("1e308*y1 + 1e308*y1 - 1e308*y1", "1e+308*y1"),
+         ("1e308*10*y1 + y1", "1e+308*10*y1 + y1"),
+         ("1e308*10*0*y1", "1e+308*10*0*y1"),
+         ("1e308*10*(-y1) + 1e308*10*(-y1)", "2*(1e+308*10*(-y1))"),
+         ("10^400*1e308*x1 + x1", "10^400*1e+308*x1 + x1"),
+         ("10^400/1e-308", "10^400/1e-308"),
+         ("1e-308/10^-400", "1e-308/0." + "0" * 399 + "1")],
+    )
+    def test_fold_past_double_range_is_refused(self, text, expected):
+        # A coefficient or constant that would leave double range is not
+        # folded; the summands or factors stay apart.
+        once = simplify(parse_expr(text, U21))
+        assert to_text(once).replace(str(10**400), "10^400") == expected
+        assert simplify(once) == once
+
+    @given(st.integers(min_value=0, max_value=20000))
+    @settings(max_examples=200, deadline=None)
+    def test_constants_at_the_edge_of_double_range(self, seed):
+        # Folding these overflows a float, or meets a Fraction no float holds.
+        gen = np.random.default_rng(seed)
+        edge = (1e308, -1e308, 1e-308, Fraction(10) ** 400, Fraction(1, 10**400), -0.0)
+        e = substitute(
+            random_expr(gen, ("x1", "x2", "y1", "y2")),
+            {"y1": Const(edge[int(gen.integers(6))]), "y2": Const(edge[int(gen.integers(6))])},
+        )
+        once = simplify(e)
+        assert simplify(once) == once
+
     @given(st.integers(min_value=0, max_value=5000))
     @example(533)  # 6*(x1*x2) once came back as 6*x1*x2 on the second pass
     @settings(max_examples=200, deadline=None)
