@@ -1,4 +1,4 @@
-"""Numeric evaluation and semidecidable expression equality."""
+"""Numeric evaluation and expression equality: exact where it can be, else sampled."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _poly
 from ._tape import STATUS_MESSAGES, Program, compile_program
 from .errors import EvalError, SamplingError
 from .expr import Const, Expr, Sub, simplify
@@ -55,8 +56,9 @@ def check_sampling(points, tol, names=("points", "tol")) -> None:
 class EqualityResult:
     """Verdict of an equality check plus how it was reached.
 
-    ``confidence`` is "symbolic" when the difference simplified to a
-    constant, "probabilistic" when random sampling decided.
+    ``confidence`` is "symbolic" when exact arithmetic decided: the
+    difference simplified to a constant, or its expansion over Q settled
+    it.  It is "probabilistic" when random sampling decided.
     """
 
     equal: bool
@@ -91,16 +93,25 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
 
 
 def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
-    """Decide a = b symbolically if possible, otherwise by sampling.
+    """Decide a = b, meaning equal wherever both sides are defined.
 
-    The symbolic route fires when simplify(a - b) collapses to a constant.
-    Otherwise both sides are evaluated on ``policy.points`` uniform random
-    points per variable and compared within the scaled tolerance; raises
-    :class:`SamplingError` when every sample point was singular.
+    Three routes, in order.  simplify(a - b) collapsing to a constant
+    decides.  Otherwise :func:`jetconn._poly.decide` expands the difference
+    exactly over Q: a zero numerator proves equality, a nonzero one proves
+    inequality when the difference holds no sin/cos/exp/ln atom.  Both are
+    symbolic, and ``policy`` plays no part in them.  Anything else (an
+    identity through atoms, a float constant, a denominator that expands
+    to 0, an expansion over its budget) is sampled: both sides are
+    evaluated on ``policy.points`` uniform random points per variable and
+    compared within the scaled tolerance; raises :class:`SamplingError`
+    when every sample point was singular.
     """
     difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
         return EqualityResult(difference.value == 0, SYMBOLIC)
+    exact = _poly.decide(difference)
+    if exact is not None:
+        return EqualityResult(exact, SYMBOLIC)
 
     if policy is None:
         policy = SamplePolicy()

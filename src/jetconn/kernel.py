@@ -2,10 +2,12 @@
 
 :func:`generate` turns a program's postfix tape into the source of one
 flat Python function, ``run(rows)``, and ``exec``s it once.  The function
-has one statement per tape op, in tape order: every stack slot is a local
-(``s0``, ``s1``, ...), every variable a local unpacked from the row
-(``x0``, ...), every constant a local unpacked from the program's constant
-list (``c0``, ...), and the last op of expression ``e`` writes ``v{e}``.
+has one statement per computing tape op, in tape order: every variable is a
+local unpacked from the row (``x0``, ...), every constant a local unpacked
+from the program's constant list (``c0``, ...), and an op reads them by
+name, so a constant or variable op emits no statement.  Every computed
+stack slot is a local (``s0``, ``s1``, ...), and the last op of expression
+``e`` writes ``v{e}``.
 ``run`` serves batches through :func:`eval_program` and single points
 through ``Program.row``, on plain lists, without any numpy call in between.
 
@@ -95,30 +97,36 @@ def _expression(code, arg, first, end, e):
     def guard(failed, status):
         lines.append(f"if {failed}: v{e} = _nan; t{e} = {status}; break")
 
-    sp = 0  # stack depth before the op
+    # The operands as the generated code names them: a constant or variable
+    # stays its own local (c3, x0) and costs no statement; a computed value
+    # lives in the slot of its stack depth (s0, s1, ...).
+    stack = []
     for pc in range(first, end):
         op, a = code[pc], int(arg[pc])
         if op == OP_CONST or op == OP_VAR:
-            value = f"c{a}" if op == OP_CONST else f"x{a}"
-            sp += 1
+            stack.append(f"c{a}" if op == OP_CONST else f"x{a}")
+            if pc < end - 1:
+                continue
+            value = stack.pop()
         elif op in _BINARY:
-            sp -= 1
+            right = stack.pop()
             if op == OP_DIV:
-                guard(f"s{sp} == 0.0", STATUS_DIV_BY_ZERO)
-            value = f"s{sp - 1} {_BINARY[op]} s{sp}"
+                guard(f"{right} == 0.0", STATUS_DIV_BY_ZERO)
+            value = f"{stack.pop()} {_BINARY[op]} {right}"
         elif op == OP_NEG:
-            value = f"-s{sp - 1}"
+            value = f"-{stack.pop()}"
         elif op == OP_POW:
             if a < 0:
-                guard(f"s{sp - 1} == 0.0", STATUS_DIV_BY_ZERO)
-            value = f"_pow(s{sp - 1}, {a})"
+                guard(f"{stack[-1]} == 0.0", STATUS_DIV_BY_ZERO)
+            value = f"_pow({stack.pop()}, {a})"
         else:
             if op == OP_LN:
-                guard(f"s{sp - 1} <= 0.0", STATUS_LN_DOMAIN)
-            value = f"{_CALLS[op]}(s{sp - 1})"
-        target = f"v{e}" if pc == end - 1 else f"s{sp - 1}"
+                guard(f"{stack[-1]} <= 0.0", STATUS_LN_DOMAIN)
+            value = f"{_CALLS[op]}({stack.pop()})"
+        target = f"v{e}" if pc == end - 1 else f"s{len(stack)}"
+        stack.append(target)
         lines.append(f"{target} = {value}")
-    return lines, len(lines) > end - first
+    return lines, any(line.startswith("if ") for line in lines)
 
 
 def _tuple(items) -> str:

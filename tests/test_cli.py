@@ -169,6 +169,22 @@ class TestClassifyPipeline:
         assert code == 0
         assert out == "holonomic (symbolic)\n"
 
+    @pytest.mark.parametrize(
+        "F, H12",
+        [("x1/(x1 - x1)", "0"),  # F = G would hold if the zero denominator were ignored
+         ("1", "(x1 - x1)/(x2 - x2)")],  # 0/0: a zero numerator over a zero denominator
+    )
+    def test_zero_denominator_is_a_sampling_error(self, run, tmp_path, F, H12):
+        doc = {"order": 2, "base_dim": 2, "fiber_dim": 1, "F": [[F, "x1"]],
+               "G": [["1", "x1"]], "H": [[["0", H12], ["0", "0"]]]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run("classify", path)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}: equality sampling found no point where both sides are defined\n"
+        )
+
     def test_semiholonomy_lines(self, run, sample_dir):
         code, out, _ = run("semiholonomy", sample_dir / "jet_semi.json")
         assert code == 0

@@ -108,6 +108,20 @@ class TestEdges:
         ]
         assert values[:, 1].tolist() == [0.0, 1.0, 1.0]
 
+    def test_a_leaf_emits_no_statement(self):
+        exprs = [parse_expr(s, U) for s in ("x1*x2 + 3", "x1", "1/y1")]
+        prog = compile_program(exprs, NAMES)
+        statements = [
+            kernel._expression(prog.code, prog.arg, prog.starts[e], prog.starts[e + 1], e)
+            for e in range(len(exprs))
+        ]
+        assert statements == [
+            (["s0 = x0 * x1", "v0 = s0 + c0"], False),
+            (["v1 = x0"], False),  # a whole expression that is one leaf
+            (["if x2 == 0.0: v2 = _nan; t2 = 1; break", "v2 = c1 / x2"], True),
+        ]
+        assert_generated_matches(exprs, NAMES, [[1.0, 2.0, 0.0], [-0.5, 3.0, 4.0]])
+
     def test_right_nested_chain_needs_a_slot_per_level(self):
         chain = X
         for k in range(1000):

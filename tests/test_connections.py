@@ -134,8 +134,24 @@ class TestClassify:
         assert str(c) == "holonomic (symbolic)"
 
     def test_spec_semillonomic_example(self):
+        # H_12 and H_21 are polynomials, so the exact expansion settles them.
         c = classify(ehresmann_prolongation(conn(U21, [["y1", "x1"]])))
         assert c.verdict == SEMIHOLONOMIC
+        assert c.confidence == SYMBOLIC
+
+    def test_asymmetry_through_an_atom_is_sampled(self):
+        # H_12 - H_21 keeps sin(x2) and cos(x2): only sampling can tell.
+        c = classify(ehresmann_prolongation(conn(U21, [["sin(x2)*y1", "x1"]])))
+        assert c.verdict == SEMIHOLONOMIC
+        assert c.confidence == PROBABILISTIC
+
+    def test_hidden_trig_identity_is_sampled_holonomic(self):
+        u = SymbolUniverse(2, 1)
+        P = lambda s: parse_expr(s, u)
+        F = ((P("y1"), P("x1")),)
+        H = (((P("0"), P("sin(x1)^2 + cos(x1)^2")), (P("1"), P("0"))),)
+        c = classify(Connection2(u, F, F, H))
+        assert c.verdict == HOLONOMIC
         assert c.confidence == PROBABILISTIC
 
     def test_gradient_prolongs_holonomic(self, rng):
