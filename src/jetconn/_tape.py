@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from . import kernel
 from .errors import EvalError
 from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var
@@ -58,13 +56,17 @@ class Program:
         self.stack_need = stack_need
         self.run = kernel.generate(code, arg, starts, consts, len(var_names))
 
-    def __call__(self, points: np.ndarray):
-        """Evaluate all expressions at each row of ``points``.
+    def __call__(self, points):
+        """Evaluate all expressions at each row of ``points``, a 2-d array (1-d: one row).
 
-        Returns ``(values, status)`` of shape (npoints, nexprs).  A nonzero
-        status marks the matching value slot as NaN; evaluation continues
-        with the next expression.
+        Returns ``(values, status)`` as numpy arrays of shape (npoints,
+        nexprs).  A nonzero status marks the matching value slot as NaN;
+        evaluation continues with the next expression.  This and
+        :meth:`eval_checked` serve wide batches and import numpy on first
+        use; :meth:`rows` does the same work on plain lists.
         """
+        import numpy as np
+
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -74,20 +76,23 @@ class Program:
             )
         return kernel.active()(self.run, pts, len(self.starts) - 1)
 
-    def row(self, point: list):
-        """Evaluate all expressions at one point, a list of floats.
+    def rows(self, points):
+        """Evaluate all expressions at each point of ``points``, a sequence of float rows.
 
-        Returns ``(values, status)`` as two Python lists, equal slot for slot
-        to the single row of ``self(point)``, without going through numpy.
+        Returns ``(values, status)`` as two flat Python lists, one slot per
+        point and expression, point after point, equal slot for slot to
+        ``self(points)`` flattened, without going through numpy.
         """
-        if len(point) != len(self.var_names):
-            raise EvalError(
-                f"program expects {len(self.var_names)} variables, got {len(point)}"
-            )
-        return self.run((point,))
+        width = len(self.var_names)
+        for point in points:
+            if len(point) != width:
+                raise EvalError(f"program expects {width} variables, got {len(point)}")
+        return self.run(points)
 
-    def eval_checked(self, points: np.ndarray) -> np.ndarray:
+    def eval_checked(self, points):
         """Like calling the program, but any nonzero status raises EvalError."""
+        import numpy as np
+
         out, status = self(points)
         if status.any():
             row, col = np.argwhere(status)[0]

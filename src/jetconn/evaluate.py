@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
 from . import _poly
 from ._tape import STATUS_MESSAGES, Program, compile_program
 from .errors import EvalError, SamplingError
@@ -21,6 +19,10 @@ PROBABILISTIC = "probabilistic"
 # Sample points are drawn uniformly from [SAMPLE_LOW, SAMPLE_HIGH] per variable.
 SAMPLE_LOW = -2.0
 SAMPLE_HIGH = 2.0
+
+# Largest sample count of one check.  Every point is a row of floats held
+# at once, so a count is refused before any point is drawn.
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,12 +44,15 @@ class SamplePolicy:
 
 
 def check_sampling(points, tol, names=("points", "tol")) -> None:
-    """Raise ``ValueError`` unless ``points`` is an int >= 1 and ``tol`` finite and >= 0.
+    """Raise ``ValueError`` unless ``points`` and ``tol`` are usable.
 
-    ``names`` are what the messages call the two settings.
+    ``points`` must be an int from 1 to ``MAX_SAMPLES``, ``tol`` finite
+    and >= 0.  ``names`` are what the messages call the two settings.
     """
     if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
         raise ValueError(f"{names[0]} must be a positive integer")
+    if points > MAX_SAMPLES:
+        raise ValueError(f"{names[0]} must be at most {MAX_SAMPLES}")
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
         raise ValueError(f"{names[1]} must be a finite number >= 0")
 
@@ -82,14 +87,13 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
     """
     prog = _single_program(e)
     try:
-        point = np.array([float(assignment[name]) for name in prog.var_names])
+        point = [float(assignment[name]) for name in prog.var_names]
     except KeyError as missing:
         raise EvalError(f"missing value for variable {missing.args[0]!r}") from None
-    values, status = prog(point)
-    code = int(status[0, 0])
-    if code:
-        raise EvalError(STATUS_MESSAGES[code])
-    return float(values[0, 0])
+    values, status = prog.rows((point,))
+    if status[0]:
+        raise EvalError(STATUS_MESSAGES[status[0]])
+    return values[0]
 
 
 def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
@@ -104,7 +108,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     to 0, an expansion over its budget) is sampled: both sides are
     evaluated on ``policy.points`` uniform random points per variable and
     compared within the scaled tolerance; raises :class:`SamplingError`
-    when every sample point was singular.
+    when every sample point was singular.  Only this route imports numpy.
     """
     difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
@@ -112,6 +116,8 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     exact = _poly.decide(difference)
     if exact is not None:
         return EqualityResult(exact, SYMBOLIC)
+
+    import numpy as np
 
     if policy is None:
         policy = SamplePolicy()

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Tuple
 
-import numpy as np
-
 from ._tape import compile_program
 from .connections import Connection1, Connection2
 from .errors import FrameVerificationError
@@ -232,8 +230,11 @@ def twofold_dual_coframe(
     gamma_bar = g12_base - g12_f1 * g1_base - g12_f2 * g2_base (matrix
     products over the fiber indices).  The result is verified numerically
     as a two-sided inverse at random sample points; failure raises
-    :class:`FrameVerificationError` with the offending point.
+    :class:`FrameVerificationError` with the offending point.  The check
+    draws its points and multiplies the matrices with numpy, imported here.
     """
+    import numpy as np
+
     check_sampling(points, tol)
     n, r1, r2, r12 = conn.dims
     size = conn.size

@@ -274,16 +274,16 @@ def dump_json(data) -> str:
 
 def transport_csv(result: TransportResult) -> str:
     """Render a trajectory as CSV: t, fiber columns, then any jet columns."""
-    n = result.values.shape[1]
+    n = len(result.values[0])
     header = ["t"] + [f"y{p}" for p in range(1, n + 1)]
     if result.jet_values is not None:
-        m = result.jet_values.shape[2]
+        m = len(result.jet_values[0][0])
         header += [f"y{p}_{i}" for p in range(1, n + 1) for i in range(1, m + 1)]
     lines = [",".join(header)]
-    for k in range(result.times.shape[0]):
-        row = [repr(float(result.times[k]))]
+    for k, t in enumerate(result.times):
+        row = [repr(float(t))]
         row += [repr(float(v)) for v in result.values[k]]
         if result.jet_values is not None:
-            row += [repr(float(v)) for v in result.jet_values[k].reshape(-1)]
+            row += [repr(float(v)) for jet_row in result.jet_values[k] for v in jet_row]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

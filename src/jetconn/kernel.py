@@ -8,8 +8,9 @@ from the program's constant list (``c0``, ...), and an op reads them by
 name, so a constant or variable op emits no statement.  Every computed
 stack slot is a local (``s0``, ``s1``, ...), and the last op of expression
 ``e`` writes ``v{e}``.
-``run`` serves batches through :func:`eval_program` and single points
-through ``Program.row``, on plain lists, without any numpy call in between.
+``run`` serves lists of rows through ``Program.rows``, without any numpy
+call in between, and numpy batches through :func:`eval_program`, the only
+function here that imports numpy.
 
 No input text reaches the generated source: it is built from the tape
 alone, so it holds only slot indices, integer exponents (range-checked by
@@ -28,8 +29,6 @@ code in their slot and move on to the next expression; they never raise.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # Tape instructions.  OP_POW carries its integer exponent as argument,
 # OP_CONST and OP_VAR their slot; the others take no argument.
@@ -185,7 +184,11 @@ def eval_program(run, points, n_expr):
     """Run a generated function on each row of ``points``, a 2-d float64 array.
 
     Returns ``(values, status)`` as arrays of shape (npoints, nexprs).
+    numpy is imported here, not with the module, so that a run which never
+    evaluates a batch does not pay for its import.
     """
+    import numpy as np
+
     out = np.empty((points.shape[0], n_expr), dtype=np.float64)
     status = np.empty((points.shape[0], n_expr), dtype=np.uint8)
     # Rows go to and from numpy a block at a time: one conversion per

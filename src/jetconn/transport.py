@@ -9,11 +9,10 @@ convergence order testable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import isfinite
 from typing import Tuple
-
-import numpy as np
 
 from ._tape import STATUS_MESSAGES, Program, compile_program
 from .connections import Connection1, Connection2, is_fiber_linear
@@ -36,7 +35,7 @@ class Curve:
         names = CURVE_UNIVERSE.extra_symbols
         comps = expr_grid(self.components, (self.dim,), names, "curve components")
         t0, t1 = float(self.t0), float(self.t1)
-        if not (np.isfinite(t0) and np.isfinite(t1)):
+        if not (isfinite(t0) and isfinite(t1)):
             raise ValueError("interval endpoints must be finite")
         if not t0 < t1:
             raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
@@ -61,25 +60,27 @@ class Curve:
 class TransportResult:
     """Sampled trajectory of a transport integration.
 
-    ``values[k]`` is y at ``times[k]``; ``jet_values`` adds y_i^p for
-    second order transport.  The first row is the initial condition,
-    bit for bit.
+    ``values[k]`` is the tuple y at ``times[k]``; ``jet_values[k][p][i]``
+    adds y_i^p for second order transport.  Every field is a tuple of
+    Python floats (nested per step), and the first row is the initial
+    condition, bit for bit.
     """
 
-    times: np.ndarray
-    values: np.ndarray
+    times: Tuple[float, ...]
+    values: Tuple[Tuple[float, ...], ...]
     steps: int
     rhs_evaluations: int
-    jet_values: np.ndarray = None
+    jet_values: Tuple[Tuple[Tuple[float, ...], ...], ...] = None
 
 
-# Largest step count of one integration.  Each step keeps one row of
-# 8-byte floats, the time plus the state, so 10^6 steps of a state of
-# size s hold about 8*(s + 1) MB of trajectory before any output is written.
+# Largest step count of one integration.  Each step keeps its time and a
+# tuple of the state, about 72 + 32*s bytes as Python objects, so 10^6
+# steps of a state of size s hold about 72 + 32*s MB of trajectory before
+# any output is written.
 MAX_STEPS = 10**6
 
-# RK4 steps whose curve nodes one batched program call evaluates.  A
-# constant, so memory stays flat however many steps a run asks for.
+# RK4 steps whose curve nodes one program call evaluates.  A constant, so
+# memory stays flat however many steps a run asks for.
 _CHUNK = 64
 
 
@@ -98,14 +99,33 @@ def _failure(status, t: float) -> str:
     return f"non-finite expression value at t = {t}"
 
 
-def _checked_row(program: Program, point: list, t: float) -> list:
-    values, status = program.row(point)
+def _checked_row(program: Program, point, t: float) -> list:
+    values, status = program.rows((point,))
     if any(status) or not all(map(isfinite, values)):
         raise TransportError(_failure(status, t))
     return values
 
 
-def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps):
+def _real_rows(values, rows: int, cols, message: str) -> tuple:
+    """``values`` as ``rows`` tuples of ``cols`` floats, else DimensionMismatchError.
+
+    ``cols`` None takes the length of the first row, which must be at least 1.
+    Every entry must be a real number.
+    """
+    try:
+        grid = [tuple(row) for row in values]
+    except TypeError:
+        raise DimensionMismatchError(message) from None
+    if cols is None:  # the first row's length; an empty first row fails below
+        cols = max(1, len(grid[0])) if grid else 1
+    if len(grid) != rows or any(
+        len(row) != cols or not all(isinstance(v, numbers.Real) for v in row) for row in grid
+    ):
+        raise DimensionMismatchError(message)
+    return tuple(tuple(map(float, row)) for row in grid)
+
+
+def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps) -> tuple:
     if universe.base_dim != curve.dim:
         raise DimensionMismatchError(
             f"curve dimension {curve.dim} does not match base dimension "
@@ -113,89 +133,93 @@ def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps):
         )
     if not isinstance(steps, int) or not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be a positive integer, at most {MAX_STEPS}")
-    y = np.asarray(y0, dtype=np.float64)
-    if y.shape != (universe.fiber_dim,):
-        raise DimensionMismatchError(
-            f"initial fiber value must have length {universe.fiber_dim}"
-        )
-    return y
+    n = universe.fiber_dim
+    return _real_rows((y0,), 1, n, f"initial fiber value must have length {n}")[0]
 
 
-def _curve_chunks(cprog: Program, curve: Curve, steps: int):
-    """The curve program at every RK4 node, one batched call per _CHUNK steps.
+def _node_triples(cprog: Program, curve: Curve, steps: int):
+    """The nodes ``(t, x, rates)`` of each RK4 step, three per step.
 
     Step k has the nodes t = t0 + k*h, t + h/2 and t + h, in the order its
-    stages use them; t + h need not equal the next step's t.  Yields
-    ``(times, values, failure)`` per chunk, where ``failure`` is None or
-    the index and message of the chunk's first unusable node.  Nothing is
-    raised here: the integration reports a curve failure only when it
+    stages use them; t + h need not equal the next step's t.  The curve
+    program evaluates the nodes of _CHUNK steps per call.  ``x`` is the
+    curve point and ``rates`` its derivatives, both lists.  From the first
+    unusable node of a chunk on, nodes are ``(t, None, message)``.  Nothing
+    is raised here: the integration reports a curve failure only when it
     reaches that node, so an earlier failure of F still comes first.
     """
-    t0 = curve.t0
+    t0, m = curve.t0, curve.dim
+    width = len(cprog.starts) - 1
     h = (curve.t1 - t0) / steps
     for first in range(0, steps, _CHUNK):
         times = []
         for k in range(first, min(first + _CHUNK, steps)):
             t = t0 + k * h
             times += (t, t + h / 2, t + h)
-        values, status = cprog(np.array(times).reshape(-1, 1))
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            i = int(bad[0])
-            yield times, values, (i, _failure(status[i].tolist(), times[i]))
-            return
-        yield times, values, None
-
-
-def _node_triples(chunks, m: int):
-    """The nodes ``(t, x, rates)`` of each RK4 step, three per step.
-
-    ``x`` is the curve point as a list and ``rates`` its derivatives as an
-    array.  From a failed node on, nodes are ``(t, None, message)``.
-    """
-    for times, values, failure in chunks:
-        nodes = list(zip(times, values[:, :m].tolist(), values[:, m:]))
-        if failure is not None:
-            i, message = failure
-            nodes[i:] = [(times[i], None, message)] * (len(nodes) - i)
+        values, status = cprog.rows([(t,) for t in times])
+        nodes = []
+        for i, t in enumerate(times):
+            row = values[i * width : (i + 1) * width]
+            if not all(map(isfinite, row)):
+                message = _failure(status[i * width : (i + 1) * width], t)
+                nodes += [(t, None, message)] * (len(times) - i)
+                break
+            nodes.append((t, row[:m], row[m:]))
         for i in range(0, len(nodes), 3):
             yield nodes[i : i + 3]
 
 
-def _stage_values(program: Program, node, y: np.ndarray) -> np.ndarray:
+def _stage_values(program: Program, node, y) -> list:
     """The coefficients of one RK4 stage, at curve node ``node`` and fiber point ``y``."""
     t, x, rates = node
     if x is None:
         raise TransportError(rates)
-    return np.array(_checked_row(program, x + y.tolist(), t))
+    return _checked_row(program, (*x, *y), t)
 
 
-def _integrate_rk4(rhs, chunks, curve: Curve, y0: np.ndarray, steps: int) -> TransportResult:
-    """Classical RK4 of dy/dt = rhs(node, y) over the nodes in ``chunks``."""
+def _matvec(flat, vec) -> list:
+    """The row-major matrix ``flat`` times ``vec``, one left-fold dot per row.
+
+    Each dot is a0*b0 + a1*b1 + ... summed left to right, one IEEE operation
+    at a time, so the result does not depend on a BLAS kernel or on
+    Python's compensated ``sum``.
+    """
+    m = len(vec)
+    out = []
+    for first in range(0, len(flat), m):
+        acc = flat[first] * vec[0]
+        for i in range(1, m):
+            acc += flat[first + i] * vec[i]
+        out.append(acc)
+    return out
+
+
+def _integrate_rk4(rhs, nodes, curve: Curve, y0: tuple, steps: int) -> TransportResult:
+    """Classical RK4 of dy/dt = rhs(node, y) over the node triples ``nodes``."""
     h = (curve.t1 - curve.t0) / steps
-    times = curve.t0 + np.arange(steps + 1) * h
-    values = np.empty((steps + 1, y0.shape[0]))
-    values[0] = y0
+    h2, h3, h6 = h / 2, h / 3, h / 6
+    times = tuple(curve.t0 + k * h for k in range(steps + 1))
+    values = [y0]
     y = y0
-    # numpy warns when the state overflows.  The warning names a source
-    # line and is no diagnostic: a non-finite state or coefficient fails
-    # its finite check with one.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (a, b, c) in enumerate(_node_triples(chunks, curve.dim)):
-            k1 = rhs(a, y)
-            k2 = rhs(b, y + (h / 2) * k1)
-            k3 = rhs(b, y + (h / 2) * k2)
-            k4 = rhs(c, y + h * k3)
-            y_next = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not all(map(isfinite, y_next.tolist())):
-                # The stage sum k1 + 2*k2 + ... overflows before the state does.
-                y_next = y + (h / 6) * k1 + (h / 3) * k2 + (h / 3) * k3 + (h / 6) * k4
-                if not all(map(isfinite, y_next.tolist())):
-                    raise TransportError(
-                        f"non-finite fiber value at t = {float(times[k + 1])}"
-                    )
-            y = values[k + 1] = y_next
-    return TransportResult(times, values, steps, 4 * steps)
+    # The state is updated slot by slot, each slot in the order written:
+    # y + (h/2)*k1, ..., then y + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
+    for k, (start, mid, end) in enumerate(nodes):
+        k1 = rhs(start, y)
+        k2 = rhs(mid, [v + h2 * d for v, d in zip(y, k1)])
+        k3 = rhs(mid, [v + h2 * d for v, d in zip(y, k2)])
+        k4 = rhs(end, [v + h * d for v, d in zip(y, k3)])
+        slots = list(zip(y, k1, k2, k3, k4))
+        y_next = tuple([v + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in slots])
+        if not all(map(isfinite, y_next)):
+            # The stage sum k1 + 2*k2 + ... overflows before the state does.
+            y_next = tuple(
+                [v + h6 * d1 + h3 * d2 + h3 * d3 + h6 * d4 for v, d1, d2, d3, d4 in slots]
+            )
+            if not all(map(isfinite, y_next)):
+                raise TransportError(f"non-finite fiber value at t = {times[k + 1]}")
+        values.append(y_next)
+        y = y_next
+    return TransportResult(times, tuple(values), steps, 4 * steps)
 
 
 def _coefficient_program(conn, order: int) -> Program:
@@ -209,11 +233,10 @@ def _coefficient_program(conn, order: int) -> Program:
 
 
 def _transport1_rhs(gamma: Connection1):
-    m, n = gamma.universe.base_dim, gamma.universe.fiber_dim
     fprog = _coefficient_program(gamma, 1)
 
     def rhs(node, y):
-        return _stage_values(fprog, node, y).reshape(n, m) @ node[2]
+        return _matvec(_stage_values(fprog, node, y), node[2])
 
     return rhs
 
@@ -223,8 +246,8 @@ def transport1(
 ) -> TransportResult:
     """Integrate dy^p/dt = sum_i F_i^p(x(t), y) dx^i/dt by RK4."""
     y = _check_shapes(gamma.universe, curve, y0, steps)
-    chunks = _curve_chunks(_curve_program(curve, 1), curve, steps)
-    return _integrate_rk4(_transport1_rhs(gamma), chunks, curve, y, steps)
+    nodes = _node_triples(_curve_program(curve, 1), curve, steps)
+    return _integrate_rk4(_transport1_rhs(gamma), nodes, curve, y, steps)
 
 
 def transport2(
@@ -240,27 +263,22 @@ def transport2(
     u = delta.universe
     y = _check_shapes(u, curve, y0, steps)
     m, n = u.base_dim, u.fiber_dim
-    yj = np.asarray(yj0, dtype=np.float64)
-    if yj.shape != (n, m):
-        raise DimensionMismatchError(f"initial jet value must be {n}x{m}")
-    chunks = _curve_chunks(_curve_program(curve, 1), curve, steps)
+    yj = _real_rows(yj0, n, m, f"initial jet value must be {n}x{m}")
+    nodes = _node_triples(_curve_program(curve, 1), curve, steps)
     prog = _coefficient_program(delta, 2)
-    split = n * m
 
     def rhs(node, state):
-        allvals = _stage_values(prog, node, state[:n])
-        xdot = node[2]
-        fvals = allvals[:split].reshape(n, m)
-        hvals = allvals[split:].reshape(n, m, m)
-        return np.concatenate((fvals @ xdot, (hvals @ xdot).reshape(-1)))
+        # F (n rows) and H (n*m rows) are both rows of m against x', so
+        # one product gives F x' followed by H x' row-major.
+        return _matvec(_stage_values(prog, node, state[:n]), node[2])
 
-    flat = _integrate_rk4(rhs, chunks, curve, np.concatenate((y, yj.reshape(-1))), steps)
+    flat = _integrate_rk4(rhs, nodes, curve, y + tuple(v for row in yj for v in row), steps)
     return TransportResult(
         flat.times,
-        flat.values[:, :n],
+        tuple(row[:n] for row in flat.values),
         steps,
         flat.rhs_evaluations,
-        flat.values[:, n:].reshape(steps + 1, n, m),
+        tuple(tuple(row[n + p * m : n + (p + 1) * m] for p in range(n)) for row in flat.values),
     )
 
 
@@ -275,7 +293,7 @@ def second_order_ode(
     u = delta.universe
     y = _check_shapes(u, curve, y0, steps)
     m, n = u.base_dim, u.fiber_dim
-    chunks = _curve_chunks(_curve_program(curve, 2), curve, steps)
+    nodes = _node_triples(_curve_program(curve, 2), curve, steps)
     prog = _coefficient_program(delta, 2)
     split = n * m
 
@@ -283,18 +301,21 @@ def second_order_ode(
         allvals = _stage_values(prog, node, state)
         rates = node[2]
         xdot, xacc = rates[:m], rates[m:]
-        fvals = allvals[:split].reshape(n, m)
-        hvals = allvals[split:].reshape(n, m, m)
-        return (hvals @ xdot) @ xdot + fvals @ xacc
+        quadratic = _matvec(_matvec(allvals[split:], xdot), xdot)
+        return [a + b for a, b in zip(quadratic, _matvec(allvals[:split], xacc))]
 
-    return _integrate_rk4(rhs, chunks, curve, y, steps)
+    return _integrate_rk4(rhs, nodes, curve, y, steps)
 
 
 @dataclass(frozen=True, eq=False)
 class HolonomyResult:
-    """Holonomy matrix of a loop plus its max-abs distance from identity."""
+    """Holonomy matrix of a loop plus its max-abs distance from identity.
 
-    matrix: np.ndarray
+    ``matrix`` is a tuple of rows of floats, column j the transport of basis
+    column j.
+    """
+
+    matrix: Tuple[Tuple[float, ...], ...]
     defect: float
     steps: int
 
@@ -312,8 +333,8 @@ def loop_holonomy(
     u = gamma.universe
     m, n = u.base_dim, u.fiber_dim
     cprog = _curve_program(loop, 1)
-    start = _checked_row(cprog, [loop.t0], loop.t0)[:m]
-    end = _checked_row(cprog, [loop.t1], loop.t1)[:m]
+    start = _checked_row(cprog, (loop.t0,), loop.t0)[:m]
+    end = _checked_row(cprog, (loop.t1,), loop.t1)[:m]
     gap = max(abs(a - b) for a, b in zip(start, end))
     if gap > 1e-9:
         raise TransportError(
@@ -324,21 +345,19 @@ def loop_holonomy(
             "holonomy matrix needs a connection linear in the fiber variables"
         )
     if basis is None:
-        basis_arr = np.eye(n)
-    else:
-        basis_arr = np.asarray(basis, dtype=np.float64)
-        if basis_arr.ndim != 2 or basis_arr.shape[0] != n:
-            raise DimensionMismatchError(
-                f"basis must be an {n}-row matrix of column vectors"
-            )
+        basis = [[1.0 if p == j else 0.0 for j in range(n)] for p in range(n)]
+    rows = _real_rows(basis, n, None, f"basis must be an {n}-row matrix of column vectors")
     columns = []
-    for j in range(basis_arr.shape[1]):
-        y = _check_shapes(u, loop, basis_arr[:, j], steps)
+    for j, column in enumerate(zip(*rows)):
+        y = _check_shapes(u, loop, column, steps)
         if j == 0:
-            # F and the loop's nodes are the same for every column.
-            rhs = _transport1_rhs(gamma)
-            chunks = list(_curve_chunks(cprog, loop, steps))
-        columns.append(_integrate_rk4(rhs, chunks, loop, y, steps).values[-1])
-    matrix = np.column_stack(columns)
-    defect = float(np.abs(matrix - np.eye(n, basis_arr.shape[1])).max())
+            rhs = _transport1_rhs(gamma)  # the same F for every column
+        nodes = _node_triples(cprog, loop, steps)
+        columns.append(_integrate_rk4(rhs, nodes, loop, y, steps).values[-1])
+    matrix = tuple(zip(*columns))
+    defect = max(
+        abs(v - (1.0 if p == j else 0.0))
+        for p, row in enumerate(matrix)
+        for j, v in enumerate(row)
+    )
     return HolonomyResult(matrix, defect, steps)

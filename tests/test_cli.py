@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from jetconn.cli import main
+from jetconn.evaluate import MAX_SAMPLES
 from jetconn.transport import MAX_STEPS
 
 SAMPLE_NAMES = [
@@ -513,6 +514,20 @@ class TestOptionRanges:
     def test_sampling_options(self, run, sample_dir, command, option, value, message):
         code, out, err = run(command, sample_dir / self.SAMPLING[command], option, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", sorted(SAMPLING))
+    def test_samples_bounded(self, run, sample_dir, command):
+        # Refused before any point is drawn: one past the bound fails at once.
+        code, out, err = run(
+            command, sample_dir / self.SAMPLING[command], "--samples", str(MAX_SAMPLES + 1)
+        )
+        assert (code, out, err) == (1, "", f"error: --samples must be at most {MAX_SAMPLES}\n")
+
+    def test_samples_at_the_bound_accepted(self, run, sample_dir):
+        # conn_zero2 is classified exactly, so no point is drawn.
+        conn = sample_dir / "conn_zero2.json"
+        code, out, _ = run("classify", conn, "--samples", str(MAX_SAMPLES))
+        assert code == 0 and "(symbolic)" in out
 
     @pytest.mark.parametrize("value", ["nan,1,2", "1,inf,2", "1,2,-inf"])
     def test_at_must_be_finite(self, run, sample_dir, value):

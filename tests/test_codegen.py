@@ -2,7 +2,7 @@
 
 Each program is checked against the tree-walking reference of
 ``test_kernel`` bit for bit and in status, through the batch call and
-through ``Program.row``.  The compiler walks trees with an explicit stack,
+through ``Program.rows``.  The compiler walks trees with an explicit stack,
 so sums far deeper than the interpreter's recursion limit compile.
 """
 
@@ -61,7 +61,7 @@ def assert_generated_matches(exprs, names, points, exact=None):
     assert values.shape == status.shape == (len(points), len(exprs))
     assert bits(values.ravel()) == bits(ref_values)
     assert status.ravel().tolist() == ref_status
-    rows = [prog.row(list(point)) for point in points]
+    rows = [prog.rows([list(point)]) for point in points]
     assert bits([v for row, _ in rows for v in row]) == bits(ref_values)
     assert [s for _, row in rows for s in row] == ref_status
     return values, status
@@ -76,7 +76,7 @@ class TestEdges:
     def test_no_expressions(self):
         values, _ = assert_generated_matches([], NAMES, [[1.0, 2.0, 3.0]] * 4)
         assert values.shape == (4, 0)
-        assert compile_program([], NAMES).row([1.0, 2.0, 3.0]) == ([], [])
+        assert compile_program([], NAMES).rows([[1.0, 2.0, 3.0]]) == ([], [])
 
     def test_signed_zero_and_extreme_constants(self):
         huge = Const(Fraction(10) ** 400)  # beyond double range: inf on the tape
@@ -188,7 +188,7 @@ class TestIterativeCompile:
         assert prog.stack_need == 3  # the sum so far, c, x
         assert len(prog.code) == 4 * n_terms - 1
         for x in (0.3, -1.7, 1e300):
-            values, status = prog.row([x])
+            values, status = prog.rows([[x]])
             assert status == [0]
             assert bits(values) == bits([reduce(lambda acc, c: acc + c * x, coeffs[1:], coeffs[0] * x)])
 
@@ -220,7 +220,7 @@ class TestTracerContract:
         values, status = prog(np.ones((5, 3)))
         assert len(calls) == 1
         assert values.shape == status.shape == (5, 2)
-        prog.row([1.0, 1.0, 1.0])  # single rows skip the batch evaluator
+        prog.rows([[1.0, 1.0, 1.0]] * 5)  # list rows skip the batch evaluator
         assert len(calls) == 1
 
 

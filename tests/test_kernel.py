@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from jetconn import EvalError, SamplePolicy, SymbolUniverse, expr_equal, parse_expr
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
+from jetconn.evaluate import MAX_SAMPLES, check_sampling
 from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
 
 from conftest import random_expr
@@ -191,6 +192,13 @@ class TestSamplePolicy:
         # A negative or NaN tolerance would make every sampled identity unequal.
         with pytest.raises(ValueError, match=f"^{message}$"):
             SamplePolicy(**settings)
+
+    def test_count_bounded(self):
+        assert SamplePolicy(points=MAX_SAMPLES).points == MAX_SAMPLES
+        with pytest.raises(ValueError, match=f"^points must be at most {MAX_SAMPLES}$"):
+            SamplePolicy(points=MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match=f"^--samples must be at most {MAX_SAMPLES}$"):
+            check_sampling(MAX_SAMPLES + 1, 0.0, ("--samples", "--tol"))
 
     def test_numpy_integer_count_accepted(self):
         assert SamplePolicy(points=np.int64(3)).points == 3

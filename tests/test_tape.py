@@ -1,7 +1,8 @@
-"""Single-row evaluation against the batch call of the same program.
+"""List evaluation against the numpy batch call of the same program.
 
-``Program.row`` must equal ``Program.__call__`` slot for slot, in values
-(bit for bit, NaN included) and in status.
+``Program.rows`` must equal ``Program.__call__`` slot for slot, in values
+(bit for bit, NaN included) and in status, one point at a time and all
+points in one call.
 """
 
 import math
@@ -27,10 +28,13 @@ def bits(values):
 def assert_rows_match_batch(prog, points):
     batch_values, batch_status = prog(np.asarray(points, dtype=np.float64))
     for p, point in enumerate(points):
-        values, status = prog.row(list(point))
+        values, status = prog.rows([list(point)])
         assert type(values) is list and type(status) is list
         assert status == batch_status[p].tolist()
         assert bits(values) == bits(batch_values[p])
+    values, status = prog.rows([tuple(point) for point in points])
+    assert status == batch_status.ravel().tolist()
+    assert bits(values) == bits(batch_values.ravel())
 
 
 @given(st.integers(min_value=0, max_value=20000))
@@ -63,16 +67,18 @@ def test_row_equals_batch_on_singular_points():
         [math.nan, 2.0, -1.0],
     ]
     assert_rows_match_batch(prog, points)
-    values, status = prog.row(points[0])
+    values, status = prog.rows([points[0]])
     assert status[:3] == [STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, STATUS_DIV_BY_ZERO]
     assert all(math.isnan(v) for v in values[:3])
-    _, status = prog.row(points[1])
+    _, status = prog.rows([points[1]])
     assert status[3] == STATUS_LN_DOMAIN  # the first failure of the slot wins
-    values, _ = prog.row(points[3])
+    values, _ = prog.rows([points[3]])
     assert values[4] == math.inf
 
 
 def test_row_checks_width():
     prog = compile_program([parse_expr("x1", U)], ("x1", "x2"))
     with pytest.raises(EvalError, match="expects 2 variables"):
-        prog.row([1.0, 2.0, 3.0])
+        prog.rows([[1.0, 2.0, 3.0]])
+    with pytest.raises(EvalError, match="expects 2 variables, got 1"):
+        prog.rows([[1.0, 2.0], [1.0]])  # every point is checked, not only the first

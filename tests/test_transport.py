@@ -76,7 +76,7 @@ class TestTransport1:
         g = Connection1(u, ((Const(0), Const(0)), (Const(0), Const(0))))
         c = curve_of(("t", "t^2"), 0.0, 1.0)
         res = transport1(g, c, (1.25, -3.0), 50)
-        assert np.all(res.values == res.values[0])
+        assert res.values == ((1.25, -3.0),) * 51
         assert res.rhs_evaluations == 200
 
     def test_initial_row_bit_exact(self):
@@ -124,7 +124,7 @@ class TestTransport1:
         g = polar_affine()
         c = curve_of(("1", "t"), 0.0, 2 * math.pi)
         res = transport1(g, c, (1.0, 0.0), 2000)
-        assert np.abs(res.values[-1] - (1.0, 0.0)).max() < 1e-8
+        assert max(abs(v - w) for v, w in zip(res.values[-1], (1.0, 0.0))) < 1e-8
         quarter = transport1(
             g, curve_of(("1", "t"), 0.0, math.pi / 2), (1.0, 0.0), 500
         )
@@ -146,6 +146,22 @@ class TestTransport1:
             transport1(g, good, (1.0, 2.0), 5)
         with pytest.raises(ValueError, match="positive integer"):
             transport1(g, good, (1.0,), 0)
+
+    @pytest.mark.parametrize("y0", [1.0, ((1.0,),), np.ones((1, 1)), ("1",), ()])
+    def test_initial_value_must_be_a_vector_of_numbers(self, y0):
+        u = SymbolUniverse(1, 1)
+        g = Connection1(u, ((Const(0),),))
+        message = "^initial fiber value must have length 1$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            transport1(g, curve_of(("t",), 0.0, 1.0), y0, 5)
+
+    def test_results_are_tuples_of_floats(self):
+        u = SymbolUniverse(1, 1)
+        g = Connection1(u, ((u.y(1),),))
+        res = transport1(g, curve_of(("t",), 0.0, 1.0), np.array([1]), 4)
+        assert type(res.times) is tuple and type(res.values) is tuple
+        assert res.times == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert all(type(row) is tuple and type(row[0]) is float for row in res.values)
 
     def test_steps_bounded_before_allocation(self):
         # MAX_STEPS + 1 fails at once; an allocation of that many rows would
@@ -176,8 +192,9 @@ class TestTransport2:
         y0 = (0.5, -0.25)
         first = transport1(g, c, y0, 80)
         second = transport2(delta, c, y0, np.zeros((2, 2)), 80)
-        assert np.array_equal(first.values, second.values)
-        assert second.jet_values.shape == (81, 2, 2)
+        assert second.values == first.values
+        assert len(second.jet_values) == 81
+        assert all(len(jet) == 2 and all(len(r) == 2 for r in jet) for jet in second.jet_values)
 
     def test_jet_slots_integrate_h(self):
         # F = 0 and constant H = 1 along x = t gives y_1(t) = t
@@ -235,7 +252,7 @@ class TestHolonomy:
         loop = curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi)
         res = loop_holonomy(g, loop, steps=50)
         assert res.defect == 0.0
-        assert np.array_equal(res.matrix, np.eye(2))
+        assert res.matrix == ((1.0, 0.0), (0.0, 1.0))
 
     def test_flat_polar_loop_defect_small(self):
         g = polar_affine()
@@ -264,9 +281,75 @@ class TestHolonomy:
         loop = curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi)
         basis = np.array([[2.0], [1.0]])
         res = loop_holonomy(g, loop, basis=basis, steps=20)
-        assert np.array_equal(res.matrix, basis)
+        assert res.matrix == ((2.0,), (1.0,))
         with pytest.raises(DimensionMismatchError, match="2-row"):
             loop_holonomy(g, loop, basis=np.ones((3, 1)), steps=20)
+
+    @pytest.mark.parametrize("basis", [((1.0, 0.0), (1.0,)), ((), ()), (1.0, 2.0), np.ones(2)])
+    def test_basis_must_be_a_matrix(self, basis):
+        u = SymbolUniverse(2, 2)
+        zero = Const(0)
+        g = Connection1(u, ((zero, zero), (zero, zero)))
+        loop = curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi)
+        with pytest.raises(DimensionMismatchError, match="^basis must be an 2-row matrix"):
+            loop_holonomy(g, loop, basis=basis, steps=20)
+
+
+class TestLeftFoldDot:
+    """F*x' is summed left to right, one rounding per operation.
+
+    The row (1e16, 1, -1e16) against x' = (1, 1, 1) sums to 0.0 that way:
+    1e16 + 1 rounds back to 1e16.  A compensated sum (``math.fsum``, or
+    ``sum`` from Python 3.12) gives 1.0, and a BLAS kernel may give either.
+    """
+
+    ROW = (1e16, 1.0, -1e16)
+
+    @staticmethod
+    def fold(row, vec):
+        acc = row[0] * vec[0]
+        acc += row[1] * vec[1]
+        acc += row[2] * vec[2]
+        return acc
+
+    def expected(self, y0, steps, rate):
+        """RK4 by hand for a constant right-hand side ``rate``."""
+        h = 1.0 / steps
+        values = [y0]
+        for _ in range(steps):
+            values.append(values[-1] + h / 6 * (rate + 2.0 * rate + 2.0 * rate + rate))
+        return values
+
+    def test_fold_and_fsum_differ(self):
+        assert self.fold(self.ROW, (1.0, 1.0, 1.0)) == 0.0
+        assert math.fsum(self.ROW) == 1.0
+
+    @pytest.mark.parametrize("velocity", [(1.0, 1.0, 1.0), (3.0, 0.5, 1.25)])
+    def test_transport1_matches_the_fold_bit_for_bit(self, velocity):
+        u = SymbolUniverse(3, 1)
+        g = Connection1(u, (tuple(Const(v) for v in self.ROW),))
+        c = curve_of(tuple(f"{v}*t" for v in velocity), 0.0, 1.0)
+        res = transport1(g, c, (0.5,), 8)
+        rate = self.fold(self.ROW, velocity)
+        assert [row[0] for row in res.values] == self.expected(0.5, 8, rate)
+
+    def test_second_order_forms_fold_too(self):
+        # H_ij = ROW[j] on every row i and F = ROW: H x' is the fold per row.
+        u = SymbolUniverse(3, 1)
+        from jetconn import Connection2
+
+        row = tuple(Const(v) for v in self.ROW)
+        delta = Connection2(u, (row,), (row,), ((row, row, row),))
+        c = curve_of(("t", "t", "t"), 0.0, 1.0)
+        fold = self.fold(self.ROW, (1.0, 1.0, 1.0))
+        res = transport2(delta, c, (0.5,), ((0.0, 0.0, 0.0),), 8)
+        assert [r[0] for r in res.values] == self.expected(0.5, 8, fold)
+        for i in range(3):
+            assert [jet[0][i] for jet in res.jet_values] == self.expected(0.0, 8, fold)
+        # ode2: (H x') x' + F x'' with x'' = 0, each product a fold.
+        ode = second_order_ode(delta, c, (0.5,), 8)
+        quadratic = self.fold((fold, fold, fold), (1.0, 1.0, 1.0))
+        assert [r[0] for r in ode.values] == self.expected(0.5, 8, quadratic + 0.0)
 
 
 class TestFailureOrder:
@@ -327,12 +410,11 @@ class TestFailureOrder:
         u = SymbolUniverse(2, 1)
         g = Connection1(u, ((parse_expr(f, u), Const(0)),))
         c = curve_of(comps, 0.0, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TransportError) as err:
-                if variant == "1":
-                    transport1(g, c, (1.0,), steps)
-                elif variant == "2":
-                    transport2(ehresmann_prolongation(g), c, (1.0,), ((0.0, 0.0),), steps)
-                else:
-                    second_order_ode(ehresmann_prolongation(g), c, (1.0,), steps)
+        with pytest.raises(TransportError) as err:
+            if variant == "1":
+                transport1(g, c, (1.0,), steps)
+            elif variant == "2":
+                transport2(ehresmann_prolongation(g), c, (1.0,), ((0.0, 0.0),), steps)
+            else:
+                second_order_ode(ehresmann_prolongation(g), c, (1.0,), steps)
         assert str(err.value) == expected
