@@ -90,13 +90,13 @@ class Program:
         return self.run(points)
 
     def eval_checked(self, points):
-        """Like calling the program, but any nonzero status raises EvalError."""
-        import numpy as np
+        """Like calling the program, but any nonzero status raises EvalError.
 
+        The message is that of the first failed slot in row-major order.
+        """
         out, status = self(points)
         if status.any():
-            row, col = np.argwhere(status)[0]
-            raise EvalError(STATUS_MESSAGES[int(status[row, col])])
+            raise EvalError(STATUS_MESSAGES[int(status[status != 0][0])])
         return out
 
 

@@ -74,9 +74,9 @@ class TransportResult:
 
 
 # Largest step count of one integration.  Each step keeps its time and a
-# tuple of the state, about 72 + 32*s bytes as Python objects, so 10^6
-# steps of a state of size s hold about 72 + 32*s MB of trajectory before
-# any output is written.
+# tuple of the state, about 80 + 32*s bytes as Python objects, so 10^6
+# steps of a state of size s hold about (80 + 32*s) MB of trajectory
+# before any output is written.
 MAX_STEPS = 10**6
 
 # RK4 steps whose curve nodes one program call evaluates.  A constant, so

@@ -21,6 +21,7 @@ from jetconn import (
     transport1,
     transport2,
 )
+from jetconn._tape import compile_program
 from jetconn.expr import Const
 from jetconn.transport import MAX_STEPS
 
@@ -293,6 +294,42 @@ class TestHolonomy:
         loop = curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi)
         with pytest.raises(DimensionMismatchError, match="^basis must be an 2-row matrix"):
             loop_holonomy(g, loop, basis=basis, steps=20)
+
+
+def numpy_transport1(g, y0, t1, steps):
+    """Reference RK4 on numpy arrays with BLAS products, along x = (t, sin t)."""
+    u = g.universe
+    m, n = u.base_dim, u.fiber_dim
+    flat = [g.F[p][i] for p in range(n) for i in range(m)]
+    prog = compile_program(flat, u.base_names + u.fiber_names)
+
+    def rhs(t, y):
+        x, xdot = np.array([t, math.sin(t)]), np.array([1.0, math.cos(t)])
+        values, status = prog(np.concatenate((x, y)))
+        assert not status.any()
+        return values[0].reshape(n, m) @ xdot
+
+    h = t1 / steps
+    y = np.array(y0, dtype=np.float64)
+    for k in range(steps):
+        t = k * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + (h / 2) * k1)
+        k3 = rhs(t + h / 2, y + (h / 2) * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_list_rk4_agrees_with_numpy_reference(seed):
+    # The same scheme in the same order; only the dot products may round
+    # differently (a BLAS kernel may fuse them), so the two agree to a few ulps.
+    g = random_connection1(np.random.default_rng(seed), 2, 2)
+    y0 = (0.1, -0.2)
+    res = transport1(g, curve_of(("t", "sin(t)"), 0.0, 0.25), y0, 32)
+    ref = numpy_transport1(g, y0, 0.25, 32)
+    assert max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(res.values[-1], ref)) < 1e-12
 
 
 class TestLeftFoldDot:
