@@ -116,7 +116,7 @@ def _real_rows(values, rows: int, cols, message: str) -> tuple:
         grid = [tuple(row) for row in values]
     except TypeError:
         raise DimensionMismatchError(message) from None
-    if cols is None:  # the first row's length; an empty first row fails below
+    if cols is None:
         cols = max(1, len(grid[0])) if grid else 1
     if len(grid) != rows or any(
         len(row) != cols or not all(isinstance(v, numbers.Real) for v in row) for row in grid
