@@ -114,8 +114,9 @@ class Classification:
     """Verdict plus how it was decided.
 
     ``confidence`` is "symbolic" only when every comparison that fed the
-    verdict was settled symbolically; one sampled comparison degrades the
-    whole result to "probabilistic".
+    verdict was proved, exactly or by a verified enclosure (see
+    :class:`jetconn.evaluate.EqualityResult`); one sampled comparison
+    degrades the whole result to "probabilistic".
     """
 
     verdict: str

@@ -1,9 +1,10 @@
-"""Numeric evaluation and expression equality: exact where it can be, else sampled."""
+"""Numeric evaluation and expression equality: proved where it can be, else sampled."""
 
 from __future__ import annotations
 
 import math
 import numbers
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -11,7 +12,7 @@ from typing import Mapping
 from . import _poly
 from ._tape import STATUS_MESSAGES, Program, compile_program
 from .errors import EvalError, SamplingError
-from .expr import Const, Expr, Sub, simplify
+from .expr import Const, Expr, Fn, Sub, simplify
 
 SYMBOLIC = "symbolic"
 PROBABILISTIC = "probabilistic"
@@ -20,6 +21,9 @@ PROBABILISTIC = "probabilistic"
 SAMPLE_LOW = -2.0
 SAMPLE_HIGH = 2.0
 
+# Points at which an interval enclosure may prove an inequality.
+CERTIFY_POINTS = 4
+
 # Largest sample count of one check.  Every point is a row of floats held
 # at once, so a count is refused before any point is drawn.
 MAX_SAMPLES = 10**6
@@ -27,12 +31,14 @@ MAX_SAMPLES = 10**6
 
 @dataclass(frozen=True)
 class SamplePolicy:
-    """Settings for the probabilistic equality fallback.
+    """Settings for the certified-inequality and sampling routes of :func:`expr_equal`.
 
     ``tol`` is an absolute tolerance scaled by 1 + |left value| at each
-    sample point.  Points where either side fails to evaluate (division by
-    zero, ln domain, overflow to non-finite) are skipped.  Construction
-    checks both settings with :func:`check_sampling`.
+    point: both routes call two sides unequal only where they differ by
+    more.  ``seed`` draws the points of both.  Points where either side
+    fails to evaluate (division by zero, ln domain, overflow to non-finite)
+    are skipped.  ``points`` is the sample count.  Construction checks both
+    settings with :func:`check_sampling`.
     """
 
     points: int = 64
@@ -61,9 +67,11 @@ def check_sampling(points, tol, names=("points", "tol")) -> None:
 class EqualityResult:
     """Verdict of an equality check plus how it was reached.
 
-    ``confidence`` is "symbolic" when exact arithmetic decided: the
+    ``confidence`` is "symbolic" when the verdict is proved: exactly (the
     difference simplified to a constant, or its expansion over Q settled
-    it.  It is "probabilistic" when random sampling decided.
+    it), or by a verified enclosure (an outward-rounded interval
+    evaluation showed the two sides apart at one point).  It is
+    "probabilistic" when random sampling decided.
     """
 
     equal: bool
@@ -96,31 +104,69 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
     return values[0]
 
 
+def _holds_atom(e: Expr) -> bool:
+    todo, seen = [e], set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Fn):
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.children())
+    return False
+
+
+def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:
+    """Whether enclosures at one of ``CERTIFY_POINTS`` seeded points prove a != b.
+
+    Proved means |a - b| > tol*(1 + |a|) for every value in the two
+    enclosures, the negation of the sampling route's test at that point.
+    """
+    # Imported on first use, like numpy below: only a comparison with an
+    # atom needs it, so no other command loads it at start-up.
+    from . import _enclose
+
+    names = sorted(a.free_vars() | b.free_vars())
+    rng = random.Random(policy.seed)
+    for _ in range(CERTIFY_POINTS):
+        point = {name: rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for name in names}
+        intervals = _enclose.enclose((a, b), point)
+        if intervals is not None and _enclose.separated(*intervals, policy.tol):
+            return True
+    return False
+
+
 def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     """Decide a = b, meaning equal wherever both sides are defined.
 
-    Three routes, in order.  simplify(a - b) collapsing to a constant
-    decides.  Otherwise :func:`jetconn._poly.decide` expands the difference
-    exactly over Q: a zero numerator proves equality, a nonzero one proves
-    inequality when the difference holds no sin/cos/exp/ln atom.  Both are
-    symbolic, and ``policy`` plays no part in them.  Anything else (an
-    identity through atoms, a float constant, a denominator that expands
-    to 0, an expansion over its budget) is sampled: both sides are
-    evaluated on ``policy.points`` uniform random points per variable and
-    compared within the scaled tolerance; raises :class:`SamplingError`
-    when every sample point was singular.  Only this route imports numpy.
+    Four routes, in order.  simplify(a - b) collapsing to a constant
+    decides.  Otherwise, when the difference holds a sin/cos/exp/ln atom,
+    outward-rounded interval enclosures of a and b at up to
+    ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
+    may prove them apart by more than ``policy.tol`` scales to (see
+    :mod:`jetconn._enclose`).  Next :func:`jetconn._poly.decide` expands
+    the difference exactly over Q: a zero numerator proves equality, a
+    nonzero one proves inequality when the difference holds no atom.  These
+    three are symbolic.  Anything else (an identity through atoms, a float
+    constant, a denominator that expands to 0, an expansion over its
+    budget) is sampled: both sides are evaluated on ``policy.points``
+    uniform random points per variable and compared within the scaled
+    tolerance; raises :class:`SamplingError` when every sample point was
+    singular.  Only this route imports numpy.
     """
     difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
         return EqualityResult(difference.value == 0, SYMBOLIC)
+    if policy is None:
+        policy = SamplePolicy()
+    if _holds_atom(difference) and _certified_unequal(a, b, policy):
+        return EqualityResult(False, SYMBOLIC)
     exact = _poly.decide(difference)
     if exact is not None:
         return EqualityResult(exact, SYMBOLIC)
 
     import numpy as np
 
-    if policy is None:
-        policy = SamplePolicy()
     names = tuple(sorted(a.free_vars() | b.free_vars()))
     program = compile_program([a, b], names)
     rng = np.random.default_rng(policy.seed)

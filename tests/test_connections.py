@@ -139,11 +139,12 @@ class TestClassify:
         assert c.verdict == SEMIHOLONOMIC
         assert c.confidence == SYMBOLIC
 
-    def test_asymmetry_through_an_atom_is_sampled(self):
-        # H_12 - H_21 keeps sin(x2) and cos(x2): only sampling can tell.
+    def test_asymmetry_through_an_atom_is_certified(self):
+        # H_12 - H_21 keeps sin(x2) and cos(x2), so the exact expansion
+        # cannot tell; an interval enclosure at one point proves them apart.
         c = classify(ehresmann_prolongation(conn(U21, [["sin(x2)*y1", "x1"]])))
         assert c.verdict == SEMIHOLONOMIC
-        assert c.confidence == PROBABILISTIC
+        assert c.confidence == SYMBOLIC
 
     def test_hidden_trig_identity_is_sampled_holonomic(self):
         u = SymbolUniverse(2, 1)

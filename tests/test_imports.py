@@ -1,11 +1,13 @@
 """Imports of the library: every imported name is used, and numpy is lazy.
 
 numpy is imported only by the wide-batch layer: the sampling fallback of
-``expr_equal`` and the two-fold check.  Importing jetconn, and every
+``expr_equal`` and the two-fold check.  A comparison that an interval
+enclosure proves unequal never reaches the sampling fallback.  Importing jetconn, and every
 command that needs neither, leaves it out of ``sys.modules``.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -92,6 +94,19 @@ def test_import_leaves_numpy_out(module):
 def test_command_runs_without_numpy(name):
     child = run_child(["-c", CHILD, *WITHOUT_NUMPY[name]])
     assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+
+
+def test_atom_asymmetric_classify_runs_without_numpy(tmp_path):
+    # The prolongation of F = (sin(x2)*y1, x1): H_12 and H_21 differ through
+    # sin and cos atoms, which an interval enclosure proves unequal.
+    first_order = ["sin(x2)*y1", "x1"]
+    H = [[["sin(x2)*sin(x2)*y1", "cos(x2)*y1 + sin(x2)*x1"], ["1", "0"]]]
+    doc = {"order": 2, "base_dim": 2, "fiber_dim": 1, "F": [first_order], "G": [first_order], "H": H}
+    path = tmp_path / "prolonged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    child = run_child(["-c", CHILD, "classify", str(path), "--seed", "7"])
+    assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert child.stdout == "semiholonomic (symbolic)\n"
 
 
 def test_twofold_check_still_uses_numpy():
