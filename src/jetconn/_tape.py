@@ -61,9 +61,9 @@ class Program:
 
         Returns ``(values, status)`` as numpy arrays of shape (npoints,
         nexprs).  A nonzero status marks the matching value slot as NaN;
-        evaluation continues with the next expression.  This and
-        :meth:`eval_checked` serve wide batches and import numpy on first
-        use; :meth:`rows` does the same work on plain lists.
+        evaluation continues with the next expression.  Kept, importing
+        numpy on first use, only because the benchmark's tracer wraps it:
+        jetconn itself evaluates through :meth:`rows`.
         """
         import numpy as np
 
@@ -81,23 +81,13 @@ class Program:
 
         Returns ``(values, status)`` as two flat Python lists, one slot per
         point and expression, point after point, equal slot for slot to
-        ``self(points)`` flattened, without going through numpy.
+        ``self(points)`` flattened.
         """
         width = len(self.var_names)
         for point in points:
             if len(point) != width:
                 raise EvalError(f"program expects {width} variables, got {len(point)}")
         return self.run(points)
-
-    def eval_checked(self, points):
-        """Like calling the program, but any nonzero status raises EvalError.
-
-        The message is that of the first failed slot in row-major order.
-        """
-        out, status = self(points)
-        if status.any():
-            raise EvalError(STATUS_MESSAGES[int(status[status != 0][0])])
-        return out
 
 
 _NODE_OPS = {Neg: OP_NEG, Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL, Div: OP_DIV}

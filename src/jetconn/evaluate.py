@@ -24,9 +24,10 @@ SAMPLE_HIGH = 2.0
 # Points at which an interval enclosure may prove an inequality.
 CERTIFY_POINTS = 4
 
-# Largest sample count of one check.  Every point is a row of floats held
-# at once, so a count is refused before any point is drawn.
+# Largest sample count of one check, refused before any point is drawn.  It
+# bounds time: points are evaluated _CHUNK per call, so memory stays flat.
 MAX_SAMPLES = 10**6
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,19 @@ def _single_program(e: Expr) -> Program:
     return compile_program([e], tuple(sorted(e.free_vars())))
 
 
+def sample_rows(program: Program, points: int, seed: int):
+    """Yield ``(rows, *program.rows(rows))`` for ``points`` points, _CHUNK at a time.
+
+    Each coordinate is drawn uniformly from [SAMPLE_LOW, SAMPLE_HIGH] by
+    ``random.Random(seed)``, point after point.
+    """
+    rng = random.Random(seed)
+    for first in range(0, points, _CHUNK):
+        rows = [[rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for _ in program.var_names]
+                for _ in range(min(_CHUNK, points - first))]
+        yield (rows, *program.rows(rows))
+
+
 def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
     """Evaluate one expression at one point, IEEE double semantics.
 
@@ -122,8 +136,7 @@ def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:
     Proved means |a - b| > tol*(1 + |a|) for every value in the two
     enclosures, the negation of the sampling route's test at that point.
     """
-    # Imported on first use, like numpy below: only a comparison with an
-    # atom needs it, so no other command loads it at start-up.
+    # Imported on first use, so that only a comparison with an atom loads it.
     from . import _enclose
 
     names = sorted(a.free_vars() | b.free_vars())
@@ -150,9 +163,8 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     three are symbolic.  Anything else (an identity through atoms, a float
     constant, a denominator that expands to 0, an expansion over its
     budget) is sampled: both sides are evaluated on ``policy.points``
-    uniform random points per variable and compared within the scaled
-    tolerance; raises :class:`SamplingError` when every sample point was
-    singular.  Only this route imports numpy.
+    points of :func:`sample_rows` and compared within the scaled tolerance
+    wherever both are finite; :class:`SamplingError` when they are nowhere.
     """
     difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
@@ -165,19 +177,16 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     if exact is not None:
         return EqualityResult(exact, SYMBOLIC)
 
-    import numpy as np
-
-    names = tuple(sorted(a.free_vars() | b.free_vars()))
-    program = compile_program([a, b], names)
-    rng = np.random.default_rng(policy.seed)
-    points = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(policy.points, len(names)))
-    values, status = program(points)
-    regular = (status == 0).all(axis=1) & np.isfinite(values).all(axis=1)
-    if not regular.any():
-        raise SamplingError(
-            "equality sampling found no point where both sides are defined"
-        )
-    left = values[regular, 0]
-    right = values[regular, 1]
-    threshold = policy.tol * (1.0 + np.abs(left))
-    return EqualityResult(bool(np.all(np.abs(left - right) <= threshold)), PROBABILISTIC)
+    program = compile_program([a, b], sorted(a.free_vars() | b.free_vars()))
+    regular = failed = False
+    for _, values, status in sample_rows(program, policy.points, policy.seed):
+        failed = failed or any(status)
+        for left, right in zip(values[::2], values[1::2]):
+            if math.isfinite(left) and math.isfinite(right):  # a failed slot holds NaN
+                regular = True
+                if not abs(left - right) <= policy.tol * (1.0 + abs(left)):
+                    return EqualityResult(False, PROBABILISTIC)
+    if not regular:
+        why = "defined" if failed else "finite: they overflowed at every sample point"
+        raise SamplingError(f"equality sampling found no point where both sides are {why}")
+    return EqualityResult(True, PROBABILISTIC)

@@ -15,24 +15,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Tuple
 
-from ._tape import compile_program
+from ._tape import STATUS_MESSAGES, compile_program
 from .connections import Connection1, Connection2
-from .errors import FrameVerificationError
+from .errors import EvalError, FrameVerificationError
 from .evaluate import (
     PROBABILISTIC,
-    SAMPLE_HIGH,
-    SAMPLE_LOW,
     SYMBOLIC,
     SamplePolicy,
     check_sampling,
     expr_equal,
+    sample_rows,
 )
 from .expr import (
     Const,
     Sub,
     SymbolUniverse,
+    Var,
     build_grid,
     contract,
     diff,
@@ -229,15 +230,12 @@ def twofold_dual_coframe(
     The only nontrivial entry is the base block of the alpha12 rows:
     gamma_bar = g12_base - g12_f1 * g1_base - g12_f2 * g2_base (matrix
     products over the fiber indices).  The result is verified numerically
-    as a two-sided inverse at random sample points; failure raises
-    :class:`FrameVerificationError` with the offending point.  The check
-    draws its points and multiplies the matrices with numpy, imported here.
+    as a two-sided inverse at the points of :func:`sample_rows`: a failed
+    evaluation raises :class:`EvalError`, and a deviation above ``tol`` or a
+    non-finite value raises :class:`FrameVerificationError` with the point.
     """
-    import numpy as np
-
     check_sampling(points, tol)
     n, r1, r2, r12 = conn.dims
-    size = conn.size
     g12_base = _alpha12_base(conn, g12_base)
 
     def gamma_bar_entry(a, j):
@@ -249,34 +247,37 @@ def twofold_dual_coframe(
     # The coframe holds every block negated, gamma_bar as the alpha12 base block.
     blocks = (conn.g1_base, conn.g2_base, gamma_bar, conn.g12_f1, conn.g12_f2)
     coframe = _block_matrix(conn.dims, blocks, _negated)
-
     frame = twofold_frame(conn, g12_base)
-    names = conn.variable_names()
-    flat = [e for row in frame for e in row] + [e for row in coframe for e in row]
-    program = compile_program(flat, names)
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(points, len(names)))
-    values = program.eval_checked(samples)
-    count = size * size
-    eye = np.eye(size)
+
+    # The residuals of coframe * frame - I and frame * coframe - I, over one
+    # placeholder e0, e1, ... per distinct non-constant entry.  A constant
+    # entry stays, so the terms it zeroes and the residuals that vanish drop out.
+    entries = dict.fromkeys(e for row in frame + coframe for e in row if not isinstance(e, Const))
+    held = {e: Var(f"e{k}") for k, e in enumerate(entries)}
+    fr, co = (tuple(tuple(held.get(e, e) for e in row) for row in m) for m in (frame, coframe))
+    products = chain(*symbolic_matmul(co, fr), *symbolic_matmul(fr, co))
+    eye = [*chain(*identity_matrix(conn.size))] * 2
+    residuals = [r for r in map(simplify, map(Sub, products, eye)) if r != Const(0)]
+    entry_program = compile_program(list(entries), conn.variable_names())
+    residual_program = compile_program(residuals, [v.name for v in held.values()])
+    width, count = len(entries), len(residuals)
     worst = 0.0
-    for row_index in range(points):
-        row = values[row_index]
-        if np.isfinite(row).all():
-            fr = row[:count].reshape(size, size)
-            co = row[count:].reshape(size, size)
-            dev = max(
-                np.abs(co @ fr - eye).max(),
-                np.abs(fr @ co - eye).max(),
-            )
-        else:
-            dev = math.inf  # an entry overflowed; its products would hold NaN
-        if dev > tol:
-            point = dict(zip(names, samples[row_index].tolist()))
-            raise FrameVerificationError(
-                f"coframe is not inverse to the frame at {point} (deviation {dev:.3e})"
-            )
-        worst = max(worst, float(dev))
+    for chunk, values, status in sample_rows(entry_program, points, seed):
+        if any(status):
+            raise EvalError(STATUS_MESSAGES[next(filter(None, status))])
+        rows = [values[k * width : (k + 1) * width] for k in range(len(chunk))]
+        residual_values, _ = residual_program.rows(rows)
+        for k, point in enumerate(chunk):
+            row = rows[k] + residual_values[k * count : (k + 1) * count]
+            # A non-finite entry or product leaves no meaningful deviation.
+            finite = all(map(math.isfinite, row))
+            dev = max(map(abs, row[width:]), default=0.0) if finite else math.inf
+            if dev > tol:
+                point = dict(zip(conn.variable_names(), point))
+                raise FrameVerificationError(
+                    f"coframe is not inverse to the frame at {point} (deviation {dev:.3e})"
+                )
+            worst = max(worst, dev)
     return TwofoldCoframe(coframe, gamma_bar, worst, points, frame)
 
 

@@ -8,9 +8,9 @@ from the program's constant list (``c0``, ...), and an op reads them by
 name, so a constant or variable op emits no statement.  Every computed
 stack slot is a local (``s0``, ``s1``, ...), and the last op of expression
 ``e`` writes ``v{e}``.
-``run`` serves lists of rows through ``Program.rows``, without any numpy
-call in between, and numpy batches through :func:`eval_program`, the only
-function here that imports numpy.
+``run`` serves every evaluation through ``Program.rows``, on lists of
+rows.  :func:`eval_program`, :func:`active` and :func:`backend_name` are
+kept only for the benchmark under ``clibench/``, which calls and wraps them.
 
 No input text reaches the generated source: it is built from the tape
 alone, so it holds only slot indices, integer exponents (range-checked by
@@ -184,8 +184,8 @@ def eval_program(run, points, n_expr):
     """Run a generated function on each row of ``points``, a 2-d float64 array.
 
     Returns ``(values, status)`` as arrays of shape (npoints, nexprs).
-    numpy is imported here, not with the module, so that a run which never
-    evaluates a batch does not pay for its import.
+    Kept, with its numpy import, for ``Program.__call__``, which only the
+    benchmark's tracer calls; no command pays for the import.
     """
     import numpy as np
 
@@ -205,14 +205,14 @@ def eval_program(run, points, n_expr):
 
 
 def backend_name() -> str:
-    """Name of the evaluation kernel, recorded with benchmark results."""
+    """Name of the one evaluation kernel, kept because the benchmark records it."""
     return "python"
 
 
 def active(name=None):
     """The batch evaluator, :func:`eval_program`.
 
-    ``Program`` looks it up here on every call, so a profiler can wrap it.
-    ``name`` is ignored: there is one kernel.
+    ``Program.__call__`` looks it up on every call, so the benchmark's tracer
+    can wrap it; kept for that.  ``name`` is ignored: there is one kernel.
     """
     return eval_program

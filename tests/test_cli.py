@@ -186,6 +186,21 @@ class TestClassifyPipeline:
             f"error: {path}: equality sampling found no point where both sides are defined\n"
         )
 
+    def test_overflow_on_both_sides_is_named(self, run, tmp_path):
+        # Both sides are defined everywhere but leave double range at every
+        # sample point, which is not the same as no point being defined.
+        H = [[["0", "exp(1000 + x1^2)"], ["2*exp(1000 + x1^2)", "0"]]]
+        doc = {"order": 2, "base_dim": 2, "fiber_dim": 1, "F": [["0", "0"]],
+               "G": [["0", "0"]], "H": H}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run("classify", path)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}: equality sampling found no point where both sides are finite: "
+            "they overflowed at every sample point\n"
+        )
+
     def test_semiholonomy_lines(self, run, sample_dir):
         code, out, _ = run("semiholonomy", sample_dir / "jet_semi.json")
         assert code == 0
@@ -236,6 +251,15 @@ class TestTwofoldCommands:
         assert data["gamma_bar"][0][0] == "z1 - w1*v1"
         assert data["max_deviation"] < 1e-10
         assert data["checked_points"] == 100
+
+    def test_twofold_failed_entry_names_the_reason(self, run, tmp_path):
+        blocks = {"g1_base": [["ln(u1)"]], "g2_base": [["0"]], "g12_base": [["z1"]],
+                  "g12_f1": [["w1"]], "g12_f2": [["0"]]}
+        path = tmp_path / "ln.json"
+        path.write_text(json.dumps({"dims": [1, 1, 1, 1], "blocks": blocks}), encoding="utf-8")
+        code, out, err = run("twofold", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: ln of a non-positive argument\n"
 
     def test_twofold_builds_the_frame_once(self, run, sample_dir, monkeypatch):
         import jetconn.cli

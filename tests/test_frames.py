@@ -5,6 +5,7 @@ import pytest
 
 from jetconn import (
     Connection1,
+    EvalError,
     FrameVerificationError,
     LinearTwoFoldCoefficients,
     SymbolUniverse,
@@ -150,6 +151,23 @@ class TestTwofoldFrame:
                               one("w1"), one("0"))
         with pytest.raises(FrameVerificationError, match=r"\(deviation inf\)$"):
             twofold_dual_coframe(c, points=3)
+
+    def test_constant_frame_checks_every_point(self):
+        # No entry to evaluate and no residual left, over more than one chunk.
+        zero = ((Const(0),),)
+        dual = twofold_dual_coframe(TwoFoldConnection((1, 1, 1, 1), *[zero] * 5), points=130)
+        assert (dual.max_deviation, dual.checked_points) == (0.0, 130)
+
+    def test_failed_entry_raises_with_its_reason(self):
+        # A failed evaluation is an EvalError naming why, not a deviation.
+        u = twofold_universe((1, 1, 1, 1))
+        one = lambda s: ((parse_expr(s, u),),)
+        for entry, reason in [("ln(u1)", "ln of a non-positive argument"),
+                              ("1/(u1 - u1)", "division by zero")]:
+            c = TwoFoldConnection((1, 1, 1, 1), one(entry), one("0"), one("z1"),
+                                  one("w1"), one("0"))
+            with pytest.raises(EvalError, match=f"^{reason}$"):
+                twofold_dual_coframe(c)
 
     @pytest.mark.parametrize(
         "settings, message",

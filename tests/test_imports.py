@@ -1,9 +1,9 @@
-"""Imports of the library: every imported name is used, and numpy is lazy.
+"""Imports of the library: every imported name is used, and no command imports numpy.
 
-numpy is imported only by the wide-batch layer: the sampling fallback of
-``expr_equal`` and the two-fold check.  A comparison that an interval
-enclosure proves unequal never reaches the sampling fallback.  Importing jetconn, and every
-command that needs neither, leaves it out of ``sys.modules``.
+Every evaluation goes through ``Program.rows`` on plain lists, the sampling
+fallback of ``expr_equal`` and the two-fold check included.  numpy is
+imported only by ``Program.__call__``, which no command calls, so importing
+jetconn and running any command leaves it out of ``sys.modules``.
 """
 
 import ast
@@ -43,7 +43,7 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
-# --- numpy stays off the start-up path ---------------------------------------
+# --- no command imports numpy -------------------------------------------------
 
 ROOT = SRC.parent.parent
 S = "sample_inputs/"
@@ -74,7 +74,11 @@ WITHOUT_NUMPY = {
         "transport", "ode2", S + "conn_zero2.json", S + "curve_revolution.json", "--y0", "1",
     ],
     "holonomy": ["holonomy", S + "conn_affine_polar.json", S + "loop_polar.json", "--steps", "20"],
+    "twofold": ["twofold", S + "twofold.json", "--seed", "1"],
 }
+
+# Commands whose output the child must print byte for byte.
+GOLDEN = {"twofold": ROOT / "tests/golden/twofold.out"}
 
 
 def run_child(args):
@@ -94,6 +98,8 @@ def test_import_leaves_numpy_out(module):
 def test_command_runs_without_numpy(name):
     child = run_child(["-c", CHILD, *WITHOUT_NUMPY[name]])
     assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    if name in GOLDEN:
+        assert child.stdout.encode("utf-8") == GOLDEN[name].read_bytes()
 
 
 def test_atom_asymmetric_classify_runs_without_numpy(tmp_path):
@@ -109,7 +115,14 @@ def test_atom_asymmetric_classify_runs_without_numpy(tmp_path):
     assert child.stdout == "semiholonomic (symbolic)\n"
 
 
-def test_twofold_check_still_uses_numpy():
-    child = run_child(["-c", CHILD, "twofold", S + "twofold.json", "--seed", "1"])
-    assert child.stderr.splitlines()[-1] == "exit=0 numpy=True"
-    assert child.stdout.encode("utf-8") == (ROOT / "tests/golden/twofold.out").read_bytes()
+def test_sampled_classify_runs_without_numpy(tmp_path):
+    # H_12 and H_21 are equal only through sin^2 + cos^2 = 1, which neither
+    # the exact expansion nor an enclosure settles, so the comparison is sampled.
+    H = [[["0", "sin(x1)^2 + cos(x1)^2"], ["1", "0"]]]
+    zero = [["0", "0"]]
+    doc = {"order": 2, "base_dim": 2, "fiber_dim": 1, "F": zero, "G": zero, "H": H}
+    path = tmp_path / "trig.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    child = run_child(["-c", CHILD, "classify", str(path)])
+    assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert child.stdout == "holonomic (probabilistic)\n"

@@ -9,17 +9,29 @@ through the status plane, never through exceptions.
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetconn import EvalError, SamplePolicy, SymbolUniverse, expr_equal, parse_expr
+from jetconn import (
+    PROBABILISTIC,
+    EvalError,
+    SamplePolicy,
+    SymbolUniverse,
+    TwoFoldConnection,
+    expr_equal,
+    parse_expr,
+    twofold_dual_coframe,
+    twofold_universe,
+)
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
-from jetconn.evaluate import MAX_SAMPLES, check_sampling
+from jetconn.evaluate import MAX_SAMPLES, check_sampling, sample_rows
 from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
 
 from conftest import random_expr
@@ -167,11 +179,6 @@ class TestProgram:
         with pytest.raises(EvalError):
             compile_program([parse_expr("y1", U)], ("x1",))
 
-    def test_eval_checked_raises_with_reason(self):
-        prog = compile_program([parse_expr("1/x1", U)], ("x1",))
-        with pytest.raises(EvalError, match="division by zero"):
-            prog.eval_checked(np.array([[0.0]]))
-
 
 class TestSamplePolicy:
     def test_hidden_zero_is_equal_by_default(self):
@@ -202,6 +209,46 @@ class TestSamplePolicy:
 
     def test_numpy_integer_count_accepted(self):
         assert SamplePolicy(points=np.int64(3)).points == 3
+
+    def test_sample_rows_draws_seeded_points_in_chunks(self):
+        program = compile_program([parse_expr("x1 + x2", U)], ("x1", "x2"))
+        chunks = list(sample_rows(program, 130, 5))
+        assert [len(rows) for rows, _, _ in chunks] == [64, 64, 2]
+        rng = random.Random(5)
+        points = [row for rows, _, _ in chunks for row in rows]
+        assert points == [[rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)] for _ in range(130)]
+        assert [v for _, values, _ in chunks for v in values] == [x + y for x, y in points]
+
+
+def _twofold_check(points):
+    u = twofold_universe((1, 1, 1, 1))
+    one = lambda s: ((parse_expr(s, u),),)
+    c = TwoFoldConnection((1, 1, 1, 1), one("v1"), one("w1*u1"), one("z1"), one("w1"), one("0"))
+    twofold_dual_coframe(c, points=points)
+
+
+def _sampled_equality(points):
+    u = SymbolUniverse(1, 0)
+    left = parse_expr("sin(x1)^2 + cos(x1)^2", u)
+    result = expr_equal(left, Const(1), SamplePolicy(points=points))
+    assert (result.equal, result.confidence) == (True, PROBABILISTIC)
+
+
+@pytest.mark.parametrize("check", [_twofold_check, _sampled_equality])
+def test_sampled_check_memory_is_flat_in_points(check):
+    # Points are drawn and evaluated a chunk at a time, so the traced peak
+    # of a check does not grow with its point count.
+    def peak(points):
+        check(1)  # loads what the first call loads
+        tracemalloc.start()
+        try:
+            check(points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_000), peak(20_000)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_bench_kernel_runs():
