@@ -153,7 +153,8 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     """Decide a = b, meaning equal wherever both sides are defined.
 
     Four routes, in order.  simplify(a - b) collapsing to a constant
-    decides.  Otherwise, when the difference holds a sin/cos/exp/ln atom,
+    decides; a difference too deep to simplify goes on unsimplified.
+    Otherwise, when the difference holds a sin/cos/exp/ln atom,
     outward-rounded interval enclosures of a and b at up to
     ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
     may prove them apart by more than ``policy.tol`` scales to (see
@@ -166,7 +167,11 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     points of :func:`sample_rows` and compared within the scaled tolerance
     wherever both are finite; :class:`SamplingError` when they are nowhere.
     """
-    difference = simplify(Sub(a, b))
+    try:
+        difference = simplify(Sub(a, b))
+    except RecursionError:
+        # Too deep to simplify; the routes below walk the tree iteratively.
+        difference = Sub(a, b)
     if isinstance(difference, Const):
         return EqualityResult(difference.value == 0, SYMBOLIC)
     if policy is None:

@@ -4,7 +4,9 @@ The expression language is deliberately small: rational and floating point
 constants, named variables, the four arithmetic operations, unary minus,
 integer powers written ``e^n``, and the functions ``sin``, ``cos``, ``exp``
 and ``ln``.  Trees are immutable; structural equality and hashing make them
-usable as dictionary keys.
+usable as dictionary keys.  Each node also has a private slot in which
+:func:`simplify` caches its work; the slot is not part of the value, and
+equality, hashing and ``repr`` ignore it.
 
 Concrete syntax (``*`` and ``/`` bind tighter than ``+`` and ``-``, ``^``
 tighter still, unary minus applies to a whole term):
@@ -134,13 +136,13 @@ def as_expr(value) -> "Expr":
 class Expr:
     """Base class for expression nodes.  Instances are immutable.
 
-    Each node class sets its fields and ``_hash`` in ``__init__``, lists its
-    fields in ``_key()`` and its subtrees in ``children()``.  The hash is
-    built from the children's stored hashes, so hashing never walks the
-    tree.
+    Each node class sets its fields, ``_hash`` and an empty ``_simple`` (the
+    cache of :func:`simplify`) in ``__init__``, lists its fields in
+    ``_key()`` and its subtrees in ``children()``.  The hash is built from
+    the children's stored hashes, so hashing never walks the tree.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_simple")
 
     def __setattr__(self, name, value):
         raise AttributeError("expression nodes are immutable")
@@ -210,6 +212,8 @@ class Expr:
 
 
 _set = object.__setattr__
+# The slot's own setter; it skips the attribute lookup of object.__setattr__.
+_set_simple = Expr._simple.__set__
 
 
 class Const(Expr):
@@ -228,6 +232,7 @@ class Const(Expr):
         # Fraction(2) == 2.0 holds and their hashes agree, so mixed exact and
         # float constants of equal value are equal nodes as well.
         _set(self, "_hash", hash((Const, value)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.value,)
@@ -245,6 +250,7 @@ class Var(Expr):
             raise ValueError(f"invalid variable name {name!r}")
         _set(self, "name", name)
         _set(self, "_hash", hash((Var, name)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.name,)
@@ -258,6 +264,7 @@ class _Unary(Expr):
             raise TypeError("operand must be an expression")
         _set(self, "arg", arg)
         _set(self, "_hash", hash((type(self), arg._hash)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.arg,)
@@ -275,6 +282,7 @@ class _Binary(Expr):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.left, self.right)
@@ -316,6 +324,7 @@ class Pow(Expr):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
         _set(self, "_hash", hash((Pow, base._hash, exponent)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.base, self.exponent)
@@ -337,6 +346,7 @@ class Fn(_Unary):
         _set(self, "name", name)
         _set(self, "arg", arg)
         _set(self, "_hash", hash((Fn, name, arg._hash)))
+        _set_simple(self, None)
 
     def _key(self):
         return (self.name, self.arg)
@@ -783,26 +793,64 @@ def _subst(e: Expr, repl) -> Expr:
 # double negation, and merging of like terms in sums (with rational
 # coefficients pulled out of products and divisions).  One bottom-up pass is
 # idempotent because every rule produces output the other rules leave alone.
+#
+# The symbolic commands simplify the same subtrees again and again: _diff's
+# product and quotient rules reuse a node's operands, product() multiplies
+# every F entry into several H entries, and curvature, family and contract
+# simplify grids that are simplified already.  So simplify caches in each
+# node's ``_simple`` slot, which lives exactly as long as the node, under two
+# admission rules that keep what it holds proportional to what is reused:
+#
+# - Every result is marked _SIMPLE, its own simplified form, so simplifying
+#   it again costs one slot read.  A sentinel rather than a self-reference
+#   avoids a reference cycle on every node; idempotency makes it exact.
+# - An input node keeps its result only from its second visit on; the first
+#   writes _SEEN.  So a comparison, which simplifies each entry once, holds
+#   no copies, and an F entry that product() reuses is read from its slot
+#   from its second use on.
+#
+# The Add/Sub operands of a sum read their slot but leave it as it was:
+# otherwise every prefix of a long left-folded sum would keep its own
+# simplified prefix, memory quadratic in the sum's length.  On the
+# benchmark's ``algebra`` workload (seed 7), caching every visit without
+# these rules raised the largest command's peak RSS from 19.3 to 23.1 MB,
+# and dropping only the second-visit rule raised that of classify on a
+# family from 19.2 to 20.6 MB; with every rule the largest reads 19.4 MB.
+
+_SEEN = object()
+_SIMPLE = object()
 
 
 def simplify(e: Expr) -> Expr:
+    try:
+        memo = e._simple
+    except AttributeError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    if memo is not None and memo is not _SEEN:
+        return e if memo is _SIMPLE else memo
     if isinstance(e, (Const, Var)):
         return e
-    if isinstance(e, Neg):
-        return _neg(simplify(e.arg))
-    if isinstance(e, Add):
-        return _sum_of([(1, simplify(e.left)), (1, simplify(e.right))])
-    if isinstance(e, Sub):
-        return _sum_of([(1, simplify(e.left)), (-1, simplify(e.right))])
-    if isinstance(e, Mul):
-        return _product_of([simplify(e.left), simplify(e.right)])
-    if isinstance(e, Div):
-        return _quotient(simplify(e.left), simplify(e.right))
-    if isinstance(e, Pow):
-        return _power(simplify(e.base), e.exponent)
-    if isinstance(e, Fn):
-        return _function(e.name, simplify(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, (Add, Sub)):
+        left, right = e.left, e.right
+        marks = left._simple, right._simple
+        out = _sum_of([(1, simplify(left)), (1 if isinstance(e, Add) else -1, simplify(right))])
+        if isinstance(left, (Add, Sub)):
+            _set_simple(left, marks[0])
+        if isinstance(right, (Add, Sub)):
+            _set_simple(right, marks[1])
+    elif isinstance(e, Mul):
+        out = _product_of([simplify(e.left), simplify(e.right)])
+    elif isinstance(e, Neg):
+        out = _neg(simplify(e.arg))
+    elif isinstance(e, Div):
+        out = _quotient(simplify(e.left), simplify(e.right))
+    elif isinstance(e, Pow):
+        out = _power(simplify(e.base), e.exponent)
+    else:
+        out = _function(e.name, simplify(e.arg))
+    _set_simple(out, _SIMPLE)
+    _set_simple(e, _SEEN if memo is None else out)
+    return out
 
 
 def _neg(a: Expr) -> Expr:
@@ -948,6 +996,7 @@ def _sum_of(signed) -> Expr:
     """
     terms = []  # [coefficient, factors], in order of first appearance
     latest = {}  # factors -> the last of terms with them; () for constants
+    refused = set()  # factors of some refused merge
     stack = list(reversed(signed))
     while stack:
         sign, node = stack.pop()
@@ -974,8 +1023,26 @@ def _sum_of(signed) -> Expr:
                 if not isinstance(merged, float) or math.isfinite(merged):
                     term[0] = merged
                     continue
+                refused.add(factors)
             term = latest[factors] = [coeff, factors]
             terms.append(term)
+
+    # Later like terms merged into the last of a refused chain, which may now
+    # fit with the one before it.  Merge neighbours until no merge is finite,
+    # leaving out zeros as the output does, so a second pass finds none.
+    for factors in refused:
+        chain = [term for term in terms if term[1] == factors and term[0] != 0]
+        i = 0
+        while i + 1 < len(chain):
+            merged = _fold(operator.add, chain[i][0], chain[i + 1][0])
+            if merged is None:
+                i += 1
+                continue
+            chain[i][0] = merged
+            chain.pop(i + 1)[0] = 0
+            if merged == 0:
+                chain.pop(i)
+            i = max(i - 1, 0)
 
     consts = [coeff for coeff, factors in terms if not factors]
     terms = [(coeff, factors) for coeff, factors in terms if factors and coeff != 0]

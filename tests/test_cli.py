@@ -454,6 +454,19 @@ class TestFailureEdges:
         assert out == ""
         assert err == f"error: {deep}: expression too deeply nested to process\n"
 
+    def test_deep_symmetric_pair_is_settled_exactly(self, run, tmp_path):
+        # H_12 and H_21 are one 1000-term sum in two orders: too deep to
+        # simplify, so the comparison goes on to the exact expansion.
+        terms = [f"{k}*x1^{k}*y1" for k in range(1, 1001)]
+        h = [[["0", " + ".join(terms)], [" + ".join(reversed(terms)), "0"]]]
+        path = tmp_path / "deep2.json"
+        path.write_text(
+            json.dumps({"order": 2, "base_dim": 2, "fiber_dim": 1, "F": [["0", "0"]],
+                        "G": [["0", "0"]], "H": h}),
+            encoding="utf-8",
+        )
+        assert run("classify", path) == (0, "holonomic (symbolic)\n", "")
+
     def test_deep_expression_names_every_input(self, run, deep, sample_dir):
         other = sample_dir / "conn_exp.json"
         code, _, err = run("product", deep, other)

@@ -1,6 +1,8 @@
 """Expression layer: parser, printer, differentiation, simplification."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,16 +29,28 @@ from jetconn import (
     as_expr,
     diff,
     eval_expr,
+    expr_equal,
     parse_expr,
     simplify,
     substitute,
     to_text,
 )
 
+from jetconn.expr import expr_sum
+
 from conftest import random_expr
 
 U21 = SymbolUniverse(2, 1)
 U33 = SymbolUniverse(3, 3)
+
+
+def assert_fixed_point(once):
+    """``once`` simplifies to itself, and so does a copy with fresh inner nodes.
+
+    ``repr`` tells ``Const(10)`` from ``Const(10.0)``, which ``==`` does not.
+    """
+    assert simplify(once) is once
+    assert repr(simplify(substitute(once, {}))) == repr(once)
 
 
 class TestUniverse:
@@ -362,14 +376,19 @@ class TestSimplify:
          ("1e308*10*(-y1) + 1e308*10*(-y1)", "2*(1e+308*10*(-y1))"),
          ("10^400*1e308*x1 + x1", "10^400*1e+308*x1 + x1"),
          ("10^400/1e-308", "10^400/1e-308"),
-         ("1e-308/10^-400", "1e-308/0." + "0" * 399 + "1")],
+         ("1e-308/10^-400", "1e-308/0." + "0" * 399 + "1"),
+         # A later term merged into the last of a refused chain; the chain
+         # is merged again, so a second pass finds nothing left to merge.
+         ("1e308 - x1 + 1e308 - 5e307", "-x1 + 1.5e+308"),
+         ("1e308*x1 + 1e308*x1 - 5e307*x1", "1.5e+308*x1"),
+         ("1e308 + 1e308 - 9e307", "1.1e+308")],
     )
     def test_fold_past_double_range_is_refused(self, text, expected):
         # A coefficient or constant that would leave double range is not
         # folded; the summands or factors stay apart.
         once = simplify(parse_expr(text, U21))
         assert to_text(once).replace(str(10**400), "10^400") == expected
-        assert simplify(once) == once
+        assert_fixed_point(once)
 
     @given(st.integers(min_value=0, max_value=20000))
     @settings(max_examples=200, deadline=None)
@@ -381,17 +400,53 @@ class TestSimplify:
             random_expr(gen, ("x1", "x2", "y1", "y2")),
             {"y1": Const(edge[int(gen.integers(6))]), "y2": Const(edge[int(gen.integers(6))])},
         )
-        once = simplify(e)
-        assert simplify(once) == once
+        assert_fixed_point(simplify(e))
 
     @given(st.integers(min_value=0, max_value=5000))
     @example(533)  # 6*(x1*x2) once came back as 6*x1*x2 on the second pass
+    # With x2 -> 1.5 and y1 -> 1e308 the second pass once merged 1e308 and
+    # 5e307, which a refused merge had left apart.
+    @example(17540)
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, seed):
         gen = np.random.default_rng(seed)
         e = random_expr(gen, ("x1", "x2", "y1"))
-        once = simplify(e)
-        assert simplify(once) == once
+        assert_fixed_point(simplify(e))
+        assert_fixed_point(simplify(substitute(e, {"x2": Const(1.5), "y1": Const(1e308)})))
+
+    @staticmethod
+    def held_after(run):
+        """Bytes allocated by ``run()`` that are still held when it returns."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def long_sum(n, reverse=False):
+        ks = range(n, 0, -1) if reverse else range(1, n + 1)
+        return expr_sum(Var("x1") ** k for k in ks)
+
+    def test_cache_grows_linearly_with_a_sum(self):
+        # The second pass keeps the sum's result and each summand's, but no
+        # simplified prefix for the inner nodes of the sum, which would grow
+        # as n^2 (about 16x from n = 50 to n = 200).
+        held = []
+        for n in (50, 200):
+            e = self.long_sum(n)
+            held.append(self.held_after(lambda: (simplify(e), simplify(e))))
+        assert held[1] <= 6 * held[0]
+
+    def test_one_comparison_keeps_no_copies(self):
+        # expr_equal simplifies each node of both sides once, and a first
+        # visit keeps no result.
+        a, b = self.long_sum(160), self.long_sum(160, reverse=True)
+        assert self.held_after(lambda: expr_equal(a, b)) <= 2048
 
     @given(st.integers(min_value=0, max_value=3000))
     @settings(max_examples=150, deadline=None)

@@ -24,6 +24,7 @@ from jetconn import (
     simplify,
 )
 from jetconn import _poly
+from jetconn.evaluate import EqualityResult
 from jetconn.expr import Add, Const, Fn, Mul, Neg, Pow, Sub, Var, expr_sum
 
 U = SymbolUniverse(2, 1)
@@ -146,6 +147,14 @@ class TestIterative:
         terms = [Pow(Var("x1"), k) for k in range(10_000)]
         e = Sub(expr_sum(terms), expr_sum(reversed(terms)))
         assert _poly.decide(e) is True
+
+    def test_difference_too_deep_to_simplify(self):
+        # simplify(a - b) exhausts the stack on these sums; expr_equal goes on
+        # with the unsimplified difference, which the expansion settles.
+        terms = [Pow(Var("x1"), k) for k in range(2000)]
+        a, b = expr_sum(terms), expr_sum(reversed(terms))
+        assert expr_equal(a, b) == EqualityResult(True, SYMBOLIC)
+        assert expr_equal(a, Add(b, Const(1))) == EqualityResult(False, SYMBOLIC)
 
 
 class TestTolerance:
