@@ -12,28 +12,9 @@ import argparse
 import math
 import sys
 
-from . import io
-from .connections import (
-    affine_to_general,
-    classify,
-    curvature,
-    ehresmann_prolongation,
-    exchange,
-    family,
-    linear_to_general,
-    product,
-)
+from . import connections, evaluate, frames, io, jets, transport
 from .errors import EvalError, FormatError, JetconnError
-from .evaluate import SamplePolicy, check_sampling, eval_expr
 from .expr import to_text
-from .frames import (
-    adapted_frame,
-    horizontal_lift_field,
-    twofold_dual_coframe,
-    validate_twofold_jacobian,
-)
-from .jets import is_holonomic_point, is_semiholonomic_point, projections_agree
-from .transport import loop_holonomy, second_order_ode, transport1, transport2
 
 
 def _load(path) -> io.Document:
@@ -50,9 +31,9 @@ def _first_order(doc: io.Document):
     if doc.kind == "connection1":
         return doc.value
     if doc.kind == "linear":
-        return linear_to_general(doc.value)
+        return connections.linear_to_general(doc.value)
     if doc.kind == "affine":
-        return affine_to_general(doc.value)
+        return connections.affine_to_general(doc.value)
     raise FormatError(
         f"expected a first-order connection, got {io.KIND_LABELS[doc.kind]}"
     )
@@ -74,12 +55,12 @@ def _expect(doc: io.Document, kind: str):
     return doc.value
 
 
-def _policy(args, points: int = 64, tol: float = 1e-9) -> SamplePolicy:
+def _policy(args, points: int = 64, tol: float = 1e-9) -> evaluate.SamplePolicy:
     """--samples, --tol and --seed, with the command's defaults for the first two."""
     points = points if args.samples is None else args.samples
     tol = tol if args.tol is None else args.tol
-    check_sampling(points, tol, ("--samples", "--tol"))
-    return SamplePolicy(points=points, tol=tol, seed=args.seed)
+    evaluate.check_sampling(points, tol, ("--samples", "--tol"))
+    return evaluate.SamplePolicy(points=points, tol=tol, seed=args.seed)
 
 
 def _floats(text: str, what: str) -> tuple:
@@ -108,7 +89,7 @@ def _grid_out(grid, assignment):
         return io.grid_to_data(grid)
 
     def value(e):
-        v = eval_expr(e, assignment)
+        v = evaluate.eval_expr(e, assignment)
         if not math.isfinite(v):
             raise EvalError(f"{to_text(e)} is not finite at the --at point")
         return v
@@ -132,42 +113,42 @@ def _cmd_validate(args) -> str:
 def _cmd_product(args) -> str:
     gamma = _first_order(_load(args.first))
     gamma_bar = _first_order(_load(args.second))
-    return io.dump_json(io.connection2_to_data(product(gamma, gamma_bar)))
+    return io.dump_json(io.connection2_to_data(connections.product(gamma, gamma_bar)))
 
 
 def _cmd_prolong(args) -> str:
     gamma = _first_order(_load(args.file))
-    return io.dump_json(io.connection2_to_data(ehresmann_prolongation(gamma)))
+    return io.dump_json(io.connection2_to_data(connections.ehresmann_prolongation(gamma)))
 
 
 def _cmd_curvature(args) -> str:
     gamma = _first_order(_load(args.file))
-    grid = curvature(gamma)
+    grid = connections.curvature(gamma)
     return io.dump_json(io.curvature_to_data(grid, gamma.universe))
 
 
 def _cmd_exchange(args) -> str:
     delta = _second_order(_load(args.file))
-    return io.dump_json(io.connection2_to_data(exchange(delta)))
+    return io.dump_json(io.connection2_to_data(connections.exchange(delta)))
 
 
 def _cmd_family(args) -> str:
     gamma = _first_order(_load(args.file))
     if not math.isfinite(args.k):
         raise FormatError("--k must be a finite number")
-    return io.dump_json(io.connection2_to_data(family(gamma, args.k)))
+    return io.dump_json(io.connection2_to_data(connections.family(gamma, args.k)))
 
 
 def _cmd_classify(args) -> str:
     delta = _second_order(_load(args.file))
-    return f"{classify(delta, _policy(args))}\n"
+    return f"{connections.classify(delta, _policy(args))}\n"
 
 
 def _cmd_semiholonomy(args) -> str:
     point = _expect(_load(args.file), "jet")
-    core = is_semiholonomic_point(point)
-    agree = projections_agree(point)
-    holo = is_holonomic_point(point)
+    core = jets.is_semiholonomic_point(point)
+    agree = jets.projections_agree(point)
+    holo = jets.is_holonomic_point(point)
     return (
         f"semiholonomic (core rule): {'yes' if core else 'no'}\n"
         f"semiholonomic (projection cross-check): {'yes' if agree else 'no'}\n"
@@ -183,7 +164,7 @@ def _cmd_frames(args) -> str:
         if args.at is not None:
             assignment = _assignment(delta.universe, args.at)
         rows = []
-        for row in horizontal_lift_field(delta):
+        for row in frames.horizontal_lift_field(delta):
             rows.append(
                 {
                     "direction": row.direction,
@@ -193,7 +174,7 @@ def _cmd_frames(args) -> str:
             )
         return io.dump_json({"lift": rows})
     gamma = _first_order(doc)
-    built = adapted_frame(gamma)
+    built = frames.adapted_frame(gamma)
     assignment = None
     if args.at is not None:
         assignment = _assignment(gamma.universe, args.at)
@@ -209,7 +190,7 @@ def _cmd_twofold(args) -> str:
     doc = _load(args.file)
     conn = _expect(doc, "twofold")
     policy = _policy(args, points=100, tol=1e-10)
-    dual = twofold_dual_coframe(
+    dual = frames.twofold_dual_coframe(
         conn, doc.extra, points=policy.points, tol=policy.tol, seed=policy.seed
     )
     return io.dump_json(
@@ -225,7 +206,7 @@ def _cmd_twofold(args) -> str:
 
 def _cmd_jacobian(args) -> str:
     transform = _expect(_load(args.file), "transform")
-    report = validate_twofold_jacobian(transform, _policy(args))
+    report = frames.validate_twofold_jacobian(transform, _policy(args))
     return io.dump_json(
         {
             "valid": report.valid,
@@ -242,7 +223,7 @@ def _cmd_transport(args) -> str:
     y0 = _floats(args.y0, "--y0")
     steps = args.steps
     if args.variant == "1":
-        result = transport1(_first_order(conn_doc), curve, y0, steps)
+        result = transport.transport1(_first_order(conn_doc), curve, y0, steps)
     elif args.variant == "2":
         delta = _second_order(conn_doc)
         n = delta.universe.fiber_dim
@@ -256,16 +237,16 @@ def _cmd_transport(args) -> str:
                     f"--yj0 needs {n * m} values (row-major y_i^p), got {len(flat)}"
                 )
             yj0 = tuple(flat[p * m : (p + 1) * m] for p in range(n))
-        result = transport2(delta, curve, y0, yj0, steps)
+        result = transport.transport2(delta, curve, y0, yj0, steps)
     else:
-        result = second_order_ode(_second_order(conn_doc), curve, y0, steps)
+        result = transport.second_order_ode(_second_order(conn_doc), curve, y0, steps)
     return io.transport_csv(result)
 
 
 def _cmd_holonomy(args) -> str:
     gamma = _first_order(_load(args.connection))
     loop = _expect(_load(args.loop), "curve")
-    result = loop_holonomy(gamma, loop, steps=args.steps)
+    result = transport.loop_holonomy(gamma, loop, steps=args.steps)
     return io.dump_json(
         {
             "defect": result.defect,

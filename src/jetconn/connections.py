@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from . import evaluate
 from .errors import DimensionMismatchError
-from .evaluate import PROBABILISTIC, SYMBOLIC, SamplePolicy, expr_equal
 from .expr import (
     Const,
     Expr,
@@ -190,7 +190,7 @@ def family(gamma: Connection1, k) -> Connection2:
     return Connection2(u, delta.F, delta.G, H)
 
 
-def classify(delta: Connection2, policy: SamplePolicy = None) -> Classification:
+def classify(delta: Connection2, policy: evaluate.SamplePolicy = None) -> Classification:
     """Sort a second order connection into the holonomy hierarchy.
 
     Semiholonomic when F and G agree entrywise; holonomic when H is
@@ -201,14 +201,14 @@ def classify(delta: Connection2, policy: SamplePolicy = None) -> Classification:
     u = delta.universe
     m, n = u.base_dim, u.fiber_dim
     checks = [
-        expr_equal(delta.F[p][i], delta.G[p][i], policy)
+        evaluate.expr_equal(delta.F[p][i], delta.G[p][i], policy)
         for p in range(n)
         for i in range(m)
     ]
     semi = all(c.equal for c in checks)
     if semi:
         symmetric = [
-            expr_equal(delta.H[p][i][j], delta.H[p][j][i], policy)
+            evaluate.expr_equal(delta.H[p][i][j], delta.H[p][j][i], policy)
             for p in range(n)
             for i in range(m)
             for j in range(i + 1, m)
@@ -217,9 +217,8 @@ def classify(delta: Connection2, policy: SamplePolicy = None) -> Classification:
         verdict = HOLONOMIC if all(c.equal for c in symmetric) else SEMIHOLONOMIC
     else:
         verdict = NONHOLONOMIC
-    confidence = (
-        SYMBOLIC if all(c.confidence == SYMBOLIC for c in checks) else PROBABILISTIC
-    )
+    symbolic = all(c.confidence == evaluate.SYMBOLIC for c in checks)
+    confidence = evaluate.SYMBOLIC if symbolic else evaluate.PROBABILISTIC
     return Classification(verdict, confidence)
 
 

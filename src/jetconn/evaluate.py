@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from . import _poly
-from ._tape import STATUS_MESSAGES, Program, compile_program
+from . import _enclose, _poly, _tape
 from .errors import EvalError, SamplingError
 from .expr import Const, Expr, Fn, Sub, simplify
 
@@ -83,11 +82,11 @@ class EqualityResult:
 
 
 @lru_cache(maxsize=512)
-def _single_program(e: Expr) -> Program:
-    return compile_program([e], tuple(sorted(e.free_vars())))
+def _single_program(e: Expr) -> _tape.Program:
+    return _tape.compile_program([e], tuple(sorted(e.free_vars())))
 
 
-def sample_rows(program: Program, points: int, seed: int):
+def sample_rows(program: _tape.Program, points: int, seed: int):
     """Yield ``(rows, *program.rows(rows))`` for ``points`` points, _CHUNK at a time.
 
     Each coordinate is drawn uniformly from [SAMPLE_LOW, SAMPLE_HIGH] by
@@ -114,7 +113,7 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
         raise EvalError(f"missing value for variable {missing.args[0]!r}") from None
     values, status = prog.rows((point,))
     if status[0]:
-        raise EvalError(STATUS_MESSAGES[status[0]])
+        raise EvalError(_tape.STATUS_MESSAGES[status[0]])
     return values[0]
 
 
@@ -136,9 +135,6 @@ def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:
     Proved means |a - b| > tol*(1 + |a|) for every value in the two
     enclosures, the negation of the sampling route's test at that point.
     """
-    # Imported on first use, so that only a comparison with an atom loads it.
-    from . import _enclose
-
     names = sorted(a.free_vars() | b.free_vars())
     rng = random.Random(policy.seed)
     for _ in range(CERTIFY_POINTS):
@@ -182,7 +178,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     if exact is not None:
         return EqualityResult(exact, SYMBOLIC)
 
-    program = compile_program([a, b], sorted(a.free_vars() | b.free_vars()))
+    program = _tape.compile_program([a, b], sorted(a.free_vars() | b.free_vars()))
     regular = failed = False
     for _, values, status in sample_rows(program, policy.points, policy.seed):
         failed = failed or any(status)

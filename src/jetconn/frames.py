@@ -18,17 +18,9 @@ from functools import reduce
 from itertools import chain
 from typing import Tuple
 
-from ._tape import STATUS_MESSAGES, compile_program
+from . import _tape, evaluate
 from .connections import Connection1, Connection2
 from .errors import EvalError, FrameVerificationError
-from .evaluate import (
-    PROBABILISTIC,
-    SYMBOLIC,
-    SamplePolicy,
-    check_sampling,
-    expr_equal,
-    sample_rows,
-)
 from .expr import (
     Const,
     Sub,
@@ -230,11 +222,12 @@ def twofold_dual_coframe(
     The only nontrivial entry is the base block of the alpha12 rows:
     gamma_bar = g12_base - g12_f1 * g1_base - g12_f2 * g2_base (matrix
     products over the fiber indices).  The result is verified numerically
-    as a two-sided inverse at the points of :func:`sample_rows`: a failed
-    evaluation raises :class:`EvalError`, and a deviation above ``tol`` or a
-    non-finite value raises :class:`FrameVerificationError` with the point.
+    as a two-sided inverse at the points of
+    :func:`jetconn.evaluate.sample_rows`: a failed evaluation raises
+    :class:`EvalError`, and a deviation above ``tol`` or a non-finite value
+    raises :class:`FrameVerificationError` with the point.
     """
-    check_sampling(points, tol)
+    evaluate.check_sampling(points, tol)
     n, r1, r2, r12 = conn.dims
     g12_base = _alpha12_base(conn, g12_base)
 
@@ -258,13 +251,13 @@ def twofold_dual_coframe(
     products = chain(*symbolic_matmul(co, fr), *symbolic_matmul(fr, co))
     eye = [*chain(*identity_matrix(conn.size))] * 2
     residuals = [r for r in map(simplify, map(Sub, products, eye)) if r != Const(0)]
-    entry_program = compile_program(list(entries), conn.variable_names())
-    residual_program = compile_program(residuals, [v.name for v in held.values()])
+    entry_program = _tape.compile_program(list(entries), conn.variable_names())
+    residual_program = _tape.compile_program(residuals, [v.name for v in held.values()])
     width, count = len(entries), len(residuals)
     worst = 0.0
-    for chunk, values, status in sample_rows(entry_program, points, seed):
+    for chunk, values, status in evaluate.sample_rows(entry_program, points, seed):
         if any(status):
-            raise EvalError(STATUS_MESSAGES[next(filter(None, status))])
+            raise EvalError(_tape.STATUS_MESSAGES[next(filter(None, status))])
         rows = [values[k * width : (k + 1) * width] for k in range(len(chunk))]
         residual_values, _ = residual_program.rows(rows)
         for k, point in enumerate(chunk):
@@ -374,7 +367,7 @@ class JacobianReport:
 
 
 def validate_twofold_jacobian(
-    transform: TwofoldTransform, policy: SamplePolicy = None
+    transform: TwofoldTransform, policy: evaluate.SamplePolicy = None
 ) -> JacobianReport:
     """Check the Jacobian against the two-fold block pattern.
 
@@ -403,13 +396,12 @@ def validate_twofold_jacobian(
     for row, cols in forbidden_cols:
         for col in cols:
             entry = jacobian[row][col]
-            check = expr_equal(entry, Const(0), policy)
+            check = evaluate.expr_equal(entry, Const(0), policy)
             confidences.append(check.confidence)
             if not check.equal:
                 violations.append((f"component {row + 1}", names[col]))
-    confidence = (
-        SYMBOLIC if all(c == SYMBOLIC for c in confidences) else PROBABILISTIC
-    )
+    symbolic = all(c == evaluate.SYMBOLIC for c in confidences)
+    confidence = evaluate.SYMBOLIC if symbolic else evaluate.PROBABILISTIC
     return JacobianReport(not violations, tuple(violations), jacobian, confidence)
 
 

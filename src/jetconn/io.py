@@ -10,17 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .connections import (
-    AffineConnection,
-    Connection1,
-    Connection2,
-    LinearConnection1,
-)
+from . import connections, frames, jets, transport
 from .errors import FormatError
 from .expr import Expr, SymbolUniverse, expr_grid, parse_expr, to_text
-from .frames import TwoFoldConnection, TwofoldTransform, twofold_universe
-from .jets import JetPoint
-from .transport import CURVE_UNIVERSE, Curve, TransportResult
 
 KIND_LABELS = {
     "connection1": "order-1 connection",
@@ -126,14 +118,15 @@ def load_data(data) -> Document:
         m = _int_field(data, "base_dim", kind)
         n = _int_field(data, "fiber_dim", kind)
         u = SymbolUniverse(m, n)
-        return Document(kind, Connection1(u, _parse_grid(_need(data, "F", kind), u, 2)))
+        F = _parse_grid(_need(data, "F", kind), u, 2)
+        return Document(kind, connections.Connection1(u, F))
     if kind == "connection2":
         m = _int_field(data, "base_dim", kind)
         n = _int_field(data, "fiber_dim", kind)
         u = SymbolUniverse(m, n)
         return Document(
             kind,
-            Connection2(
+            connections.Connection2(
                 u,
                 _parse_grid(_need(data, "F", kind), u, 2),
                 _parse_grid(_need(data, "G", kind), u, 2),
@@ -145,25 +138,25 @@ def load_data(data) -> Document:
         n = _int_field(data, "fiber_dim", kind)
         u = SymbolUniverse(m, n)
         return Document(
-            kind, LinearConnection1(u, _parse_grid(_need(data, "coeff", kind), u, 3))
+            kind, connections.LinearConnection1(u, _parse_grid(_need(data, "coeff", kind), u, 3))
         )
     if kind == "affine":
         n = _int_field(data, "dim", kind)
         u = SymbolUniverse(n, n)
         return Document(
             kind,
-            AffineConnection(n, _parse_grid(_need(data, "christoffel", kind), u, 3)),
+            connections.AffineConnection(n, _parse_grid(_need(data, "christoffel", kind), u, 3)),
         )
     if kind == "twofold":
         dims = _dims(data, kind)
-        u = twofold_universe(dims)
+        u = frames.twofold_universe(dims)
         blocks = _need(data, "blocks", kind)
         if not isinstance(blocks, dict):
             raise FormatError("twofold blocks must be an object")
         grids = {}
         for name in ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2"):
             grids[name] = _parse_grid(_need(blocks, name, "twofold blocks"), u, 2)
-        conn = TwoFoldConnection(
+        conn = frames.TwoFoldConnection(
             dims,
             grids["g1_base"],
             grids["g2_base"],
@@ -178,11 +171,11 @@ def load_data(data) -> Document:
         return Document(kind, conn, override)
     if kind == "transform":
         dims = _dims(data, kind)
-        u = twofold_universe(dims)
+        u = frames.twofold_universe(dims)
         comps = _need(data, "components", kind)
         if not isinstance(comps, list):
             raise FormatError("transform components must be an array")
-        return Document(kind, TwofoldTransform(dims, _parse_grid(comps, u, 1)))
+        return Document(kind, frames.TwofoldTransform(dims, _parse_grid(comps, u, 1)))
     if kind == "jet":
         r = _int_field(data, "order", kind)
         m = _int_field(data, "base_dim", kind)
@@ -202,7 +195,7 @@ def load_data(data) -> Document:
                 raise FormatError(f"duplicate jet record for p={p}, seq={seq}")
             value = _need(rec, "value", "jet record")
             table[(p, seq)] = _number(value, float, "jet record field 'value'")
-        return Document(kind, JetPoint(r, m, n, base, table))
+        return Document(kind, jets.JetPoint(r, m, n, base, table))
     if kind == "curve":
         dim = _int_field(data, "dim", kind)
         comps = _need(data, "components", kind)
@@ -210,7 +203,8 @@ def load_data(data) -> Document:
             raise FormatError("curve components must be an array")
         t0 = _number(_need(data, "t0", kind), float, "curve field 't0'")
         t1 = _number(_need(data, "t1", kind), float, "curve field 't1'")
-        return Document(kind, Curve(dim, _parse_grid(comps, CURVE_UNIVERSE, 1), t0, t1))
+        grid = _parse_grid(comps, transport.CURVE_UNIVERSE, 1)
+        return Document(kind, transport.Curve(dim, grid, t0, t1))
     # curvature grids round-trip as raw payload; validate only inspects them
     m = _int_field(data, "base_dim", kind)
     n = _int_field(data, "fiber_dim", kind)
@@ -238,7 +232,7 @@ def grid_to_data(grid, leaf=to_text) -> list:
     return [grid_to_data(child, leaf) for child in grid]
 
 
-def connection1_to_data(conn: Connection1) -> dict:
+def connection1_to_data(conn: connections.Connection1) -> dict:
     return {
         "order": 1,
         "base_dim": conn.universe.base_dim,
@@ -247,7 +241,7 @@ def connection1_to_data(conn: Connection1) -> dict:
     }
 
 
-def connection2_to_data(conn: Connection2) -> dict:
+def connection2_to_data(conn: connections.Connection2) -> dict:
     return {
         "order": 2,
         "base_dim": conn.universe.base_dim,
@@ -272,7 +266,7 @@ def dump_json(data) -> str:
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
-def transport_csv(result: TransportResult) -> str:
+def transport_csv(result: transport.TransportResult) -> str:
     """Render a trajectory as CSV: t, fiber columns, then any jet columns."""
     n = len(result.values[0])
     header = ["t"] + [f"y{p}" for p in range(1, n + 1)]

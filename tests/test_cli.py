@@ -609,12 +609,12 @@ class TestOptionRanges:
             assert (code, out, err) == (1, "", message)
 
     def test_out_of_memory_names_the_inputs(self, run, sample_dir, monkeypatch):
-        import jetconn.cli
+        import jetconn.transport
 
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(jetconn.cli, "loop_holonomy", exhausted)
+        monkeypatch.setattr(jetconn.transport, "loop_holonomy", exhausted)
         conn, loop = sample_dir / "conn_affine_polar.json", sample_dir / "loop_polar.json"
         code, out, err = run("holonomy", conn, loop, "--steps", "10")
         assert (code, out, err) == (1, "", f"error: {conn} and {loop}: out of memory\n")
