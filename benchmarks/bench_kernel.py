@@ -2,8 +2,8 @@
 
 Two workloads: batch evaluation of a compiled coefficient grid over many
 points, and an RK4 transport run whose inner loop is dominated by small
-per-step evaluations.  It also times generating the grid's function from
-its tape, per program and per op.  Each time is the best of ``--repeat``
+per-step evaluations.  It also times compiling the grid's trees to their
+function, per program and per op.  Each time is the best of ``--repeat``
 runs.  Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
@@ -23,11 +23,11 @@ from jetconn import (
     parse_expr,
     transport1,
 )
-from jetconn import kernel
 from jetconn._tape import compile_program
 
 
-def build_program():
+def build_grid():
+    """The 27 H entries of a prolonged connection, and their variable names."""
     u = SymbolUniverse(3, 3)
     P = lambda s: parse_expr(s, u)
     rows = (
@@ -37,7 +37,12 @@ def build_program():
     )
     delta = ehresmann_prolongation(Connection1(u, rows))
     flat = [delta.H[p][i][j] for p in range(3) for i in range(3) for j in range(3)]
-    return compile_program(flat, u.variable_names), len(u.variable_names)
+    return flat, u.variable_names
+
+
+def build_program():
+    exprs, names = build_grid()
+    return compile_program(exprs, names), len(names)
 
 
 def bench_batch(points, repeat):
@@ -55,12 +60,11 @@ def bench_batch(points, repeat):
 
 
 def bench_codegen(repeat):
-    program, width = build_program()
-    tape = (program.code, program.arg, program.starts, program.consts, width)
+    exprs, names = build_grid()
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        kernel.generate(*tape)
+        program = compile_program(exprs, names)
         best = min(best, time.perf_counter() - start)
     return best, len(program.code)
 

@@ -111,42 +111,36 @@ def _parse_grid(node, universe, depth):
     return tuple(_parse_grid(child, universe, depth - 1) for child in node)
 
 
+def _universe(data, kind) -> SymbolUniverse:
+    """The symbols of a connection document, from its dimension fields.
+
+    An affine connection has one ``dim`` for base and fiber; the others
+    have ``base_dim`` and ``fiber_dim``, checked in that order.
+    """
+    if kind == "affine":
+        n = _int_field(data, "dim", kind)
+        return SymbolUniverse(n, n)
+    m = _int_field(data, "base_dim", kind)
+    return SymbolUniverse(m, _int_field(data, "fiber_dim", kind))
+
+
 def load_data(data) -> Document:
     """Build the typed object for an already-parsed JSON payload."""
     kind = detect_kind(data)
-    if kind == "connection1":
-        m = _int_field(data, "base_dim", kind)
-        n = _int_field(data, "fiber_dim", kind)
-        u = SymbolUniverse(m, n)
-        F = _parse_grid(_need(data, "F", kind), u, 2)
-        return Document(kind, connections.Connection1(u, F))
-    if kind == "connection2":
-        m = _int_field(data, "base_dim", kind)
-        n = _int_field(data, "fiber_dim", kind)
-        u = SymbolUniverse(m, n)
-        return Document(
-            kind,
-            connections.Connection2(
-                u,
-                _parse_grid(_need(data, "F", kind), u, 2),
-                _parse_grid(_need(data, "G", kind), u, 2),
-                _parse_grid(_need(data, "H", kind), u, 3),
-            ),
-        )
-    if kind == "linear":
-        m = _int_field(data, "base_dim", kind)
-        n = _int_field(data, "fiber_dim", kind)
-        u = SymbolUniverse(m, n)
-        return Document(
-            kind, connections.LinearConnection1(u, _parse_grid(_need(data, "coeff", kind), u, 3))
-        )
-    if kind == "affine":
-        n = _int_field(data, "dim", kind)
-        u = SymbolUniverse(n, n)
-        return Document(
-            kind,
-            connections.AffineConnection(n, _parse_grid(_need(data, "christoffel", kind), u, 3)),
-        )
+    if kind in ("connection1", "connection2", "linear", "affine"):
+        u = _universe(data, kind)
+
+        def grid(key, depth):
+            return _parse_grid(_need(data, key, kind), u, depth)
+
+        if kind == "connection1":
+            return Document(kind, connections.Connection1(u, grid("F", 2)))
+        if kind == "connection2":
+            conn = connections.Connection2(u, grid("F", 2), grid("G", 2), grid("H", 3))
+            return Document(kind, conn)
+        if kind == "linear":
+            return Document(kind, connections.LinearConnection1(u, grid("coeff", 3)))
+        return Document(kind, connections.AffineConnection(u.base_dim, grid("christoffel", 3)))
     if kind == "twofold":
         dims = _dims(data, kind)
         u = frames.twofold_universe(dims)

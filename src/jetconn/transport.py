@@ -9,6 +9,7 @@ convergence order testable.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from math import isfinite
@@ -73,10 +74,11 @@ class TransportResult:
     jet_values: Tuple[Tuple[Tuple[float, ...], ...], ...] = None
 
 
-# Largest step count of one integration.  Each step keeps its time and a
-# tuple of the state, about 80 + 32*s bytes as Python objects, so 10^6
-# steps of a state of size s hold about (80 + 32*s) MB of trajectory
-# before any output is written.
+# Largest step count of one integration.  A transport keeps each step's
+# time and a tuple of the state, about 80 + 32*s bytes as Python objects,
+# so 10^6 steps of a state of size s hold about (80 + 32*s) MB of
+# trajectory before any output is written; a holonomy keeps only the last
+# state of each column.
 MAX_STEPS = 10**6
 
 # RK4 steps whose curve nodes one program call evaluates.  A constant, so
@@ -149,7 +151,7 @@ def _node_triples(cprog: Program, curve: Curve, steps: int):
     reaches that node, so an earlier failure of F still comes first.
     """
     t0, m = curve.t0, curve.dim
-    width = len(cprog.starts) - 1
+    width = cprog.n_exprs
     h = (curve.t1 - t0) / steps
     for first in range(0, steps, _CHUNK):
         times = []
@@ -194,16 +196,25 @@ def _matvec(flat, vec) -> list:
     return out
 
 
-def _integrate_rk4(rhs, nodes, curve: Curve, y0: tuple, steps: int) -> TransportResult:
-    """Classical RK4 of dy/dt = rhs(node, y) over the node triples ``nodes``."""
+def _times(curve: Curve, steps: int) -> tuple:
+    """The times of a trajectory's states, t0 + k*h for k = 0, ..., steps."""
     h = (curve.t1 - curve.t0) / steps
+    return tuple(curve.t0 + k * h for k in range(steps + 1))
+
+
+def _integrate_rk4(rhs, nodes, curve: Curve, y0: tuple, steps: int):
+    """Classical RK4 of dy/dt = rhs(node, y) over the node triples ``nodes``.
+
+    Yields the state after each step, a tuple of floats; the caller keeps
+    what it needs of the trajectory.
+    """
+    t0 = curve.t0
+    h = (curve.t1 - t0) / steps
     h2, h3, h6 = h / 2, h / 3, h / 6
-    times = tuple(curve.t0 + k * h for k in range(steps + 1))
-    values = [y0]
     y = y0
     # The state is updated slot by slot, each slot in the order written:
     # y + (h/2)*k1, ..., then y + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
-    for k, (start, mid, end) in enumerate(nodes):
+    for k, (start, mid, end) in enumerate(nodes, 1):
         k1 = rhs(start, y)
         k2 = rhs(mid, [v + h2 * d for v, d in zip(y, k1)])
         k3 = rhs(mid, [v + h2 * d for v, d in zip(y, k2)])
@@ -216,10 +227,15 @@ def _integrate_rk4(rhs, nodes, curve: Curve, y0: tuple, steps: int) -> Transport
                 [v + h6 * d1 + h3 * d2 + h3 * d3 + h6 * d4 for v, d1, d2, d3, d4 in slots]
             )
             if not all(map(isfinite, y_next)):
-                raise TransportError(f"non-finite fiber value at t = {times[k + 1]}")
-        values.append(y_next)
+                raise TransportError(f"non-finite fiber value at t = {t0 + k * h}")
+        yield y_next
         y = y_next
-    return TransportResult(times, tuple(values), steps, 4 * steps)
+
+
+def _trajectory(rhs, nodes, curve: Curve, y0: tuple, steps: int) -> TransportResult:
+    """:func:`_integrate_rk4` as a result that holds every state, ``y0`` first."""
+    states = (y0, *_integrate_rk4(rhs, nodes, curve, y0, steps))
+    return TransportResult(_times(curve, steps), states, steps, 4 * steps)
 
 
 def _coefficient_program(conn, order: int) -> Program:
@@ -247,7 +263,7 @@ def transport1(
     """Integrate dy^p/dt = sum_i F_i^p(x(t), y) dx^i/dt by RK4."""
     y = _check_shapes(gamma.universe, curve, y0, steps)
     nodes = _node_triples(_curve_program(curve, 1), curve, steps)
-    return _integrate_rk4(_transport1_rhs(gamma), nodes, curve, y, steps)
+    return _trajectory(_transport1_rhs(gamma), nodes, curve, y, steps)
 
 
 def transport2(
@@ -272,13 +288,13 @@ def transport2(
         # one product gives F x' followed by H x' row-major.
         return _matvec(_stage_values(prog, node, state[:n]), node[2])
 
-    flat = _integrate_rk4(rhs, nodes, curve, y + tuple(v for row in yj for v in row), steps)
+    start = y + tuple(v for row in yj for v in row)
+    values, jet_values = [], []
+    for state in itertools.chain((start,), _integrate_rk4(rhs, nodes, curve, start, steps)):
+        values.append(state[:n])
+        jet_values.append(tuple(state[n + p * m : n + (p + 1) * m] for p in range(n)))
     return TransportResult(
-        flat.times,
-        tuple(row[:n] for row in flat.values),
-        steps,
-        flat.rhs_evaluations,
-        tuple(tuple(row[n + p * m : n + (p + 1) * m] for p in range(n)) for row in flat.values),
+        _times(curve, steps), tuple(values), steps, 4 * steps, tuple(jet_values)
     )
 
 
@@ -304,7 +320,7 @@ def second_order_ode(
         quadratic = _matvec(_matvec(allvals[split:], xdot), xdot)
         return [a + b for a, b in zip(quadratic, _matvec(allvals[:split], xacc))]
 
-    return _integrate_rk4(rhs, nodes, curve, y, steps)
+    return _trajectory(rhs, nodes, curve, y, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +369,9 @@ def loop_holonomy(
         if j == 0:
             rhs = _transport1_rhs(gamma)  # the same F for every column
         nodes = _node_triples(cprog, loop, steps)
-        columns.append(_integrate_rk4(rhs, nodes, loop, y, steps).values[-1])
+        for y in _integrate_rk4(rhs, nodes, loop, y, steps):
+            pass  # only the state at the end of the loop is kept
+        columns.append(y)
     matrix = tuple(zip(*columns))
     defect = max(
         abs(v - (1.0 if p == j else 0.0))

@@ -1,4 +1,4 @@
-"""The generated straight-line functions at the edges of the tape compiler.
+"""The generated straight-line functions at the edges of the compiler.
 
 Each program is checked against the tree-walking reference of
 ``test_kernel`` bit for bit and in status, through the batch call and
@@ -9,24 +9,18 @@ so sums far deeper than the interpreter's recursion limit compile.
 import json
 import math
 import sys
+import textwrap
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from jetconn import SymbolUniverse, kernel, parse_expr
+from jetconn import SymbolUniverse, _tape, kernel, parse_expr
 from jetconn._tape import STATUS_DIV_BY_ZERO, STATUS_LN_DOMAIN, compile_program
 from jetconn.cli import main
 from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
-from jetconn.kernel import (
-    OP_ADD, OP_CONST, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL, OP_NEG, OP_POW, OP_SIN,
-    OP_SUB, OP_VAR,
-)
 
-from conftest import random_expr
 from test_kernel import Guarded, reference
 
 NAMES = ("x1", "x2", "y1")
@@ -79,7 +73,7 @@ class TestEdges:
         assert compile_program([], NAMES).rows([[1.0, 2.0, 3.0]]) == ([], [])
 
     def test_signed_zero_and_extreme_constants(self):
-        huge = Const(Fraction(10) ** 400)  # beyond double range: inf on the tape
+        huge = Const(Fraction(10) ** 400)  # beyond double range: inf in the program
         exprs = [Const(0.0), Const(-0.0), Mul(Const(-0.0), X), Const(1e308),
                  Mul(Const(1e308), X), huge, Neg(huge), Sub(huge, huge)]
         exact = {huge: Pow(Const(10), 400)}
@@ -108,26 +102,42 @@ class TestEdges:
         ]
         assert values[:, 1].tolist() == [0.0, 1.0, 1.0]
 
-    def test_a_leaf_emits_no_statement(self):
+    def test_a_leaf_emits_no_statement(self, monkeypatch):
+        sources = []
+
+        def capture(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(_tape, "compile", capture, raising=False)
         exprs = [parse_expr(s, U) for s in ("x1*x2 + 3", "x1", "1/y1")]
-        prog = compile_program(exprs, NAMES)
-        statements = [
-            kernel._expression(prog.code, prog.arg, prog.starts[e], prog.starts[e + 1], e)
-            for e in range(len(exprs))
-        ]
-        assert statements == [
-            (["s0 = x0 * x1", "v0 = s0 + c0"], False),
-            (["v1 = x0"], False),  # a whole expression that is one leaf
-            (["if x2 == 0.0: v2 = _nan; t2 = 1; break", "v2 = c1 / x2"], True),
-        ]
+        compile_program(exprs, NAMES)
+        # v1 = x0: a whole expression that is one leaf; only 1/y1 is guarded.
+        assert sources == [textwrap.dedent("""\
+            def run(rows):
+                [c0, c1] = _consts
+                values = []
+                status = []
+                put_values = values.extend
+                put_status = status.extend
+                for [x0, x1, x2] in rows:
+                    s0 = x0 * x1
+                    v0 = s0 + c0
+                    v1 = x0
+                    t2 = 0
+                    while True:
+                        if x2 == 0.0: v2 = _nan; t2 = 1; break
+                        v2 = c1 / x2
+                        break
+                    put_values((v0, v1, v2, ))
+                    put_status((0, 0, t2, ))
+                return values, status""")]
         assert_generated_matches(exprs, NAMES, [[1.0, 2.0, 0.0], [-0.5, 3.0, 4.0]])
 
     def test_right_nested_chain_needs_a_slot_per_level(self):
         chain = X
         for k in range(1000):
             chain = (Add, Mul, Sub, Div)[k % 4](Const(1 + k % 3), chain)
-        prog = compile_program([chain], ("x1",))
-        assert prog.stack_need == 1001
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + 2000)  # the reference recurses
         try:
@@ -136,48 +146,7 @@ class TestEdges:
             sys.setrecursionlimit(limit)
 
 
-OPS = {Neg: OP_NEG, Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL, Div: OP_DIV, Pow: OP_POW}
-FN_OPS = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN}
-
-
-def recursive_tape(exprs, names):
-    """The tape of a recursive post-order walk: (code, arg, consts, stack_need)."""
-    code, arg, consts = [], [], []
-
-    def walk(e):
-        if isinstance(e, Const):
-            v = float(e.value)
-            if bits([v]) not in [bits([c]) for c in consts]:
-                consts.append(v)
-            code.append(OP_CONST)
-            arg.append([bits([c]) for c in consts].index(bits([v])))
-            return 1
-        if isinstance(e, Var):
-            code.append(OP_VAR)
-            arg.append(names.index(e.name))
-            return 1
-        depths = [walk(child) for child in e.children()]
-        code.append(FN_OPS[e.name] if isinstance(e, Fn) else OPS[type(e)])
-        arg.append(e.exponent if isinstance(e, Pow) else 0)
-        return depths[0] if len(depths) == 1 else max(depths[0], 1 + depths[1])
-
-    need = max([1] + [walk(e) for e in exprs])
-    return code, arg, consts, need
-
-
 class TestIterativeCompile:
-    @given(st.integers(min_value=0, max_value=20000))
-    @settings(max_examples=100, deadline=None)
-    def test_tape_order_slots_and_stack_need(self, seed):
-        gen = np.random.default_rng(seed)
-        exprs = [random_expr(gen, NAMES, depth=6) for _ in range(3)]
-        prog = compile_program(exprs, NAMES)
-        code, arg, consts, need = recursive_tape(exprs, NAMES)
-        assert prog.code == code
-        assert prog.arg == arg
-        assert bits(prog.consts) == bits(consts)
-        assert prog.stack_need == need
-
     @pytest.mark.parametrize("n_terms", [1000, 10_000])
     def test_long_sum_is_a_left_fold(self, n_terms):
         coeffs = [float(k) / 7 for k in range(1, n_terms + 1)]
@@ -185,7 +154,6 @@ class TestIterativeCompile:
         for c in coeffs[1:]:
             total = Add(total, Mul(Const(c), X))
         prog = compile_program([total], ("x1",))
-        assert prog.stack_need == 3  # the sum so far, c, x
         assert len(prog.code) == 4 * n_terms - 1
         for x in (0.3, -1.7, 1e300):
             values, status = prog.rows([[x]])
@@ -200,7 +168,8 @@ class TestTracerContract:
         exprs = [parse_expr(s, U) for s in ("x1 + sin(x2)", "y1^-2", "3")]
         prog = compile_program(exprs, NAMES)
         ops = sum(1 for e in exprs for _ in walk_nodes(e))
-        assert len(prog.code) == len(prog.arg) == prog.starts[-1] == ops
+        assert len(prog.code) == ops
+        assert prog.n_exprs == len(exprs)
 
     def test_batches_go_through_active(self, monkeypatch):
         calls = []

@@ -1,4 +1,4 @@
-"""Tape compiler and the evaluation kernel.
+"""Compiled programs and the evaluation kernel.
 
 The kernel is checked against a reference that walks the expression tree
 with :mod:`math` and gives C's results where :mod:`math` raises.  Both must
@@ -64,7 +64,7 @@ def _c_pow(x, n):
 
 
 def reference(e, env):
-    """Value of ``e`` at ``env``, operands left to right as the tape runs them."""
+    """Value of ``e`` at ``env``, operands left to right as the program runs them."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):

@@ -1,6 +1,7 @@
 """Transport integrators: exact solutions, convergence, holonomy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,24 @@ class TestHolonomy:
         assert res.matrix == ((2.0,), (1.0,))
         with pytest.raises(DimensionMismatchError, match="2-row"):
             loop_holonomy(g, loop, basis=np.ones((3, 1)), steps=20)
+
+    def test_memory_is_flat_in_steps(self):
+        # Each column keeps only its state at the end of the loop, not its
+        # trajectory, so the traced peak does not grow with the step count.
+        g = polar_affine()
+        loop = curve_of(("2 + cos(t)", "sin(t)"), 0.0, 2 * math.pi)
+
+        def peak(steps):
+            loop_holonomy(g, loop, steps=10)  # loads what the first call loads
+            tracemalloc.start()
+            try:
+                loop_holonomy(g, loop, steps=steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(500), peak(2_000)
+        assert large < 1.5 * small, (small, large)
 
     @pytest.mark.parametrize("basis", [((1.0, 0.0), (1.0,)), ((), ()), (1.0, 2.0), np.ones(2)])
     def test_basis_must_be_a_matrix(self, basis):
