@@ -2,8 +2,9 @@
 adapted frames, and parallel transport.
 
 The expression layer is a small exact-rational symbolic core with a text
-grammar; the numeric layer compiles each set of expressions to one
-straight-line Python function (see :mod:`jetconn._tape`).
+grammar; the numeric layer compiles each set of expressions, and each
+transport's whole RK4 loop, to one straight-line Python function (see
+:mod:`jetconn._tape`).
 
 Importing the package runs no submodule.  Each submodule but ``cli`` is
 registered in ``sys.modules`` and bound here as an

@@ -1,18 +1,24 @@
-"""Compilation of expression trees to one straight-line Python function.
+"""Compilation of expression trees to straight-line Python functions.
 
-:func:`compile_program` walks each tree in post-order with an explicit
-stack and writes, as it goes, the source of one flat Python function,
-``run(rows)``, which it ``exec``s once.  The function has one statement per
-computing node, in post-order: every variable is a local unpacked from the
-row (``x0``, ...), every constant a local unpacked from the program's
-constant list (``c0``, ...), and a node reads them by name, so a constant
-or variable emits no statement.  A computed operand is a local named after
-its depth on the walk's operand stack (``s0``, ``s1``, ...), and the root of
-expression ``e`` writes ``v{e}``.  ``run`` serves every evaluation through
-``Program.rows``, on lists of rows.
+:func:`_statements` walks a tree in post-order with an explicit stack and
+writes one statement per computing node: a variable or constant is a
+local read by name (``x0``, ``c0``, ...), so it emits no statement; a
+computed operand is a local named after its depth on the walk's operand
+stack (``s0``, ``s1``, ...), and the root of expression ``e`` writes
+``v{e}``.  Two generators ``exec`` such statements once, as one function
+each:
+
+- :func:`compile_program`, one function per program, ``run(rows)``, with
+  the statements of its expressions in a loop over rows of variables.  It
+  serves every evaluation through ``Program.rows``.
+- :func:`compile_integrator`, one function per connection, curve and
+  variant of transport: the whole fixed-step RK4 loop, with the curve's
+  statements at every node and the coefficients' at every stage, bound to
+  the stage's locals, and each dot product written out.
 
 No input text reaches the generated source: it holds only slot indices,
-integer exponents (range-checked here) and the fixed helper names below.
+integer exponents (range-checked here), the generators' own literals (0.0,
+2.0) and the fixed helper names below.
 Every constant, inf from a constant beyond double range included, is read
 from the constant list.
 
@@ -22,7 +28,9 @@ platform (and may differ in the last bit where another platform's libm
 does).  The wrappers below return what C returns where the math module
 raises instead of returning inf or nan.  Guarded failures (division by 0.0,
 a negative power of 0.0, ln of a value <= 0) leave NaN and a status code in
-their slot and move on to the next expression; they never raise.
+their slot and move on to the next expression; they never raise.  The
+integrator returns at the first node or stage that holds such a slot or a
+value that is not finite, with what failed there.
 """
 
 from __future__ import annotations
@@ -191,6 +199,69 @@ def _statements(root: Expr, e: int, leaf) -> tuple:
     return lines, nodes
 
 
+def _namer(const_slot: dict, names: dict):
+    """The ``leaf`` of :func:`_statements` for one map of variable locals.
+
+    A constant is ``c{k}``, its slot in ``const_slot``, which is keyed by
+    value and sign (so 0.0 and -0.0 stay apart) and filled in order of
+    first use; a variable is its local in ``names``.
+    """
+
+    def leaf(e: Expr) -> str:
+        if isinstance(e, Const):
+            try:
+                v = float(e.value)
+            except OverflowError:  # outside double range: 10^400 evaluates to inf
+                v = math.inf if e.value > 0 else -math.inf
+            return f"c{const_slot.setdefault((v, math.copysign(1.0, v)), len(const_slot))}"
+        if e.name not in names:
+            raise EvalError(f"no value bound for variable {e.name!r}")
+        return names[e.name]
+
+    return leaf
+
+
+def _block(exprs, first: int, leaf) -> tuple:
+    """The statements leaving ``exprs`` in ``v{first}``, ``v{first + 1}``, ...
+
+    Returns the lines, the status of each expression (its local ``t{e}``
+    if it has a guard, else ``0``) and the number of nodes compiled.  A
+    guarded expression runs in a one-pass loop, which a guard's break
+    leaves for the next expression.
+    """
+    lines, status, nodes = [], [], 0
+    for e, root in enumerate(exprs, first):
+        body, count = _statements(root, e, leaf)
+        nodes += count
+        if any(line.startswith("if ") for line in body):
+            lines += [f"t{e} = 0", "while True:", *("    " + line for line in body), "    break"]
+            status.append(f"t{e}")
+        else:
+            lines += body
+            status.append("0")
+    return lines, status, nodes
+
+
+def _function(lines, const_slot: dict, name: str):
+    """``exec`` the generated function ``run`` from its source lines."""
+    namespace = {
+        "_consts": [v for v, _ in const_slot],
+        "_isfinite": math.isfinite,
+        "_nan": _NAN,
+        "_pow": _pow,
+        "_sin": _sin,
+        "_cos": _cos,
+        "_exp": _exp,
+        "_log": math.log,
+    }
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["run"]
+
+
+def _locals(names) -> str:
+    return ", ".join(names)
+
+
 def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     """Compile expressions over the given variables to one generated function.
 
@@ -201,64 +272,179 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     flat lists with one slot per row and expression, row after row.
     """
     var_names = tuple(var_names)
-    slots = {name: i for i, name in enumerate(var_names)}
-    consts = []
     const_slot = {}
-
-    def leaf(e: Expr) -> str:
-        if isinstance(e, Const):
-            try:
-                v = float(e.value)
-            except OverflowError:  # outside double range: 10^400 evaluates to inf
-                v = math.inf if e.value > 0 else -math.inf
-            key = (v, math.copysign(1.0, v))  # keeps 0.0 and -0.0 apart
-            if key not in const_slot:
-                const_slot[key] = len(consts)
-                consts.append(v)
-            return f"c{const_slot[key]}"
-        if e.name not in slots:
-            raise EvalError(f"no value bound for variable {e.name!r}")
-        return f"x{slots[e.name]}"
-
-    nodes = 0
-    row = []  # the statements of one row
-    status = []  # the status of each expression: its local if guarded, else 0
-    for e, root in enumerate(exprs):
-        lines, count = _statements(root, e, leaf)
-        nodes += count
-        if any(line.startswith("if ") for line in lines):
-            # A guard's break leaves the one-pass loop for the next expression.
-            row += [f"t{e} = 0", "while True:", *("    " + line for line in lines), "    break"]
-            status.append(f"t{e}")
-        else:
-            row += lines
-            status.append("0")
-
+    leaf = _namer(const_slot, {name: f"x{i}" for i, name in enumerate(var_names)})
+    row, status, nodes = _block(exprs, 0, leaf)
     row.append(f"put_values({_tuple(f'v{e}' for e in range(len(status)))})")
     row.append(f"put_status({_tuple(status)})")
-    consts_target = ", ".join(f"c{i}" for i in range(len(consts)))
-    vars_target = ", ".join(f"x{i}" for i in range(len(var_names)))
-    source = "\n".join(
+    run = _function(
         [
             "def run(rows):",
-            f"    [{consts_target}] = _consts",
+            f"    [{_locals(f'c{i}' for i in range(len(const_slot)))}] = _consts",
             "    values = []",
             "    status = []",
             "    put_values = values.extend",
             "    put_status = status.extend",
-            f"    for [{vars_target}] in rows:",
+            f"    for [{_locals(f'x{i}' for i in range(len(var_names)))}] in rows:",
             *("        " + line for line in row),
             "    return values, status",
-        ]
+        ],
+        const_slot,
+        "<jetconn program>",
     )
-    namespace = {
-        "_consts": list(consts),
-        "_nan": _NAN,
-        "_pow": _pow,
-        "_sin": _sin,
-        "_cos": _cos,
-        "_exp": _exp,
-        "_log": math.log,
-    }
-    exec(compile(source, "<jetconn program>", "exec"), namespace)
-    return Program(var_names, consts, len(status), range(nodes), namespace["run"])
+    return Program(var_names, [v for v, _ in const_slot], len(status), range(nodes), run)
+
+
+# Terms of one generated sum.  A sum is a nested expression to Python's
+# compiler, which gives up at a few thousand terms; longer sums continue in
+# the next statement, which rounds the same.
+_FOLD = 64
+
+
+def _fold(target: str, terms) -> list:
+    """Statements leaving ``terms`` summed left to right in ``target`` (0.0 if none)."""
+    terms = list(terms) or ["0.0"]
+    lines = [f"{target} = " + " + ".join(terms[:_FOLD])]
+    for i in range(_FOLD, len(terms), _FOLD):
+        lines.append(f"{target} = {target} + " + " + ".join(terms[i : i + _FOLD]))
+    return lines
+
+
+def _unless_finite(fast, exact, failure) -> list:
+    """Lines running ``failure`` unless every value named in ``exact`` is finite.
+
+    ``fast`` names values that are all finite whenever those of ``exact``
+    are, and summing them costs one add each.  Only a sum that is not
+    finite (an inf or nan among them, or an overflow of finite values) has
+    ``exact`` checked value by value.
+    """
+    if not exact:
+        return []
+    return [
+        *_fold("f", fast),
+        "if f - f:",
+        f"    if not all(map(_isfinite, {_tuple(exact)})):",
+        *("        " + line for line in failure),
+    ]
+
+
+def compile_integrator(
+    rows, base_names, fiber_names, curve, order=1, lanes=1, keep=True, jets=False
+):
+    """Generate one function that runs a whole fixed-step RK4 integration along a curve.
+
+    ``curve`` holds the expressions in t of the curve's m components, its m
+    velocities and, for ``order`` 2, its m accelerations.  ``rows`` are rows
+    of m expressions over ``base_names``, bound to the curve point, and
+    ``fiber_names``, bound to the first n slots of the state:
+
+    - ``order`` 1: state slot r moves at row r dotted with the velocity
+      (F; F and then the rows of H for the jet slots of a prolongation);
+    - ``order`` 2: n rows of F, then the m rows of H^p for each p; slot p
+      moves at ``(H^p x') x' + F^p x''``.
+
+    ``lanes`` states of that width are integrated side by side on one walk
+    of the curve, the rows evaluated per lane; with the same arithmetic in
+    the same order, each lane reproduces its own integration bit for bit.
+
+    The function is ``run(start, h, steps, state, put, put_jet) ->
+    (failure, state)``.  Step k takes its nodes at t = start + k*h, t + h/2
+    and t + h, and evaluates the curve there inline, once per node; the
+    stages take their coefficients at those nodes and update the state
+    ``v + h/6*(d1 + 2.0*d2 + 2.0*d3 + d4)``, or, where that is not finite,
+    ``v + h/6*d1 + h/3*d2 + h/3*d3 + h/6*d4``.  ``state`` is the lanes'
+    states, one flat tuple.  With ``keep``, each step passes its state to
+    ``put``; with ``jets`` too, only its first n slots, and the rest to
+    ``put_jet`` as n rows of m jet slots.  Every dot is a left fold, one
+    IEEE operation at a time.  ``failure`` is None, and ``state`` the last
+    state, unless a node's curve values or a stage's coefficients hold inf
+    or nan (a failed guard leaves nan): then it is ``(t, status)``, the
+    node time and the statuses of that program's expressions, or ``(t,
+    None)`` with the time after the step whose state is not finite.
+    """
+    m, n = len(base_names), len(fiber_names)
+    width = n if order == 2 else len(rows)
+    const_slot = {}
+    curve_lines, curve_status, _ = _block(curve, 0, _namer(const_slot, {"t": "tn"}))
+    point = [f"v{i}" for i in range(len(curve))]
+    velocity, acceleration = point[m : 2 * m], point[2 * m :]
+    names = {name: point[i] for i, name in enumerate(base_names)}
+    names.update((name, f"x{q}") for q, name in enumerate(fiber_names))
+    flat = [e for row in rows for e in row]
+    coeff_lines, coeff_status, _ = _block(flat, len(curve), _namer(const_slot, names))
+    values = [f"v{len(curve) + e}" for e in range(len(flat))]
+    lane_slots = [range(j * width, (j + 1) * width) for j in range(lanes)]
+
+    def dot(target, first, vec):
+        return _fold(target, (f"{values[first + i]} * {vec[i]}" for i in range(m)))
+
+    def node(time):
+        failed = [f"return (tn, {_tuple(curve_status)}), None"]
+        return [f"tn = {time}", *curve_lines, *_unless_finite(point, point, failed)]
+
+    def stage(s, rate):
+        lines = []
+        for lane in lane_slots:
+            d = [f"d{s}_{i}" for i in lane]
+            for q, i in enumerate(lane[:n]):
+                lines.append(f"x{q} = y{i}" + (f" + {rate} * d{s - 1}_{i}" if rate else ""))
+            lines += coeff_lines
+            for r in range(width):
+                if order == 1:
+                    lines += dot(d[r], r * m, velocity)
+                    continue
+                # (H^r x') x': g_i = H^r_i x' first, then g x'; then + F^r x''.
+                for i in range(m):
+                    lines += dot(f"g{i}", n * m + (r * m + i) * m, velocity)
+                lines += _fold("q", (f"g{i} * {velocity[i]}" for i in range(m)))
+                lines += dot(d[r], r * m, acceleration)
+                lines.append(f"{d[r]} = q + {d[r]}")
+            failed = [f"return (tn, {_tuple(coeff_status)}), None"]
+            lines += _unless_finite(d, values, failed)
+        return lines
+
+    body = [
+        *node("ta = start + k * h"),
+        *stage(1, None),
+        *node("ta + h2"),
+        *stage(2, "h2"),
+        *stage(3, "h2"),
+        *node("ta + h"),
+        *stage(4, "h"),
+    ]
+    slots = range(lanes * width)
+    for lane in lane_slots:
+        z = [f"z{i}" for i in lane]
+        for i in lane:
+            body.append(f"z{i} = y{i} + h6 * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})")
+        # The stage sum k1 + 2*k2 + ... can overflow before the state does.
+        fallback = [
+            f"z{i} = y{i} + h6 * d1_{i} + h3 * d2_{i} + h3 * d3_{i} + h6 * d4_{i}" for i in lane
+        ]
+        fallback += [
+            f"if not all(map(_isfinite, {_tuple(z)})):",
+            "    return (start + (k + 1) * h, None), None",
+        ]
+        body += _unless_finite(z, z, fallback)
+    if keep:
+        body.append(f"put({_tuple(f'z{q}' for q in range(n if jets else width))})")
+        if jets:
+            jet = (_tuple(f"z{n + p * m + i}" for i in range(m)) for p in range(n))
+            body.append(f"put_jet({_tuple(jet)})")
+    if slots:
+        body.append(f"{_locals(f'y{i}' for i in slots)}, = {_locals(f'z{i}' for i in slots)},")
+    return _function(
+        [
+            "def run(start, h, steps, state, put=None, put_jet=None):",
+            f"    [{_locals(f'c{i}' for i in range(len(const_slot)))}] = _consts",
+            "    h2 = h / 2",
+            "    h3 = h / 3",
+            "    h6 = h / 6",
+            f"    [{_locals(f'y{i}' for i in slots)}] = state",
+            "    for k in range(steps):",
+            *("        " + line for line in body),
+            f"    return None, {_tuple(f'y{i}' for i in slots)}",
+        ],
+        const_slot,
+        "<jetconn integrator>",
+    )

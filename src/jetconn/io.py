@@ -7,6 +7,7 @@ not from file names.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -268,10 +269,14 @@ def transport_csv(result: transport.TransportResult) -> str:
         m = len(result.jet_values[0][0])
         header += [f"y{p}_{i}" for p in range(1, n + 1) for i in range(1, m + 1)]
     lines = [",".join(header)]
-    for k, t in enumerate(result.times):
-        row = [repr(float(t))]
-        row += [repr(float(v)) for v in result.values[k]]
-        if result.jet_values is not None:
-            row += [repr(float(v)) for jet_row in result.jet_values[k] for v in jet_row]
-        lines.append(",".join(row))
+    # Every value is a float: float.__repr__ is repr, also for a numpy
+    # float64, which is a float whose own repr is not.
+    text = float.__repr__
+    times, values, jet_values = result.times, result.values, result.jet_values
+    if jet_values is None:
+        lines += [",".join(map(text, (t, *y))) for t, y in zip(times, values)]
+    else:
+        flat = itertools.chain.from_iterable
+        rows = zip(times, values, jet_values)
+        lines += [",".join(map(text, (t, *y, *flat(jet)))) for t, y, jet in rows]
     return "\n".join(lines) + "\n"

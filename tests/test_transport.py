@@ -22,11 +22,12 @@ from jetconn import (
     transport1,
     transport2,
 )
+from jetconn import _tape
 from jetconn._tape import compile_program
-from jetconn.expr import Const
+from jetconn.expr import Add, Const, Mul
 from jetconn.transport import MAX_STEPS
 
-from conftest import random_connection1
+from conftest import poly_expr, random_connection1
 
 T = CURVE_UNIVERSE.var("t")
 
@@ -305,6 +306,38 @@ class TestHolonomy:
         small, large = peak(500), peak(2_000)
         assert large < 1.5 * small, (small, large)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_columns_are_transport1_bit_for_bit(self, dim):
+        # The columns run side by side on one walk of the loop, each with
+        # its own evaluation of F: column j is transport1 of basis column j.
+        g = random_linear_connection(np.random.default_rng(dim), dim, dim)
+        loop = curve_of(("2 + cos(t)", "sin(t)", "cos(2*t)/3")[:dim], 0.0, 2 * math.pi)
+        basis = np.random.default_rng(10 + dim).normal(size=(dim, dim))
+        for b in (None, basis):
+            columns = np.eye(dim) if b is None else b
+            res = loop_holonomy(g, loop, basis=b, steps=64)
+            for j in range(dim):
+                end = transport1(g, loop, columns[:, j], 64).values[-1]
+                assert [row[j].hex() for row in res.matrix] == [v.hex() for v in end]
+
+    def test_first_failing_column_is_reported(self):
+        # Column 1 fails earlier on the loop than column 0, but column 0's
+        # failure is reported, as when each column is transported in turn.
+        u = SymbolUniverse(1, 2)
+        g = Connection1(u, ((parse_expr("300*y1", u),), (parse_expr("600*y2", u),)))
+        loop = curve_of(("sin(t)",), 0.0, 2 * math.pi)
+        basis = ((1e200, 0.0), (0.0, 1e200))
+        messages = []
+        for column in zip(*basis):
+            with pytest.raises(TransportError) as err:
+                transport1(g, loop, column, 64)
+            messages.append(str(err.value))
+        times = [float(message.rsplit(" ", 1)[1]) for message in messages]
+        assert times[1] < times[0], messages
+        with pytest.raises(TransportError) as err:
+            loop_holonomy(g, loop, basis=basis, steps=64)
+        assert str(err.value) == messages[0]
+
     @pytest.mark.parametrize("basis", [((1.0, 0.0), (1.0,)), ((), ()), (1.0, 2.0), np.ones(2)])
     def test_basis_must_be_a_matrix(self, basis):
         u = SymbolUniverse(2, 2)
@@ -313,6 +346,77 @@ class TestHolonomy:
         loop = curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi)
         with pytest.raises(DimensionMismatchError, match="^basis must be an 2-row matrix"):
             loop_holonomy(g, loop, basis=basis, steps=20)
+
+
+def random_linear_connection(rng, m, n):
+    """F_i^p = sum_q A_iq^p(x) y^q with random polynomial A: linear in the fiber."""
+    u = SymbolUniverse(m, n)
+    base = list(u.base_names)
+
+    def entry():
+        terms = [Mul(poly_expr(rng, base), u.y(q)) for q in range(1, n + 1)]
+        out = terms[0]
+        for term in terms[1:]:
+            out = Add(out, term)
+        return out
+
+    return Connection1(u, tuple(tuple(entry() for _ in range(m)) for _ in range(n)))
+
+
+class TestGeneratedLoop:
+    """The source of the generated RK4 loop: its size and what it holds."""
+
+    @staticmethod
+    def sources(monkeypatch, run):
+        captured = []
+
+        def capture(source, name, *args):
+            if name == "<jetconn integrator>":
+                captured.append(source)
+            return compile(source, name, *args)
+
+        monkeypatch.setattr(_tape, "compile", capture, raising=False)
+        run()
+        return captured
+
+    @staticmethod
+    def connection(n):
+        """F over 2 base and n fiber dimensions, 2n entries, each with its own constant."""
+        u = SymbolUniverse(2, n)
+        rows = tuple(
+            tuple(parse_expr(f"{p * 2 + i + 11}.3125*x{i + 1}*y{p + 1}", u) for i in range(2))
+            for p in range(n)
+        )
+        return Connection1(u, rows)
+
+    def test_source_grows_linearly_in_f(self, monkeypatch):
+        # Each F entry is written once per stage, with its dot product term:
+        # the cost of one more entry must not grow with the size of F.
+        c = curve_of(("t", "sin(t)"), 0.0, 1.0)
+        lengths = []
+        for n in (2, 8, 32):  # 4, 16 and 64 entries
+            g = self.connection(n)
+            [source] = self.sources(monkeypatch, lambda: transport1(g, c, (1.0,) * n, 4))
+            lengths.append(len(source))
+        entries = (4, 16, 64)
+        per_entry = [
+            (lengths[k + 1] - lengths[k]) / (4 * (entries[k + 1] - entries[k])) for k in range(2)
+        ]
+        assert per_entry[1] < 1.25 * per_entry[0], (lengths, per_entry)
+        assert per_entry[1] < 200, per_entry  # characters per entry and stage
+
+    def test_no_constant_text_in_source(self, monkeypatch):
+        g = self.connection(3)
+        c = curve_of(("t", "1.4375*t"), 0.0, 1.0)
+        runs = (
+            lambda: transport1(g, c, (1.0, 2.0, 3.0), 4),
+            lambda: transport2(ehresmann_prolongation(g), c, (1.0, 2.0, 3.0), np.zeros((3, 2)), 4),
+            lambda: second_order_ode(ehresmann_prolongation(g), c, (1.0, 2.0, 3.0), 4),
+            lambda: loop_holonomy(g, curve_of(("cos(t)", "sin(t)"), 0.0, 2 * math.pi), steps=4),
+        )
+        for run in runs:
+            [source] = self.sources(monkeypatch, run)
+            assert "3125" not in source and "4375" not in source
 
 
 def numpy_transport1(g, y0, t1, steps):
