@@ -6,7 +6,9 @@ a holonomy), whose whole step loop is one generated function; and the code
 generation itself, of the grid's program and of a transport 2 loop.  It
 also times the ``transport 1`` and ``holonomy`` commands on
 ``sample_inputs/`` in process, with their output, and prints their ratio.
-Each time is the best of ``--repeat`` runs.  Usage:
+Each of these times is the best of ``--repeat`` runs.  Last, start-up:
+the median wall time of ``validate sample_inputs/conn_linear.json`` as a
+new process, over five runs.  Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
 """
@@ -15,11 +17,16 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import pathlib
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import jetconn
 from jetconn import (
     AffineConnection,
     Connection1,
@@ -38,6 +45,7 @@ from jetconn._tape import compile_integrator, compile_program
 from jetconn.cli import main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+STARTUP_RUNS = 5
 
 
 def best_of(repeat, run):
@@ -140,6 +148,18 @@ def bench_commands(steps, repeat):
     return times
 
 
+def bench_startup():
+    """Median wall time of one ``validate`` command in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jetconn.__file__).parent.parent))
+    argv = [sys.executable, "-m", "jetconn.cli", "validate", str(SAMPLES / "conn_linear.json")]
+    times = []
+    for _ in range(STARTUP_RUNS):
+        start = time.perf_counter()
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def main_bench():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, default=20000)
@@ -151,6 +171,7 @@ def main_bench():
     variants = bench_variants(args.steps, args.repeat)
     commands = bench_commands(args.steps, args.repeat)
     program_s, ops, loop_s = bench_codegen(args.repeat)
+    startup = bench_startup()
     print(f"batch, {args.points} points: {batch:.4f} s")
     for name, seconds in variants.items():
         print(f"{name}, {args.steps} steps: {seconds:.4f} s")
@@ -160,6 +181,7 @@ def main_bench():
     print(f"command holonomy / transport 1: {ratio:.2f}")
     print(f"codegen, program of {ops} ops: {program_s:.4f} s ({1e6 * program_s / ops:.1f} us/op)")
     print(f"codegen, transport 2 loop: {loop_s:.4f} s")
+    print(f"start-up, validate, median of {STARTUP_RUNS} processes: {startup:.4f} s")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ def _load(path) -> io.Document:
     except OSError as err:
         reason = err.strerror or str(err)
         raise FormatError(f"{path}: {reason}") from None
-    except (JetconnError, ValueError) as err:
+    except (JetconnError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: {err}") from None
 
 

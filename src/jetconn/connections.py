@@ -14,7 +14,6 @@ classification) is index bookkeeping over these grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -24,6 +23,7 @@ from .expr import (
     Const,
     Expr,
     SymbolUniverse,
+    Value,
     as_expr,
     build_grid,
     contract,
@@ -39,69 +39,57 @@ SEMIHOLONOMIC = "semiholonomic"
 NONHOLONOMIC = "nonholonomic"
 
 
-@dataclass(frozen=True)
-class Connection1:
+class Connection1(Value):
     """First order connection: y_i^p = F_i^p(x, y)."""
 
-    universe: SymbolUniverse
-    F: Tuple
+    __slots__ = ("universe", "F")
 
-    def __post_init__(self):
-        u = self.universe
-        shape, names = (u.fiber_dim, u.base_dim), u.base_names + u.fiber_names
-        object.__setattr__(self, "F", expr_grid(self.F, shape, names, "F"))
+    def __init__(self, universe: SymbolUniverse, F):
+        shape = (universe.fiber_dim, universe.base_dim)
+        names = universe.base_names + universe.fiber_names
+        super().__init__(universe, expr_grid(F, shape, names, "F"))
 
 
-@dataclass(frozen=True)
-class Connection2:
+class Connection2(Value):
     """Second order connection: y_i^p = F, y_0i^p = G, y_ij^p = H."""
 
-    universe: SymbolUniverse
-    F: Tuple
-    G: Tuple
-    H: Tuple
+    __slots__ = ("universe", "F", "G", "H")
 
-    def __post_init__(self):
-        u = self.universe
-        n, m, names = u.fiber_dim, u.base_dim, u.base_names + u.fiber_names
-        object.__setattr__(self, "F", expr_grid(self.F, (n, m), names, "F"))
-        object.__setattr__(self, "G", expr_grid(self.G, (n, m), names, "G"))
-        object.__setattr__(self, "H", expr_grid(self.H, (n, m, m), names, "H"))
+    def __init__(self, universe: SymbolUniverse, F, G, H):
+        n, m = universe.fiber_dim, universe.base_dim
+        names = universe.base_names + universe.fiber_names
+        F = expr_grid(F, (n, m), names, "F")
+        G = expr_grid(G, (n, m), names, "G")
+        super().__init__(universe, F, G, expr_grid(H, (n, m, m), names, "H"))
 
 
-@dataclass(frozen=True)
-class LinearConnection1:
+class LinearConnection1(Value):
     """Linear first order connection, coefficients F_iq^p over the base.
 
     ``coeff[p-1][i-1][q-1]`` multiplies y^q in F_i^p.
     """
 
-    universe: SymbolUniverse
-    coeff: Tuple
+    __slots__ = ("universe", "coeff")
 
-    def __post_init__(self):
-        u = self.universe
-        shape = (u.fiber_dim, u.base_dim, u.fiber_dim)
-        object.__setattr__(self, "coeff", expr_grid(self.coeff, shape, u.base_names, "coeff"))
+    def __init__(self, universe: SymbolUniverse, coeff):
+        shape = (universe.fiber_dim, universe.base_dim, universe.fiber_dim)
+        super().__init__(universe, expr_grid(coeff, shape, universe.base_names, "coeff"))
 
 
-@dataclass(frozen=True)
-class AffineConnection:
+class AffineConnection(Value):
     """Classical affine connection via Christoffel symbols Gamma^i_jk(x).
 
     ``christoffel[i-1][j-1][k-1]`` is Gamma^i_jk; no symmetry in (j, k) is
     assumed, so torsion is allowed.
     """
 
-    dim: int
-    christoffel: Tuple
+    __slots__ = ("dim", "christoffel")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, christoffel):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        shape = (self.dim, self.dim, self.dim)
-        gamma = expr_grid(self.christoffel, shape, self.universe.base_names, "christoffel")
-        object.__setattr__(self, "christoffel", gamma)
+        names = SymbolUniverse(dim, dim).base_names
+        super().__init__(dim, expr_grid(christoffel, (dim, dim, dim), names, "christoffel"))
 
     @property
     def universe(self) -> SymbolUniverse:
@@ -109,8 +97,7 @@ class AffineConnection:
         return SymbolUniverse(self.dim, self.dim)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Verdict plus how it was decided.
 
     ``confidence`` is "symbolic" only when every comparison that fed the
@@ -119,8 +106,7 @@ class Classification:
     degrades the whole result to "probabilistic".
     """
 
-    verdict: str
-    confidence: str
+    __slots__ = ("verdict", "confidence")
 
     def __str__(self):
         return f"{self.verdict} ({self.confidence})"

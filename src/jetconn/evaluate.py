@@ -5,13 +5,12 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from . import _enclose, _poly, _tape
 from .errors import EvalError, SamplingError
-from .expr import Const, Expr, Fn, Sub, simplify
+from .expr import Const, Expr, Fn, Sub, Value, simplify
 
 SYMBOLIC = "symbolic"
 PROBABILISTIC = "probabilistic"
@@ -29,8 +28,7 @@ MAX_SAMPLES = 10**6
 _CHUNK = 64
 
 
-@dataclass(frozen=True)
-class SamplePolicy:
+class SamplePolicy(Value):
     """Settings for the certified-inequality and sampling routes of :func:`expr_equal`.
 
     ``tol`` is an absolute tolerance scaled by 1 + |left value| at each
@@ -41,12 +39,11 @@ class SamplePolicy:
     settings with :func:`check_sampling`.
     """
 
-    points: int = 64
-    tol: float = 1e-9
-    seed: int = 0
+    __slots__ = ("points", "tol", "seed")
 
-    def __post_init__(self):
-        check_sampling(self.points, self.tol)
+    def __init__(self, points: int = 64, tol: float = 1e-9, seed: int = 0):
+        check_sampling(points, tol)
+        super().__init__(points, tol, seed)
 
 
 def check_sampling(points, tol, names=("points", "tol")) -> None:
@@ -63,8 +60,7 @@ def check_sampling(points, tol, names=("points", "tol")) -> None:
         raise ValueError(f"{names[1]} must be a finite number >= 0")
 
 
-@dataclass(frozen=True)
-class EqualityResult:
+class EqualityResult(Value):
     """Verdict of an equality check plus how it was reached.
 
     ``confidence`` is "symbolic" when the verdict is proved: exactly (the
@@ -74,8 +70,7 @@ class EqualityResult:
     "probabilistic" when random sampling decided.
     """
 
-    equal: bool
-    confidence: str
+    __slots__ = ("equal", "confidence")
 
     def __bool__(self) -> bool:
         return self.equal

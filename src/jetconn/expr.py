@@ -8,6 +8,13 @@ usable as dictionary keys.  Each node also has a private slot in which
 :func:`simplify` caches its work; the slot is not part of the value, and
 equality, hashing and ``repr`` ignore it.
 
+:class:`Value` is the immutable base of every other record of the package:
+the symbol universe here, and the connections, curves, frames, jet points
+and results of the other modules.  A subclass lists its fields in
+``__slots__``, checks or converts its arguments in its own ``__init__``
+and stores them once through ``Value.__init__``; equality, hashing and
+``repr`` follow the fields.
+
 Concrete syntax (``*`` and ``/`` bind tighter than ``+`` and ``-``, ``^``
 tighter still, unary minus applies to a whole term):
 
@@ -26,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -46,8 +52,50 @@ _CANON_BASE_RE = re.compile(r"x([0-9]+)\Z")
 _CANON_FIBER_RE = re.compile(r"y([0-9]+)\Z")
 
 
-@dataclass(frozen=True)
-class SymbolUniverse:
+_set = object.__setattr__
+
+
+class Value:
+    """Base class of the immutable records: fields in ``__slots__``, set once.
+
+    ``Value(*fields)`` stores the fields in slot order.  Two values are
+    equal when they have the same type and equal fields, the hash is that
+    of the fields, and ``repr`` reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value through its constructor.
+        return type(self), self._fields()
+
+
+class SymbolUniverse(Value):
     """Declares which variable names an expression may reference.
 
     A universe with base dimension m and fiber dimension n provides the
@@ -56,16 +104,13 @@ class SymbolUniverse:
     variable order of a universe is reproducible.
     """
 
-    base_dim: int
-    fiber_dim: int
-    extra_symbols: frozenset = field(default_factory=frozenset)
+    __slots__ = ("base_dim", "fiber_dim", "extra_symbols")
 
-    def __post_init__(self):
-        if self.base_dim < 0 or self.fiber_dim < 0:
+    def __init__(self, base_dim: int, fiber_dim: int, extra_symbols=frozenset()):
+        if base_dim < 0 or fiber_dim < 0:
             raise ValueError("universe dimensions must be non-negative")
-        extras = frozenset(self.extra_symbols)
-        object.__setattr__(self, "extra_symbols", extras)
-        for name in extras:
+        super().__init__(base_dim, fiber_dim, frozenset(extra_symbols))
+        for name in self.extra_symbols:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid extra symbol name {name!r}")
             if name in FUNCTIONS:
@@ -211,8 +256,7 @@ class Expr:
         return frozenset(out)
 
 
-_set = object.__setattr__
-# The slot's own setter; it skips the attribute lookup of object.__setattr__.
+# The slot's own setter; unlike _set, it skips the lookup of the attribute by name.
 _set_simple = Expr._simple.__set__
 
 

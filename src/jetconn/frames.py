@@ -13,7 +13,6 @@ for the three fiber families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from typing import Tuple
@@ -25,6 +24,7 @@ from .expr import (
     Const,
     Sub,
     SymbolUniverse,
+    Value,
     Var,
     build_grid,
     contract,
@@ -66,13 +66,10 @@ def symbolic_matmul(a, b) -> Tuple:
     return build_grid((len(a), len(columns)), lambda i, j: contract(a[i], columns[j]))
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(Value):
     """Frame and coframe matrices of a first order connection."""
 
-    universe: SymbolUniverse
-    frame: Tuple
-    coframe: Tuple
+    __slots__ = ("universe", "frame", "coframe")
 
 
 def adapted_frame(gamma: Connection1) -> AdaptedFrame:
@@ -120,8 +117,7 @@ def twofold_universe(dims) -> SymbolUniverse:
     return SymbolUniverse(0, 0, frozenset(twofold_names(dims)))
 
 
-@dataclass(frozen=True)
-class TwoFoldConnection:
+class TwoFoldConnection(Value):
     """Connection on a two-fold fibered manifold, stored as five blocks.
 
     ``dims`` is (n, r1, r2, r12).  The blocks are the base columns of the
@@ -129,26 +125,21 @@ class TwoFoldConnection:
     rows; each entry may use any of the u/v/w/z coordinates.
     """
 
-    dims: Tuple[int, int, int, int]
-    g1_base: Tuple   # (r1 x n)   Gamma_j^{alpha1}
-    g2_base: Tuple   # (r2 x n)   Gamma_j^{alpha2}
-    g12_base: Tuple  # (r12 x n)  Gamma_j^{alpha12}
-    g12_f1: Tuple    # (r12 x r1) Gamma_{beta1}^{alpha12}
-    g12_f2: Tuple    # (r12 x r2) Gamma_{beta2}^{alpha12}
+    __slots__ = ("dims", "g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        names = self.universe.extra_symbols
-        n, r1, r2, r12 = self.dims
-        shapes = {
-            "g1_base": (r1, n),
-            "g2_base": (r2, n),
-            "g12_base": (r12, n),
-            "g12_f1": (r12, r1),
-            "g12_f2": (r12, r2),
+    def __init__(self, dims, g1_base, g2_base, g12_base, g12_f1, g12_f2):
+        dims = tuple(int(d) for d in dims)
+        names = twofold_universe(dims).extra_symbols
+        n, r1, r2, r12 = dims
+        blocks = {
+            "g1_base": (g1_base, (r1, n)),      # Gamma_j^{alpha1}
+            "g2_base": (g2_base, (r2, n)),      # Gamma_j^{alpha2}
+            "g12_base": (g12_base, (r12, n)),   # Gamma_j^{alpha12}
+            "g12_f1": (g12_f1, (r12, r1)),      # Gamma_{beta1}^{alpha12}
+            "g12_f2": (g12_f2, (r12, r2)),      # Gamma_{beta2}^{alpha12}
         }
-        for what, shape in shapes.items():
-            object.__setattr__(self, what, expr_grid(getattr(self, what), shape, names, what))
+        grids = (expr_grid(grid, shape, names, what) for what, (grid, shape) in blocks.items())
+        super().__init__(dims, *grids)
 
     @property
     def universe(self) -> SymbolUniverse:
@@ -195,18 +186,13 @@ def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
     return _block_matrix(conn.dims, blocks)
 
 
-@dataclass(frozen=True)
-class TwofoldCoframe:
+class TwofoldCoframe(Value):
     """Derived dual coframe plus the numeric duality verification record.
 
     ``frame`` is the adapted frame the coframe was verified against.
     """
 
-    matrix: Tuple
-    gamma_bar: Tuple
-    max_deviation: float
-    checked_points: int
-    frame: Tuple
+    __slots__ = ("matrix", "gamma_bar", "max_deviation", "checked_points", "frame")
 
 
 def twofold_dual_coframe(
@@ -274,8 +260,7 @@ def twofold_dual_coframe(
     return TwofoldCoframe(coframe, gamma_bar, worst, points, frame)
 
 
-@dataclass(frozen=True)
-class LinearTwoFoldCoefficients:
+class LinearTwoFoldCoefficients(Value):
     """Base-only coefficient tensors of a linear two-fold connection.
 
     Index order follows the subscript order of the coefficient names:
@@ -284,30 +269,23 @@ class LinearTwoFoldCoefficients:
     ``c12_jf12[a12][j][b12]``.
     """
 
-    dims: Tuple[int, int, int, int]
-    c1: Tuple
-    c2: Tuple
-    c12_f1f2: Tuple
-    c12_f2f1: Tuple
-    c12_jf1f2: Tuple
-    c12_jf12: Tuple
+    __slots__ = ("dims", "c1", "c2", "c12_f1f2", "c12_f2f1", "c12_jf1f2", "c12_jf12")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims, c1, c2, c12_f1f2, c12_f2f1, c12_jf1f2, c12_jf12):
+        dims = tuple(int(d) for d in dims)
         twofold_universe(dims)  # checks the dims
         n, r1, r2, r12 = dims
         base = twofold_names((n, 0, 0, 0))
-        shapes = {
-            "c1": (r1, n, r1),
-            "c2": (r2, n, r2),
-            "c12_f1f2": (r12, r1, r2),
-            "c12_f2f1": (r12, r2, r1),
-            "c12_jf1f2": (r12, n, r1, r2),
-            "c12_jf12": (r12, n, r12),
+        tensors = {
+            "c1": (c1, (r1, n, r1)),
+            "c2": (c2, (r2, n, r2)),
+            "c12_f1f2": (c12_f1f2, (r12, r1, r2)),
+            "c12_f2f1": (c12_f2f1, (r12, r2, r1)),
+            "c12_jf1f2": (c12_jf1f2, (r12, n, r1, r2)),
+            "c12_jf12": (c12_jf12, (r12, n, r12)),
         }
-        for what, shape in shapes.items():
-            object.__setattr__(self, what, expr_grid(getattr(self, what), shape, base, what))
+        grids = (expr_grid(grid, shape, base, what) for what, (grid, shape) in tensors.items())
+        super().__init__(dims, *grids)
 
 
 def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
@@ -338,29 +316,22 @@ def linear_twofold(lin: LinearTwoFoldCoefficients) -> TwoFoldConnection:
     )
 
 
-@dataclass(frozen=True)
-class TwofoldTransform:
+class TwofoldTransform(Value):
     """A coordinate change candidate on a two-fold fibered chart."""
 
-    dims: Tuple[int, int, int, int]
-    components: Tuple
+    __slots__ = ("dims", "components")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims, components):
+        dims = tuple(int(d) for d in dims)
         names = twofold_universe(dims).extra_symbols
-        comps = expr_grid(self.components, (sum(dims),), names, "transform components")
-        object.__setattr__(self, "components", comps)
+        comps = expr_grid(components, (sum(dims),), names, "transform components")
+        super().__init__(dims, comps)
 
 
-@dataclass(frozen=True)
-class JacobianReport:
+class JacobianReport(Value):
     """Outcome of the block-structure validation of a transform Jacobian."""
 
-    valid: bool
-    violations: Tuple
-    jacobian: Tuple
-    confidence: str
+    __slots__ = ("valid", "violations", "jacobian", "confidence")
 
     def __bool__(self):
         return self.valid
@@ -405,17 +376,14 @@ def validate_twofold_jacobian(
     return JacobianReport(not violations, tuple(violations), jacobian, confidence)
 
 
-@dataclass(frozen=True)
-class LiftRow:
+class LiftRow(Value):
     """Coefficients of one horizontal lift field X_i on the double fibration.
 
     ``dy[p-1]`` multiplies d/dy^p and ``dyj[p-1][j-1]`` multiplies the jet
     direction d/dy_j^p; the base part is the Kronecker delta in direction i.
     """
 
-    direction: int
-    dy: Tuple
-    dyj: Tuple
+    __slots__ = ("direction", "dy", "dyj")
 
 
 def horizontal_lift_field(delta: Connection2) -> Tuple[LiftRow, ...]:

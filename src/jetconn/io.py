@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from . import connections, frames, jets, transport
 from .errors import FormatError
-from .expr import Expr, SymbolUniverse, expr_grid, parse_expr, to_text
+from .expr import Expr, SymbolUniverse, Value, expr_grid, parse_expr, to_text
 
 KIND_LABELS = {
     "connection1": "order-1 connection",
@@ -28,17 +27,17 @@ KIND_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Value):
     """One loaded file: its detected kind and the constructed value.
 
     For two-fold connections ``extra`` carries the optional gamma12_base
     override grid; for curvature grids it holds the raw payload.
     """
 
-    kind: str
-    value: object
-    extra: object = None
+    __slots__ = ("kind", "value", "extra")
+
+    def __init__(self, kind: str, value, extra=None):
+        super().__init__(kind, value, extra)
 
 
 def detect_kind(data) -> str:
@@ -71,35 +70,34 @@ def _need(data, key, kind):
     return data[key]
 
 
-def _int_field(data, key, kind) -> int:
-    value = _need(data, key, kind)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{kind} field {key!r} must be an integer")
+def _is_number(value, types) -> bool:
+    # true and false load as bools, which Python counts as ints.
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _number(value, what, types=(int, float)):
+    """``value``, if it is a JSON number of ``types``: an integer if ``int``."""
+    if not _is_number(value, types):
+        raise FormatError(f"{what} must be {'an integer' if types is int else 'a number'}")
     return value
 
 
-def _number(value, convert, what):
-    """``convert(value)``; a JSON value no number converts from is a FormatError."""
-    try:
-        return convert(value)
-    except TypeError:
-        raise FormatError(f"{what} must be a number") from None
+def _numbers(value, what, types=(int, float)) -> tuple:
+    """``value`` as a tuple, if it is a JSON array of numbers of ``types``."""
+    if isinstance(value, list) and all(_is_number(v, types) for v in value):
+        return tuple(value)
+    raise FormatError(f"{what} must be an array of {'integers' if types is int else 'numbers'}")
 
 
-def _numbers(value, convert, what) -> tuple:
-    if isinstance(value, list):
-        try:
-            return tuple(convert(v) for v in value)
-        except TypeError:
-            pass
-    raise FormatError(f"{what} must be an array of numbers")
+def _int_field(data, key, kind) -> int:
+    return _number(_need(data, key, kind), f"{kind} field {key!r}", int)
 
 
 def _dims(data, kind) -> tuple:
     dims = _need(data, "dims", kind)
     if not isinstance(dims, list) or len(dims) != 4:
         raise FormatError(f"{kind} dims must be a 4-element array")
-    return _numbers(dims, int, f"{kind} dims")
+    return _numbers(dims, f"{kind} dims", int)
 
 
 def _parse_grid(node, universe, depth):
@@ -175,7 +173,7 @@ def load_data(data) -> Document:
         r = _int_field(data, "order", kind)
         m = _int_field(data, "base_dim", kind)
         n = _int_field(data, "fiber_dim", kind)
-        base = _numbers(_need(data, "base", kind), float, "jet base")
+        base = _numbers(_need(data, "base", kind), "jet base")
         records = _need(data, "values", kind)
         if not isinstance(records, list):
             raise FormatError("jet values must be an array of records")
@@ -183,21 +181,20 @@ def load_data(data) -> Document:
         for rec in records:
             if not isinstance(rec, dict):
                 raise FormatError("jet values must be an array of records")
-            p = _number(_need(rec, "p", "jet record"), int, "jet record field 'p'")
-            seq = _need(rec, "seq", "jet record")
-            seq = _numbers(seq, int, "jet record field 'seq'")
+            p = _number(_need(rec, "p", "jet record"), "jet record field 'p'", int)
+            seq = _numbers(_need(rec, "seq", "jet record"), "jet record field 'seq'", int)
             if (p, seq) in table:
                 raise FormatError(f"duplicate jet record for p={p}, seq={seq}")
             value = _need(rec, "value", "jet record")
-            table[(p, seq)] = _number(value, float, "jet record field 'value'")
+            table[(p, seq)] = _number(value, "jet record field 'value'")
         return Document(kind, jets.JetPoint(r, m, n, base, table))
     if kind == "curve":
         dim = _int_field(data, "dim", kind)
         comps = _need(data, "components", kind)
         if not isinstance(comps, list):
             raise FormatError("curve components must be an array")
-        t0 = _number(_need(data, "t0", kind), float, "curve field 't0'")
-        t1 = _number(_need(data, "t1", kind), float, "curve field 't1'")
+        t0 = _number(_need(data, "t0", kind), "curve field 't0'")
+        t1 = _number(_need(data, "t1", kind), "curve field 't1'")
         grid = _parse_grid(comps, transport.CURVE_UNIVERSE, 1)
         return Document(kind, transport.Curve(dim, grid, t0, t1))
     # curvature grids round-trip as raw payload; validate only inspects them

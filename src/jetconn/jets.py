@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DimensionMismatchError
-from .expr import Expr, SymbolUniverse, Var, contract, diff, expr_grid, expr_sum, simplify
+from .expr import Expr, SymbolUniverse, Value, Var, contract, diff, expr_grid, expr_sum, simplify
 
 MAX_ORDER = 4
 MAX_BASE_DIM = 3
@@ -41,20 +40,18 @@ def all_sequences(order: int, base_dim: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(itertools.product(range(base_dim + 1), repeat=order))
 
 
-@dataclass(frozen=True)
-class JetSequence:
+class JetSequence(Value):
     """One index sequence (k1, ..., kr) with entries in 0..base_dim."""
 
-    entries: Tuple[int, ...]
-    base_dim: int
+    __slots__ = ("entries", "base_dim")
 
-    def __post_init__(self):
-        entries = tuple(int(k) for k in self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_bounds(len(entries), self.base_dim)
+    def __init__(self, entries, base_dim: int):
+        entries = tuple(int(k) for k in entries)
+        _check_bounds(len(entries), base_dim)
         for k in entries:
-            if not 0 <= k <= self.base_dim:
-                raise ValueError(f"index {k} outside 0..{self.base_dim}")
+            if not 0 <= k <= base_dim:
+                raise ValueError(f"index {k} outside 0..{base_dim}")
+        super().__init__(entries, base_dim)
 
     @property
     def order(self) -> int:
@@ -67,15 +64,16 @@ def nonzero_core(seq) -> Tuple[int, ...]:
     return tuple(k for k in entries if k != 0)
 
 
-class JetPoint:
+class JetPoint(Value):
     """A point of the order-r nonholonomic jet space, stored densely.
 
     ``values`` maps (fiber index p, index sequence) to a real; the all-zero
     sequence slot holds y^p itself.  The table must cover every sequence for
-    every p.  Instances are treated as immutable.
+    every p.  Points are unhashable, since the table is a dict.
     """
 
     __slots__ = ("order", "base_dim", "fiber_dim", "base", "values")
+    __hash__ = None
 
     def __init__(self, order, base_dim, fiber_dim, base, values):
         _check_bounds(order, base_dim)
@@ -104,25 +102,7 @@ class JetPoint:
         for key, value in table.items():
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value at {key}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "fiber_dim", fiber_dim)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("jet points are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, JetPoint):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.base_dim == other.base_dim
-            and self.fiber_dim == other.fiber_dim
-            and self.base == other.base
-            and self.values == other.values
-        )
+        super().__init__(order, base_dim, fiber_dim, base, table)
 
     def __repr__(self):
         return (
@@ -211,14 +191,16 @@ def projections_agree(point: JetPoint, tol: float = VALUE_TOL) -> bool:
     return True
 
 
-class TangentCoordPoint:
+class TangentCoordPoint(Value):
     """A point of the k-th iterated tangent bundle in subset coordinates.
 
     ``values`` maps each subset of {1, ..., level}, given as a sorted tuple,
-    to an n-vector.  No consistency between the slots is assumed.
+    to an n-vector.  No consistency between the slots is assumed.  Points
+    are unhashable, since the table is a dict.
     """
 
     __slots__ = ("level", "dim", "values")
+    __hash__ = None
 
     def __init__(self, level, dim, values):
         if level < 0:
@@ -241,21 +223,7 @@ class TangentCoordPoint:
         }
         if set(table) != expected:
             raise ValueError("subset table must cover all subsets of {1..level} exactly")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "values", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("tangent coordinate points are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentCoordPoint):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.dim == other.dim
-            and self.values == other.values
-        )
+        super().__init__(level, dim, table)
 
     def __repr__(self):
         return f"TangentCoordPoint(level={self.level}, dim={self.dim})"
@@ -273,8 +241,7 @@ def rho_projection(point: TangentCoordPoint, s: int) -> TangentCoordPoint:
     return TangentCoordPoint(point.level - 1, point.dim, values)
 
 
-@dataclass(frozen=True)
-class FunctionDifferentials:
+class FunctionDifferentials(Value):
     """Differentials of a base function on T M or T^2 M.
 
     ``d1`` is f_1 = f_i x{i}_1; at level 2, ``d2`` is the same along the
@@ -282,11 +249,10 @@ class FunctionDifferentials:
     The extended universe carries the velocity variables.
     """
 
-    universe: SymbolUniverse
-    level: int
-    d1: Expr
-    d2: Expr = None
-    d12: Expr = None
+    __slots__ = ("universe", "level", "d1", "d2", "d12")
+
+    def __init__(self, universe: SymbolUniverse, level: int, d1: Expr, d2=None, d12=None):
+        super().__init__(universe, level, d1, d2, d12)
 
 
 def tangent_universe(universe: SymbolUniverse, level: int) -> SymbolUniverse:

@@ -17,38 +17,31 @@ reported, whether of the curve, the coefficients or the state.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from math import isfinite
 from typing import Tuple
 
 from ._tape import STATUS_MESSAGES, Program, compile_integrator, compile_program
 from .connections import Connection1, Connection2, is_fiber_linear
 from .errors import DimensionMismatchError, TransportError
-from .expr import Expr, SymbolUniverse, as_expr, diff, expr_grid, substitute
+from .expr import Expr, SymbolUniverse, Value, as_expr, diff, expr_grid, substitute
 
 CURVE_UNIVERSE = SymbolUniverse(0, 0, frozenset({"t"}))
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Value):
     """A base curve t -> (x^1(t), ..., x^m(t)) on a closed interval."""
 
-    dim: int
-    components: Tuple
-    t0: float
-    t1: float
+    __slots__ = ("dim", "components", "t0", "t1")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, components, t0: float, t1: float):
         names = CURVE_UNIVERSE.extra_symbols
-        comps = expr_grid(self.components, (self.dim,), names, "curve components")
-        t0, t1 = float(self.t0), float(self.t1)
+        comps = expr_grid(components, (dim,), names, "curve components")
+        t0, t1 = float(t0), float(t1)
         if not (isfinite(t0) and isfinite(t1)):
             raise ValueError("interval endpoints must be finite")
         if not t0 < t1:
             raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
+        super().__init__(dim, comps, t0, t1)
 
     def velocity(self) -> Tuple[Expr, ...]:
         return tuple(diff(c, "t") for c in self.components)
@@ -63,21 +56,20 @@ class Curve:
         return Curve(self.dim, comps, self.t0, self.t1)
 
 
-@dataclass(frozen=True, eq=False)
-class TransportResult:
+class TransportResult(Value):
     """Sampled trajectory of a transport integration.
 
     ``values[k]`` is the tuple y at ``times[k]``; ``jet_values[k][p][i]``
     adds y_i^p for second order transport.  Every field is a tuple of
     Python floats (nested per step), and the first row is the initial
-    condition, bit for bit.
+    condition, bit for bit.  Results compare by identity.
     """
 
-    times: Tuple[float, ...]
-    values: Tuple[Tuple[float, ...], ...]
-    steps: int
-    rhs_evaluations: int
-    jet_values: Tuple[Tuple[Tuple[float, ...], ...], ...] = None
+    __slots__ = ("times", "values", "steps", "rhs_evaluations", "jet_values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, times, values, steps: int, rhs_evaluations: int, jet_values=None):
+        super().__init__(times, values, steps, rhs_evaluations, jet_values)
 
 
 # Largest step count of one integration.  A transport keeps each step's
@@ -122,7 +114,8 @@ def _real_rows(values, rows: int, cols, message: str) -> tuple:
     return tuple(tuple(map(float, row)) for row in grid)
 
 
-def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps) -> tuple:
+def _check_shapes(universe: SymbolUniverse, curve: Curve, steps, *values) -> list:
+    """Check the curve's dimension and ``steps``, then return each initial fiber value."""
     if universe.base_dim != curve.dim:
         raise DimensionMismatchError(
             f"curve dimension {curve.dim} does not match base dimension "
@@ -131,7 +124,8 @@ def _check_shapes(universe: SymbolUniverse, curve: Curve, y0, steps) -> tuple:
     if not isinstance(steps, int) or not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be a positive integer, at most {MAX_STEPS}")
     n = universe.fiber_dim
-    return _real_rows((y0,), 1, n, f"initial fiber value must have length {n}")[0]
+    message = f"initial fiber value must have length {n}"
+    return [_real_rows((y0,), 1, n, message)[0] for y0 in values]
 
 
 def _times(curve: Curve, steps: int) -> tuple:
@@ -170,7 +164,7 @@ def transport1(
     gamma: Connection1, curve: Curve, y0, steps: int
 ) -> TransportResult:
     """Integrate dy^p/dt = sum_i F_i^p(x(t), y) dx^i/dt by RK4."""
-    y = _check_shapes(gamma.universe, curve, y0, steps)
+    (y,) = _check_shapes(gamma.universe, curve, steps, y0)
     states = [y]
     _integrate(_integrator(gamma, curve, gamma.F), curve, steps, y, states.append)
     return TransportResult(_times(curve, steps), tuple(states), steps, 4 * steps)
@@ -187,7 +181,7 @@ def transport2(
     the jet block.
     """
     u = delta.universe
-    y = _check_shapes(u, curve, y0, steps)
+    (y,) = _check_shapes(u, curve, steps, y0)
     m, n = u.base_dim, u.fiber_dim
     yj = _real_rows(yj0, n, m, f"initial jet value must be {n}x{m}")
     values, jet_values = [y], [yj]
@@ -207,24 +201,22 @@ def second_order_ode(
     Needs the curve's symbolic second derivative; everything else matches
     the first order transports.
     """
-    y = _check_shapes(delta.universe, curve, y0, steps)
+    (y,) = _check_shapes(delta.universe, curve, steps, y0)
     states = [y]
     run = _integrator(delta, curve, _jet_rows(delta), order=2)
     _integrate(run, curve, steps, y, states.append)
     return TransportResult(_times(curve, steps), tuple(states), steps, 4 * steps)
 
 
-@dataclass(frozen=True, eq=False)
-class HolonomyResult:
+class HolonomyResult(Value):
     """Holonomy matrix of a loop plus its max-abs distance from identity.
 
     ``matrix`` is a tuple of rows of floats, column j the transport of basis
-    column j.
+    column j.  Results compare by identity.
     """
 
-    matrix: Tuple[Tuple[float, ...], ...]
-    defect: float
-    steps: int
+    __slots__ = ("matrix", "defect", "steps")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def loop_holonomy(
@@ -254,7 +246,7 @@ def loop_holonomy(
     if basis is None:
         basis = [[1.0 if p == j else 0.0 for j in range(n)] for p in range(n)]
     rows = _real_rows(basis, n, None, f"basis must be an {n}-row matrix of column vectors")
-    columns = [_check_shapes(u, loop, column, steps) for column in zip(*rows)]
+    columns = _check_shapes(u, loop, steps, *zip(*rows))
     # One walk of the curve for every column, the columns side by side.
     run = _integrator(gamma, loop, gamma.F, lanes=len(columns), keep=False)
     try:
@@ -267,9 +259,10 @@ def loop_holonomy(
             _integrate(single, loop, steps, column)
         raise
     matrix = tuple(zip(*(state[j * n : (j + 1) * n] for j in range(len(columns)))))
+    # On a rank-0 bundle the matrix is empty, the identity of R^0.
     defect = max(
-        abs(v - (1.0 if p == j else 0.0))
-        for p, row in enumerate(matrix)
-        for j, v in enumerate(row)
+        (abs(v - (1.0 if p == j else 0.0)) for p, row in enumerate(matrix)
+         for j, v in enumerate(row)),
+        default=0.0,
     )
     return HolonomyResult(matrix, defect, steps)

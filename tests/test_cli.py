@@ -594,6 +594,21 @@ class TestOptionRanges:
         code, out, err = run(*argv, option, value)
         assert (code, out, err) == (1, "", f"error: {option} must be finite numbers\n")
 
+    @pytest.mark.parametrize("steps", ["10", "0", "99999999999"])
+    def test_holonomy_on_fiber_dimension_zero(self, run, sample_dir, tmp_path, steps):
+        # A rank-0 bundle has no column to transport, and its holonomy is the
+        # identity of R^0; the step count is checked all the same.
+        conn = tmp_path / "rank0.json"
+        data = {"order": 1, "base_dim": 2, "fiber_dim": 0, "F": []}
+        conn.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run("holonomy", conn, sample_dir / "loop_polar.json", "--steps", steps)
+        if steps == "10":
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"defect": 0.0, "steps": 10, "matrix": []}
+        else:
+            message = f"error: steps must be a positive integer, at most {MAX_STEPS}\n"
+            assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_family_parameter_must_be_finite(self, run, sample_dir, value):
         code, out, err = run("family", sample_dir / "conn_a.json", "--k", value)
@@ -654,8 +669,9 @@ class TestMalformedInput:
         ),
         "twofold dims null": (
             {**TWOFOLD, "dims": [1, None, 1, 1]},
-            "twofold dims must be an array of numbers",
+            "twofold dims must be an array of integers",
         ),
+        "curve t1 too large": ({**CURVE, "t1": 10**400}, "int too large to convert to float"),
         "twofold gamma12_base shape": (
             {**TWOFOLD, "gamma12_base": [["0", "0"]]},
             "gamma12_base must be a 1x1 grid",

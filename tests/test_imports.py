@@ -1,6 +1,6 @@
 """Imports of the library: every imported name is used, no command imports
-numpy, each command runs only the jetconn modules it needs, and the package
-exports the same public names.
+numpy or dataclasses, each command runs only the jetconn modules it needs,
+and the package exports the same public names.
 
 Every evaluation goes through ``Program.rows`` on plain lists, the sampling
 fallback of ``expr_equal`` and the two-fold check included.  numpy is
@@ -66,14 +66,17 @@ RAN = (
 )
 
 # Runs cli.main in a fresh interpreter and reports, on its last two stderr
-# lines, the modules that ran, then the exit code and whether numpy was imported.
+# lines, the modules that ran, then the exit code and whether numpy and
+# dataclasses were imported.
 CHILD = (
     "import sys\n"
     "from jetconn.cli import main\n"
     "code = main(sys.argv[1:])\n"
     + RAN
-    + "print(f'exit={code} numpy={\"numpy\" in sys.modules}', file=sys.stderr)\n"
+    + "print(f'exit={code} numpy={\"numpy\" in sys.modules}'\n"
+    "      f' dataclasses={\"dataclasses\" in sys.modules}', file=sys.stderr)\n"
 )
+CLEAN = "exit=0 numpy=False dataclasses=False"
 
 WITHOUT_NUMPY = {
     "validate": ["validate", S + "conn_linear.json"],
@@ -135,13 +138,13 @@ def test_command_runs_only_its_modules(name):
     child = run_child(["-c", CHILD, *WITHOUT_NUMPY[name]])
     ran, status = child.stderr.splitlines()[-2:]
     assert "kernel" not in ran[len("ran="):].split()  # only the benchmark runs its hooks
-    assert [ran, status] == [f"ran={EXECUTED[name]}", "exit=0 numpy=False"]
+    assert [ran, status] == [f"ran={EXECUTED[name]}", CLEAN]
 
 
 @pytest.mark.parametrize("name", sorted(WITHOUT_NUMPY))
 def test_command_runs_without_numpy(name):
     child = run_child(["-c", CHILD, *WITHOUT_NUMPY[name]])
-    assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert child.stderr.splitlines()[-1] == CLEAN
     if name in GOLDEN:
         assert child.stdout.encode("utf-8") == GOLDEN[name].read_bytes()
 
@@ -155,7 +158,7 @@ def test_atom_asymmetric_classify_runs_without_numpy(tmp_path):
     path = tmp_path / "prolonged.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     child = run_child(["-c", CHILD, "classify", str(path), "--seed", "7"])
-    assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert child.stderr.splitlines()[-1] == CLEAN
     assert child.stdout == "semiholonomic (symbolic)\n"
 
 
@@ -168,7 +171,7 @@ def test_sampled_classify_runs_without_numpy(tmp_path):
     path = tmp_path / "trig.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     child = run_child(["-c", CHILD, "classify", str(path)])
-    assert child.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert child.stderr.splitlines()[-1] == CLEAN
     assert child.stdout == "holonomic (probabilistic)\n"
 
 

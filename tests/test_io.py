@@ -1,6 +1,7 @@
 """Document formats: kind detection, loading, round trips, diagnostics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,43 @@ class TestLoading:
             load_data({"order": 1, "F": [["0"]], "base_dim": True, "fiber_dim": 1})
         with pytest.raises(FormatError, match="'fiber_dim'.*integer"):
             load_data({"order": 1, "F": [["0"]], "base_dim": 1, "fiber_dim": "1"})
+        blocks = {name: [["0"]] for name in ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2")}
+        for dims in ([1.9, 1.9, 1.9, 1.9], [1, 1, True, 1], [1, 1, 1, 1.0]):
+            with pytest.raises(FormatError, match="twofold dims must be an array of integers"):
+                load_data({"dims": dims, "blocks": blocks})
+        with pytest.raises(FormatError, match="transform dims must be an array of integers"):
+            load_data({"transform": True, "dims": [1, 1, 1, 1.5], "components": ["u1"] * 4})
+
+        # So does every other number field: each integer field takes only
+        # JSON integers, each real field only JSON numbers, and true and
+        # false are neither.
+        def jet(record=None, base=(0.0,)):
+            first = {"p": 1, "seq": [0], "value": 1.0, **(record or {})}
+            values = [first, {"p": 1, "seq": [1], "value": 0.0}]
+            return {"order": 1, "base_dim": 1, "fiber_dim": 1, "base": list(base), "values": values}
+
+        cases = [
+            (jet({"p": 1.7}), "jet record field 'p' must be an integer"),
+            (jet({"p": True}), "jet record field 'p' must be an integer"),
+            (jet({"seq": [False]}), "jet record field 'seq' must be an array of integers"),
+            (jet({"seq": [0.0]}), "jet record field 'seq' must be an array of integers"),
+            (jet({"value": True}), "jet record field 'value' must be a number"),
+            (jet({"value": "1.0"}), "jet record field 'value' must be a number"),
+            (jet(base=[False]), "jet base must be an array of numbers"),
+            (jet(base=["0"]), "jet base must be an array of numbers"),
+        ]
+        curve = {"dim": 1, "components": ["t"], "t0": 0.0, "t1": 1.0}
+        cases += [
+            ({**curve, "t0": False, "t1": True}, "curve field 't0' must be a number"),
+            ({**curve, "t1": True}, "curve field 't1' must be a number"),
+            ({**curve, "t0": "0"}, "curve field 't0' must be a number"),
+        ]
+        for data, message in cases:
+            with pytest.raises(FormatError, match=re.escape(message)):
+                load_data(data)
+        # Integers are JSON numbers too, and the constructors convert them.
+        assert load_data({**curve, "t0": 0, "t1": 2}).value.t1 == 2.0
+        assert load_data(jet({"value": 3})).value.values[(1, (0,))] == 3.0
 
     def test_grid_entries_must_be_text(self):
         with pytest.raises(FormatError, match="expression text"):

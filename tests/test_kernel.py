@@ -261,3 +261,4 @@ def test_bench_kernel_runs():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+    assert "start-up, validate, median of 5 processes" in out.stdout
