@@ -20,13 +20,16 @@ Every libm result is assumed within 1 ulp of the exact value and widened by
 A point is undefined, and :func:`enclose` returns None, when a divisor's
 interval holds 0, a ``ln`` argument's reaches <= 0, or a bound is not
 finite.
+
+The trees are walked by :func:`jetconn.expr.postorder`, so a shared
+subtree is enclosed once and deep trees need no recursion.
 """
 
 from __future__ import annotations
 
 import math
 
-from .expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var
+from .expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var, postorder
 
 LIBM_STEPS = 2  # nextafter steps each way around a libm result
 _INF = math.inf
@@ -141,22 +144,12 @@ def enclose(exprs, point):
 
     ``point`` maps every free variable to a finite float.  None means the
     point may be undefined for one of the expressions (see the module
-    docstring).  Shared subtrees are enclosed once, and the trees are
-    walked with an explicit stack.
+    docstring).
     """
     values = {}
-    todo = [(e, False) for e in exprs]
     try:
-        while todo:
-            node, ready = todo.pop()
-            if id(node) in values:
-                continue
-            operands = node.children()
-            if operands and not ready:
-                todo.append((node, True))
-                todo.extend((child, False) for child in operands)
-                continue
-            values[id(node)] = _node(node, [values[id(c)] for c in operands], point)
+        for node in postorder(exprs):
+            values[id(node)] = _node(node, [values[id(c)] for c in node.children()], point)
     except (_Undefined, OverflowError):
         return None
     return [values[id(e)] for e in exprs]

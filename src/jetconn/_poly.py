@@ -21,8 +21,12 @@ gives up at once.  More than :data:`MAX_GENERATORS` generators give up
 too, which bounds the length of every monomial.  A float constant gives up as well: floats carry IEEE
 rounding, which exact arithmetic cannot stand for.
 
-The tree is walked once with an explicit stack, each node object expanded
-once, so deep trees (a 10^4-term sum) need no recursion.
+The tree is walked once by :func:`jetconn.expr.postorder`, which keeps an
+explicit stack and yields each node object once, so deep trees (a
+10^4-term sum) need no recursion.  A sum's operands on that walk are its
+signed summands from :func:`jetconn.expr.summands`, so a long sum is
+combined in one pass instead of one copy per ``Add``, and an atom has
+none: its argument is never expanded.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var
+from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, postorder, summands
 
 BUDGET = 50_000  # coefficient products one expansion may spend
 MAX_GENERATORS = 64  # variables and atoms in one expansion: the length of a monomial
@@ -83,62 +87,26 @@ def expand(e: Expr):
 
 
 def _walk(e: Expr):
-    """The distinct nodes of ``e``, each after its operands, and the generators.
-
-    A sum's operands are its summands with their signs (``terms``), found
-    through nested ``Add``/``Sub``/``Neg`` nodes, so a long sum is combined
-    in one pass instead of one copy per ``Add``.
-    """
-    order = []
+    """The distinct nodes of ``e``, each after its operands, and the generators."""
     terms = {}  # id of a sum -> [(sign, summand)]
     generators = {}  # Var or Fn node -> its position in a monomial
-    seen = set()
-    todo = [(e, False)]
-    while todo:
-        node, ready = todo.pop()
-        if ready:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+
+    def operands(node):
+        if isinstance(node, (Add, Sub)):
+            signed = terms[id(node)] = summands([(1, node)])
+            return [summand for _, summand in signed]
+        return () if isinstance(node, Fn) else node.children()
+
+    order = []
+    for node in postorder([e], operands):
         if isinstance(node, (Var, Fn)):
             generators.setdefault(node, len(generators))
             if len(generators) > MAX_GENERATORS:
                 raise _GiveUp
-            order.append(node)
-        elif isinstance(node, Const):
-            if isinstance(node.value, float):
-                raise _GiveUp
-            order.append(node)
-        else:
-            if isinstance(node, (Add, Sub)):
-                operands = terms[id(node)] = _summands(node)
-                children = [summand for _, summand in operands]
-            else:
-                children = node.children()
-            todo.append((node, True))
-            todo.extend((child, False) for child in children)
+        elif isinstance(node, Const) and isinstance(node.value, float):
+            raise _GiveUp
+        order.append(node)
     return order, terms, generators
-
-
-def _summands(node):
-    """The signed summands of a sum, left to right."""
-    out = []
-    stack = [(1, node)]
-    while stack:
-        sign, part = stack.pop()
-        if isinstance(part, Add):
-            stack.append((sign, part.right))
-            stack.append((sign, part.left))
-        elif isinstance(part, Sub):
-            stack.append((-sign, part.right))
-            stack.append((sign, part.left))
-        elif isinstance(part, Neg):
-            stack.append((-sign, part.arg))
-        else:
-            out.append((sign, part))
-    return out
 
 
 def _bits(c) -> int:

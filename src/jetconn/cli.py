@@ -39,19 +39,11 @@ def _first_order(doc: io.Document):
     )
 
 
-def _second_order(doc: io.Document):
-    if doc.kind == "connection2":
-        return doc.value
-    raise FormatError(
-        f"expected an order-2 connection, got {io.KIND_LABELS[doc.kind]}"
-    )
-
-
 def _expect(doc: io.Document, kind: str):
     if doc.kind != kind:
-        raise FormatError(
-            f"expected a {io.KIND_LABELS[kind]}, got {io.KIND_LABELS[doc.kind]}"
-        )
+        label = io.KIND_LABELS[kind]
+        article = "an" if label[0] in "aeiou" else "a"
+        raise FormatError(f"expected {article} {label}, got {io.KIND_LABELS[doc.kind]}")
     return doc.value
 
 
@@ -128,7 +120,7 @@ def _cmd_curvature(args) -> str:
 
 
 def _cmd_exchange(args) -> str:
-    delta = _second_order(_load(args.file))
+    delta = _expect(_load(args.file), "connection2")
     return io.dump_json(io.connection2_to_data(connections.exchange(delta)))
 
 
@@ -140,7 +132,7 @@ def _cmd_family(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    delta = _second_order(_load(args.file))
+    delta = _expect(_load(args.file), "connection2")
     return f"{connections.classify(delta, _policy(args))}\n"
 
 
@@ -225,7 +217,7 @@ def _cmd_transport(args) -> str:
     if args.variant == "1":
         result = transport.transport1(_first_order(conn_doc), curve, y0, steps)
     elif args.variant == "2":
-        delta = _second_order(conn_doc)
+        delta = _expect(conn_doc, "connection2")
         n = delta.universe.fiber_dim
         m = delta.universe.base_dim
         if args.yj0 is None:
@@ -239,7 +231,7 @@ def _cmd_transport(args) -> str:
             yj0 = tuple(flat[p * m : (p + 1) * m] for p in range(n))
         result = transport.transport2(delta, curve, y0, yj0, steps)
     else:
-        result = transport.second_order_ode(_second_order(conn_doc), curve, y0, steps)
+        result = transport.second_order_ode(_expect(conn_doc, "connection2"), curve, y0, steps)
     return io.transport_csv(result)
 
 

@@ -10,7 +10,7 @@ from typing import Mapping
 
 from . import _enclose, _poly, _tape
 from .errors import EvalError, SamplingError
-from .expr import Const, Expr, Fn, Sub, Value, simplify
+from .expr import Const, Expr, Fn, Sub, Value, postorder, simplify
 
 SYMBOLIC = "symbolic"
 PROBABILISTIC = "probabilistic"
@@ -113,15 +113,9 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
 
 
 def _holds_atom(e: Expr) -> bool:
-    todo, seen = [e], set()
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Fn):
-            return True
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(node.children())
-    return False
+    # An atom has no operands on this walk, so the first one met ends it.
+    walk = postorder([e], lambda node: () if isinstance(node, Fn) else node.children())
+    return any(isinstance(node, Fn) for node in walk)
 
 
 def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:

@@ -193,19 +193,32 @@ class Expr:
         raise AttributeError("expression nodes are immutable")
 
     def __eq__(self, other):
+        # Pairs of subtrees wait on a stack, so deep trees need no recursion.
         if not isinstance(other, Expr):
             return NotImplemented
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self._key() == other._key()
-        )
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._key(), b._key()):
+                if isinstance(x, Expr):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor, _simple empty.
+        return type(self), self._key()
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -410,6 +423,55 @@ def exp(e) -> Fn:
 
 def ln(e) -> Fn:
     return Fn("ln", as_expr(e))
+
+
+def postorder(roots, children=None):
+    """Yield each distinct node of the trees ``roots`` once, after its operands.
+
+    Nodes are distinct by identity.  ``children(node)`` gives the operands
+    to walk, ``node.children()`` by default.  Roots and operands are pushed
+    in order, so the last is walked first.  The walk keeps an explicit
+    stack, so deep trees need no recursion.
+    """
+    children = children or operator.methodcaller("children")
+    seen = set()
+    todo = [(root, False) for root in roots]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            yield node
+        elif id(node) not in seen:
+            seen.add(id(node))
+            operands = children(node)
+            if operands:
+                todo.append((node, True))
+                todo.extend((child, False) for child in operands)
+            else:
+                yield node
+
+
+def summands(signed) -> list:
+    """The ``(sign, term)`` pairs of signed sums, left to right.
+
+    ``signed`` holds ``(sign, expression)`` pairs with sign 1 or -1.  Each
+    expression is flattened through its ``Add``, ``Sub`` and ``Neg`` nodes,
+    which flip the sign of what they subtract or negate.
+    """
+    out = []
+    stack = list(reversed(signed))
+    while stack:
+        sign, node = stack.pop()
+        if isinstance(node, Add):
+            stack.append((sign, node.right))
+            stack.append((sign, node.left))
+        elif isinstance(node, Sub):
+            stack.append((-sign, node.right))
+            stack.append((sign, node.left))
+        elif isinstance(node, Neg):
+            stack.append((-sign, node.arg))
+        else:
+            out.append((sign, node))
+    return out
 
 
 def expr_sum(terms) -> Expr:
@@ -704,28 +766,26 @@ def _const_text(value) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _level(e: Expr, head: bool) -> int:
+def _level(e: Expr) -> int:
     if isinstance(e, Const):
-        lvl = _const_level(e.value)
-    elif isinstance(e, Neg):
-        lvl = _LVL_SIGNED
-    elif isinstance(e, (Add, Sub)):
-        lvl = _LVL_SUM
-    elif isinstance(e, (Mul, Div)):
-        lvl = _LVL_TERM
-    elif isinstance(e, Pow):
-        lvl = _LVL_POW
-    else:
-        lvl = _LVL_ATOM
-    if head and lvl == _LVL_SIGNED:
-        # A leading minus is legal at the start of an expression.
-        lvl = _LVL_SUM
-    return lvl
+        return _const_level(e.value)
+    if isinstance(e, Neg):
+        return _LVL_SIGNED
+    if isinstance(e, (Add, Sub)):
+        return _LVL_SUM
+    if isinstance(e, (Mul, Div)):
+        return _LVL_TERM
+    if isinstance(e, Pow):
+        return _LVL_POW
+    return _LVL_ATOM
 
 
-def _fmt(e: Expr, need: int, head: bool = False) -> str:
-    if _level(e, head) < need:
-        return "(" + _fmt(e, _LVL_SIGNED, True) + ")"
+# A sum is printed bare only where a leading minus is legal (at the start of
+# the text, of a parenthesis or of a function argument, or as the left
+# operand of such a sum), so its left operand may start with a minus too.
+def _fmt(e: Expr, need: int) -> str:
+    if _level(e) < need:
+        return "(" + _fmt(e, _LVL_SIGNED) + ")"
     if isinstance(e, Const):
         return _const_text(e.value)
     if isinstance(e, Var):
@@ -733,9 +793,9 @@ def _fmt(e: Expr, need: int, head: bool = False) -> str:
     if isinstance(e, Neg):
         return "-" + _fmt(e.arg, _LVL_TERM)
     if isinstance(e, Add):
-        return _fmt(e.left, _LVL_SUM, head) + " + " + _fmt(e.right, _LVL_TERM)
+        return _fmt(e.left, _LVL_SIGNED) + " + " + _fmt(e.right, _LVL_TERM)
     if isinstance(e, Sub):
-        return _fmt(e.left, _LVL_SUM, head) + " - " + _fmt(e.right, _LVL_TERM)
+        return _fmt(e.left, _LVL_SIGNED) + " - " + _fmt(e.right, _LVL_TERM)
     if isinstance(e, Mul):
         return _fmt(e.left, _LVL_TERM) + "*" + _fmt(e.right, _LVL_POW)
     if isinstance(e, Div):
@@ -743,7 +803,7 @@ def _fmt(e: Expr, need: int, head: bool = False) -> str:
     if isinstance(e, Pow):
         return _fmt(e.base, _LVL_ATOM) + "^" + str(e.exponent)
     if isinstance(e, Fn):
-        return e.name + "(" + _fmt(e.arg, _LVL_SIGNED, True) + ")"
+        return e.name + "(" + _fmt(e.arg, _LVL_SIGNED) + ")"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -753,7 +813,7 @@ def to_text(e: Expr) -> str:
     Parentheses are inserted exactly where precedence or associativity would
     otherwise change the tree.
     """
-    return _fmt(e, _LVL_SIGNED, True)
+    return _fmt(e, _LVL_SIGNED)
 
 
 # --- differentiation and substitution --------------------------------------
@@ -1014,62 +1074,37 @@ def _product_of(parts) -> Expr:
     return _coeff_times(coeff, factors)
 
 
-def _term_parts(e: Expr):
-    """Split a simplified summand into (coefficient, factors); () means a constant.
-
-    A summand whose coefficient would not be finite is one opaque factor.
-    """
-    coeff = None
-    if isinstance(e, (Const, Mul, Neg)):
-        coeff, factors = _flatten((e,))
-    elif isinstance(e, Div) and isinstance(e.right, Const):
-        div = e.right.value
-        if isinstance(div, Fraction) and div != 0:
-            coeff, factors = _term_parts(e.left)
-            coeff = _fold(operator.truediv, coeff, div)
-    if coeff is None:
-        return Fraction(1), (e,)
-    return coeff, factors
-
-
 def _sum_of(signed) -> Expr:
     """Combine signed, already simplified summands, merging like terms.
 
-    A merge whose coefficient would not be finite is refused: the summands
-    stay apart, as _product_of leaves such a product unfolded.
+    A summand splits into (coefficient, factors), () for a constant; one
+    whose coefficient would not be finite is one opaque factor.  A merge
+    whose coefficient would not be finite is refused: the summands stay
+    apart, as _product_of leaves such a product unfolded.
     """
     terms = []  # [coefficient, factors], in order of first appearance
     latest = {}  # factors -> the last of terms with them; () for constants
     refused = set()  # factors of some refused merge
-    stack = list(reversed(signed))
-    while stack:
-        sign, node = stack.pop()
-        if isinstance(node, Add):
-            stack.append((sign, node.right))
-            stack.append((sign, node.left))
-        elif isinstance(node, Sub):
-            stack.append((-sign, node.right))
-            stack.append((sign, node.left))
-        elif isinstance(node, Neg):
-            stack.append((-sign, node.arg))
-        else:
-            coeff, factors = _term_parts(node)
-            if sign < 0:
-                coeff = -coeff
-            term = latest.get(factors)
-            if term is None and not factors:
-                coeff = Fraction(0) + coeff  # the constant part starts from exact 0
-            elif term is not None:
-                try:
-                    merged = term[0] + coeff
-                except OverflowError:  # a Fraction beyond double range met a float
-                    merged = math.inf
-                if not isinstance(merged, float) or math.isfinite(merged):
-                    term[0] = merged
-                    continue
-                refused.add(factors)
-            term = latest[factors] = [coeff, factors]
-            terms.append(term)
+    for sign, node in summands(signed):
+        coeff, factors = _flatten((node,))
+        if coeff is None:
+            coeff, factors = Fraction(1), (node,)
+        if sign < 0:
+            coeff = -coeff
+        term = latest.get(factors)
+        if term is None and not factors:
+            coeff = Fraction(0) + coeff  # the constant part starts from exact 0
+        elif term is not None:
+            try:
+                merged = term[0] + coeff
+            except OverflowError:  # a Fraction beyond double range met a float
+                merged = math.inf
+            if not isinstance(merged, float) or math.isfinite(merged):
+                term[0] = merged
+                continue
+            refused.add(factors)
+        term = latest[factors] = [coeff, factors]
+        terms.append(term)
 
     # Later like terms merged into the last of a refused chain, which may now
     # fit with the one before it.  Merge neighbours until no merge is finite,

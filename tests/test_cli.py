@@ -101,6 +101,32 @@ class TestUsageErrors:
         assert "transport" in out
 
 
+class TestKindMismatch:
+    """A file of the wrong kind fails with exit 1 and names both kinds."""
+
+    @pytest.mark.parametrize(
+        "argv, expected, got",
+        [
+            (["exchange", "conn_a.json"], "an order-2 connection", "order-1 connection"),
+            (["classify", "jet_semi.json"], "an order-2 connection", "jet point"),
+            (["transport", "2", "conn_a.json", "curve_unit.json", "--y0", "1"],
+             "an order-2 connection", "order-1 connection"),
+            (["transport", "ode2", "twofold.json", "curve_unit.json", "--y0", "1"],
+             "an order-2 connection", "two-fold connection"),
+            (["semiholonomy", "conn_a.json"], "a jet point", "order-1 connection"),
+            (["twofold", "transform.json"], "a two-fold connection", "two-fold transform"),
+            (["jacobian", "twofold.json"], "a two-fold transform", "two-fold connection"),
+            (["transport", "1", "conn_a.json", "conn_b.json", "--y0", "1"],
+             "a curve", "order-1 connection"),
+            (["holonomy", "conn_a.json", "jet_nonholo.json", "--steps", "4"],
+             "a curve", "jet point"),
+        ],
+    )
+    def test_message(self, run, sample_dir, argv, expected, got):
+        argv = [sample_dir / a if a.endswith(".json") else a for a in argv]
+        assert run(*argv) == (1, "", f"error: expected {expected}, got {got}\n")
+
+
 class TestEmittedDocuments:
     def test_product_emits_order2(self, run, sample_dir):
         code, out, _ = run(
@@ -232,6 +258,20 @@ class TestFrames:
         code, _, err = run("frames", sample_dir / "conn_a.json", "--at", "1,2")
         assert code == 1
         assert "x1" in err or "3" in err
+
+    def test_equal_deep_entries_evaluated(self, run, tmp_path):
+        # Two equal 399-term entries are two keys of one compiled-program
+        # cache, which compares them node by node.
+        terms = " + ".join(f"{k}*x1*y1" for k in range(1, 400))
+        conn = tmp_path / "deep.json"
+        conn.write_text(
+            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 2, "F": [[terms], [terms]]}),
+            encoding="utf-8",
+        )
+        code, out, err = run("frames", conn, "--at", "1,1,1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["frame"] == [[1.0, 0.0, 0.0], [79800.0, 1.0, 0.0],
+                                            [79800.0, 0.0, 1.0]]
 
     def test_order2_lift(self, run, sample_dir, tmp_path):
         out_path = tmp_path / "prolonged.json"

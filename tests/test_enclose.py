@@ -22,7 +22,7 @@ from jetconn import (
 )
 from jetconn import _enclose, evaluate
 from jetconn._tape import compile_program
-from jetconn.expr import Add, Const, Fn, Mul, Neg, Pow, Sub, Var
+from jetconn.expr import Add, Const, Fn, Mul, Neg, Pow, Sub, Var, expr_sum
 
 from conftest import random_expr
 
@@ -111,6 +111,23 @@ def test_shared_subtrees_and_several_expressions():
     a, b = Add(s, s), Mul(s, s)
     (alo, ahi), (blo, bhi) = _enclose.enclose([a, b], {"x1": 0.5})
     assert alo <= 2 * math.sin(0.25) <= ahi and blo <= math.sin(0.25) ** 2 <= bhi
+
+
+def test_long_sum_and_deep_dag():
+    # Both are walked once per distinct node, without recursion: the DAG has
+    # 2^60 paths through 61 nodes.
+    x = Var("x1")
+    long = expr_sum(Mul(Const(k), x) for k in range(1, 10_001))
+    dag = Fn("sin", x)
+    for _ in range(60):
+        dag = Add(dag, dag)
+    [(lo, hi)] = _enclose.enclose([long], {"x1": 0.5})
+    assert lo <= 0.5 * 10_000 * 10_001 / 2 <= hi
+    [(lo, hi)] = _enclose.enclose([dag], {"x1": 0.5})
+    assert lo <= 2.0**60 * math.sin(0.5) <= hi
+    assert not evaluate._holds_atom(long)
+    assert evaluate._holds_atom(Sub(long, Fn("exp", x)))
+    assert evaluate._holds_atom(dag)
 
 
 # --- edge cases -----------------------------------------------------------------

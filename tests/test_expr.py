@@ -1,7 +1,9 @@
 """Expression layer: parser, printer, differentiation, simplification."""
 
+import copy
 import gc
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -36,7 +38,7 @@ from jetconn import (
     to_text,
 )
 
-from jetconn.expr import expr_sum
+from jetconn.expr import expr_sum, postorder, summands
 
 from conftest import random_expr
 
@@ -116,13 +118,25 @@ class TestNodes:
         assert Neg(x) != Fn("sin", x)
         assert Fn("sin", x) != Fn("cos", x)
         assert Pow(x, 2) != Pow(x, 3)
-        # A 1000-term sum nests 1000 deep; hashing it must not recurse.
+        # A 1000-term sum nests 1000 deep; hashing and comparing it must not recurse.
         text = " + ".join(f"{k}*x1*y1" for k in range(1, 1001))
-        assert hash(parse_expr(text, U21)) == hash(parse_expr(text, U21))
+        a, b = parse_expr(text, U21), parse_expr(text, U21)
+        assert hash(a) == hash(b) and a == b
+        assert a != parse_expr(text.replace("1*x1", "1*x2", 1), U21)
 
     def test_repr(self):
         for node, text in NODES.values():
             assert repr(node) == text
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_copy_and_pickle_rebuild_the_node(self, name):
+        node, text = NODES[name]
+        simplify(node)
+        simplify(node)  # the second visit fills the node's _simple slot
+        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(twin) is type(node) and repr(twin) == text
+            assert twin == node and hash(twin) == hash(node)
+            assert twin._simple is None
 
     def test_immutable(self):
         e = Mul(Var("x1"), Var("x2"))
@@ -164,6 +178,38 @@ class TestNodes:
     def test_free_vars(self):
         e = parse_expr("x1*y1 + sin(x2)", U21)
         assert e.free_vars() == frozenset({"x1", "x2", "y1"})
+
+
+class TestWalks:
+    def test_postorder_yields_a_shared_subtree_once(self):
+        x, y = Var("x1"), Var("y1")
+        s = Mul(x, y)
+        e = Add(s, Neg(s))
+        # Operands come before their node, and the last operand is walked first.
+        expected = [id(n) for n in (y, x, s, e.right, e)]
+        assert [id(n) for n in postorder([e])] == expected
+        assert [id(n) for n in postorder([s, e, s])] == expected
+        assert list(postorder([x, y])) == [y, x]
+
+    def test_postorder_children(self):
+        e = parse_expr("sin(x1) + y1*x2", U21)
+        # No operands for a function node: its argument is not walked.
+        walk = postorder([e], lambda n: () if isinstance(n, Fn) else n.children())
+        assert [to_text(n) for n in walk] == ["x2", "y1", "y1*x2", "sin(x1)", to_text(e)]
+
+    def test_postorder_walks_a_deep_chain_without_recursion(self):
+        e = Var("x1")
+        for _ in range(10_000):
+            e = Neg(e)
+        walk = list(postorder([e]))
+        assert len(walk) == 10_001 and walk[0] == Var("x1") and walk[-1] is e
+
+    def test_summands_carry_their_signs(self):
+        x1, x2, y1 = Var("x1"), Var("x2"), Var("y1")
+        e = Add(Sub(x1, Sub(x2, y1)), Neg(Add(x1, y1)))  # x1 - (x2 - y1) + -(x1 + y1)
+        assert summands([(1, e), (-1, x2)]) == [
+            (1, x1), (-1, x2), (1, y1), (-1, x1), (-1, y1), (-1, x2)
+        ]
 
 
 class TestParser:
@@ -253,6 +299,19 @@ class TestPrinter:
     def test_head_minus(self):
         assert to_text(Neg(Pow(Var("x1"), 2))) == "-x1^2"
         assert to_text(Sub(Const(1), Neg(Var("x1")))) == "1 - (-x1)"
+
+    @pytest.mark.parametrize(
+        "e, text",
+        [(Add(Neg(Var("x1")), Var("y1")), "-x1 + y1"),
+         (Sub(Const(-2), Var("x1")), "-2 - x1"),
+         (Fn("sin", Sub(Neg(Var("x1")), Const(1))), "sin(-x1 - 1)"),
+         (Mul(Add(Neg(Var("x1")), Const(1)), Var("y1")), "(-x1 + 1)*y1"),
+         (Add(Add(Neg(Var("x1")), Var("y1")), Const(-1)), "-x1 + y1 + (-1)"),
+         (Sub(Var("y1"), Add(Neg(Var("x1")), Const(1))), "y1 - (-x1 + 1)")],
+    )
+    def test_signed_left_operand(self, e, text):
+        # A sum's left operand may start with a minus wherever the sum may.
+        assert to_text(e) == text
 
     def test_fraction_decimal_form(self):
         assert to_text(Const(Fraction(1, 4))) == "0.25"
@@ -381,7 +440,9 @@ class TestSimplify:
          # is merged again, so a second pass finds nothing left to merge.
          ("1e308 - x1 + 1e308 - 5e307", "-x1 + 1.5e+308"),
          ("1e308*x1 + 1e308*x1 - 5e307*x1", "1.5e+308*x1"),
-         ("1e308 + 1e308 - 9e307", "1.1e+308")],
+         ("1e308 + 1e308 - 9e307", "1.1e+308"),
+         # A quotient whose fold overflowed stays one opaque factor of its term.
+         ("1e300/(1/10^10) + 1e300/(1/10^10)", "2*(1e+300/0.0000000001)")],
     )
     def test_fold_past_double_range_is_refused(self, text, expected):
         # A coefficient or constant that would leave double range is not

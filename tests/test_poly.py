@@ -143,6 +143,15 @@ class TestIterative:
         assert len(num) == 10_000 and num[(10_000,)] == 10_000
         assert den == {(0,): 1}
 
+    def test_shared_subtrees_are_expanded_once(self):
+        # 2^60 paths through 61 nodes; the atom is one generator, its
+        # argument never expanded.
+        atom = Fn("sin", P("x1 + y1"))
+        e = atom
+        for _ in range(60):
+            e = Mul(e, e)
+        assert _poly.expand(Sub(e, Neg(atom))) == ({(2**60,): 1, (1,): 1}, {(0,): 1}, True)
+
     def test_long_difference_cancels(self):
         terms = [Pow(Var("x1"), k) for k in range(10_000)]
         e = Sub(expr_sum(terms), expr_sum(reversed(terms)))

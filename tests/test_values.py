@@ -166,9 +166,7 @@ def test_repr_names_the_fields():
     assert repr(SAMPLES["TangentCoordPoint"]()) == "TangentCoordPoint(level=1, dim=1)"
 
 
-@pytest.mark.parametrize(
-    "name", ["JetPoint", "SamplePolicy", "SymbolUniverse", "TangentCoordPoint", "TransportResult"]
-)
+@pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_copy_and_pickle_rebuild_the_value(name):
     value = SAMPLES[name]()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
