@@ -7,22 +7,23 @@ transport's whole RK4 loop, to one straight-line Python function (see
 :mod:`jetconn._tape`).
 
 Importing the package runs no submodule.  Each submodule but ``cli`` is
-registered in ``sys.modules`` and bound here as an
-:class:`importlib.util.LazyLoader` module, whose code runs on its first
-attribute access; so a command loads only the modules it uses.  Inside
-the package, ``from . import evaluate`` binds a module without loading it,
-while ``from .expr import Expr`` loads ``expr`` at once.  A public name
-such as ``jetconn.simplify`` is looked up in its home module by the
-module ``__getattr__`` below, through ``_EXPORTS``, from which
-``__all__`` is also derived.  ``cli`` is left out because ``python -m
-jetconn.cli`` warns when ``jetconn.cli`` is already in ``sys.modules``
-before it runs.  The ``LazyLoader`` of Python 3.10 and 3.11 takes no
-lock, so a program that uses jetconn from several threads should touch
-the modules it needs before it starts them.
+registered in ``sys.modules`` and bound here as a :class:`_LazyModule`,
+whose code runs on its first attribute access; so a command loads only the
+modules it uses.  The code runs under one lock, and the module becomes a
+plain module only once it has run, so a thread that touches a module
+another thread is loading waits for it.  Inside the package, ``from .
+import evaluate`` binds a module without loading it, while ``from .expr
+import Expr`` loads ``expr`` at once.  A public name such as
+``jetconn.simplify`` is looked up in its home module by the module
+``__getattr__`` below, through ``_EXPORTS``, from which ``__all__`` is
+also derived.  ``cli`` is left out because ``python -m jetconn.cli`` warns
+when ``jetconn.cli`` is already in ``sys.modules`` before it runs.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 __version__ = "0.1.0"
 
@@ -56,12 +57,33 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names.sp
 __all__ = sorted(_HOME)
 
 
+# Reentrant: loading one module may load another in the same thread.
+_LOCK = threading.RLock()
+_RUNNING = set()  # the lazy modules whose code is running
+
+
+class _LazyModule(types.ModuleType):
+    """A submodule whose code runs on the first access to any attribute."""
+
+    def __getattribute__(self, name):
+        with _LOCK:
+            # The loading thread reads the module as its code fills it in.
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    spec = types.ModuleType.__getattribute__(self, "__spec__")
+                    spec.loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    _RUNNING.discard(self)
+        return types.ModuleType.__getattribute__(self, name)
+
+
 def _register(name):
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -18,15 +18,14 @@ Every multiplication checks the size of its result's term table against
 what is left before it starts, and a power first checks the multinomial
 bound on its number of terms, so an expansion that would be too large
 gives up at once.  More than :data:`MAX_GENERATORS` generators give up
-too, which bounds the length of every monomial.  A float constant gives up as well: floats carry IEEE
-rounding, which exact arithmetic cannot stand for.
+too, which bounds the length of every monomial, and so does a float
+constant: floats carry IEEE rounding, which exact arithmetic cannot stand for.
 
-The tree is walked once by :func:`jetconn.expr.postorder`, which keeps an
-explicit stack and yields each node object once, so deep trees (a
-10^4-term sum) need no recursion.  A sum's operands on that walk are its
-signed summands from :func:`jetconn.expr.summands`, so a long sum is
-combined in one pass instead of one copy per ``Add``, and an atom has
-none: its argument is never expanded.
+The tree is walked once by :func:`jetconn.expr.postorder`, on an explicit
+stack, each node object once.  A sum's operands on that walk are its
+counted summands (:func:`jetconn.expr.summands`), so a long sum is combined
+in one pass, and a shared one once; an atom has none: its argument is never
+expanded.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ def expand(e: Expr):
         values = {}
         for node in order:
             values[id(node)] = ring.node(node, values, terms, generators)
-    except (_GiveUp, RecursionError):
-        # RecursionError: comparing two very deep atom arguments.
+    except _GiveUp:
         return None
     numerator, denominator = values[id(e)]
     return numerator, denominator, any(isinstance(g, Fn) for g in generators)
@@ -88,13 +86,13 @@ def expand(e: Expr):
 
 def _walk(e: Expr):
     """The distinct nodes of ``e``, each after its operands, and the generators."""
-    terms = {}  # id of a sum -> [(sign, summand)]
+    terms = {}  # id of a sum -> [(count, summand)]
     generators = {}  # Var or Fn node -> its position in a monomial
 
     def operands(node):
         if isinstance(node, (Add, Sub)):
-            signed = terms[id(node)] = summands([(1, node)])
-            return [summand for _, summand in signed]
+            counted = terms[id(node)] = summands([(1, node)])
+            return [summand for _, summand in counted]
         return () if isinstance(node, Fn) else node.children()
 
     order = []
@@ -136,7 +134,7 @@ class _Ring:
         if isinstance(node, (Var, Fn)):
             return self.generators[generators[node]]
         if isinstance(node, (Add, Sub)):
-            return self.sum((sign, values[id(t)]) for sign, t in terms[id(node)])
+            return self.sum((k, values[id(t)]) for k, t in terms[id(node)])
         if isinstance(node, Neg):
             num, den = values[id(node.arg)]
             return {m: -c for m, c in num.items()}, den
@@ -156,21 +154,22 @@ class _Ring:
             return self.mul(left_num, right_den), self.mul(left_den, right_num)
         raise TypeError(f"not an expression: {node!r}")
 
-    def sum(self, signed):
-        """The sum of signed quotients; equal denominators are not multiplied."""
+    def sum(self, counted):
+        """The sum of quotients, each times its integer count; equal
+        denominators are not multiplied."""
         # num is built here, never ``one`` itself, so adding into it is safe.
         num, den = {}, self.one
-        for sign, (n, d) in signed:
+        for k, (n, d) in counted:
             if d != den:
                 num = self.mul(num, d)
                 n = self.mul(n, den)
                 den = self.mul(den, d)
             for m, c in n.items():
-                c = num.get(m, 0) + (c if sign > 0 else -c)
+                c = num.get(m, 0) + c * k
                 if c:
                     num[m] = c
                 else:
-                    del num[m]
+                    num.pop(m, None)
         return num, den
 
     def mul(self, p, q):

@@ -138,8 +138,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     """Decide a = b, meaning equal wherever both sides are defined.
 
     Four routes, in order.  simplify(a - b) collapsing to a constant
-    decides; a difference too deep to simplify goes on unsimplified.
-    Otherwise, when the difference holds a sin/cos/exp/ln atom,
+    decides.  Otherwise, when the difference holds a sin/cos/exp/ln atom,
     outward-rounded interval enclosures of a and b at up to
     ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
     may prove them apart by more than ``policy.tol`` scales to (see
@@ -152,11 +151,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     points of :func:`sample_rows` and compared within the scaled tolerance
     wherever both are finite; :class:`SamplingError` when they are nowhere.
     """
-    try:
-        difference = simplify(Sub(a, b))
-    except RecursionError:
-        # Too deep to simplify; the routes below walk the tree iteratively.
-        difference = Sub(a, b)
+    difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
         return EqualityResult(difference.value == 0, SYMBOLIC)
     if policy is None:

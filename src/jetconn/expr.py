@@ -26,6 +26,17 @@ tighter still, unary minus applies to a whole term):
 Integer and decimal literals are kept as exact :class:`fractions.Fraction`
 values; only literals in scientific notation or results of float arithmetic
 carry IEEE semantics.
+
+:func:`simplify` gives a tree one canonical form.  Each sum and product is
+flattened whole.  A sum merges like terms, those with equal factors, by
+adding their coefficients; a product folds its constants into one
+coefficient and merges equal bases into one integer power when their
+exponents have the same sign, so ``x1*x1^-1`` keeps its domain.  Factors
+are sorted by base, then exponent, and terms by their factors, the constant
+last; the order compares node types, names, values, exponents and operands,
+never a hash.  The result is a left fold of the binary nodes: ``c*f1*f2``,
+``-(c*f1*f2)`` when c < 0, ``f1*f2`` when c = 1, and ``t1 + t2 - t3``.
+Atoms and quotients are kept, with simplified operands.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Mapping
 
 from .errors import (
@@ -269,7 +280,9 @@ class Expr:
         return frozenset(out)
 
 
-# The slot's own setter; unlike _set, it skips the lookup of the attribute by name.
+# Node constructors set each field through its slot's own setter, which,
+# unlike _set, skips the lookup of the attribute by name.
+_set_hash = Expr._hash.__set__
 _set_simple = Expr._simple.__set__
 
 
@@ -285,10 +298,10 @@ class Const(Expr):
             value = Fraction(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError("constants must be finite")
-        _set(self, "value", value)
+        _set_value(self, value)
         # Fraction(2) == 2.0 holds and their hashes agree, so mixed exact and
         # float constants of equal value are equal nodes as well.
-        _set(self, "_hash", hash((Const, value)))
+        _set_hash(self, hash((Const, value)))
         _set_simple(self, None)
 
     def _key(self):
@@ -305,8 +318,8 @@ class Var(Expr):
     def __init__(self, name: str):
         if not _IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
-        _set(self, "name", name)
-        _set(self, "_hash", hash((Var, name)))
+        _set_var_name(self, name)
+        _set_hash(self, hash((Var, name)))
         _set_simple(self, None)
 
     def _key(self):
@@ -319,8 +332,8 @@ class _Unary(Expr):
     def __init__(self, arg: Expr):
         if not isinstance(arg, Expr):
             raise TypeError("operand must be an expression")
-        _set(self, "arg", arg)
-        _set(self, "_hash", hash((type(self), arg._hash)))
+        _set_arg(self, arg)
+        _set_hash(self, hash((type(self), arg._hash)))
         _set_simple(self, None)
 
     def _key(self):
@@ -336,9 +349,9 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         if not isinstance(left, Expr) or not isinstance(right, Expr):
             raise TypeError("operands must be expressions")
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((type(self), left._hash, right._hash)))
         _set_simple(self, None)
 
     def _key(self):
@@ -378,9 +391,9 @@ class Pow(Expr):
             raise TypeError("power base must be an expression")
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise TypeError("power exponent must be an int")
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "_hash", hash((Pow, base._hash, exponent)))
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+        _set_hash(self, hash((Pow, base._hash, exponent)))
         _set_simple(self, None)
 
     def _key(self):
@@ -400,13 +413,23 @@ class Fn(_Unary):
             raise ValueError(f"unknown function {name!r}")
         if not isinstance(arg, Expr):
             raise TypeError("operand must be an expression")
-        _set(self, "name", name)
-        _set(self, "arg", arg)
-        _set(self, "_hash", hash((Fn, name, arg._hash)))
+        _set_fn_name(self, name)
+        _set_arg(self, arg)
+        _set_hash(self, hash((Fn, name, arg._hash)))
         _set_simple(self, None)
 
     def _key(self):
         return (self.name, self.arg)
+
+
+_set_value = Const.value.__set__
+_set_var_name = Var.name.__set__
+_set_arg = _Unary.arg.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_base = Pow.base.__set__
+_set_exponent = Pow.exponent.__set__
+_set_fn_name = Fn.name.__set__
 
 
 def sin(e) -> Fn:
@@ -450,28 +473,72 @@ def postorder(roots, children=None):
                 yield node
 
 
-def summands(signed) -> list:
-    """The ``(sign, term)`` pairs of signed sums, left to right.
+_MINUS_ONE = Const(-1)
 
-    ``signed`` holds ``(sign, expression)`` pairs with sign 1 or -1.  Each
-    expression is flattened through its ``Add``, ``Sub`` and ``Neg`` nodes,
-    which flip the sign of what they subtract or negate.
+
+def _sum_edges(node):
+    kind = type(node)
+    if kind is Add:
+        return ((node.left, 1), (node.right, 1))
+    if kind is Sub:
+        return ((node.left, 1), (node.right, -1))
+    if kind is Neg:
+        return ((node.arg, -1),)
+    return ()
+
+
+def _product_edges(node):
+    kind = type(node)
+    if kind is Mul:
+        return ((node.left, 1), (node.right, 1))
+    if kind is Neg:
+        return ((node.arg, 1), (_MINUS_ONE, 1))
+    return ()
+
+
+def _leaves(pairs, edges) -> list:
+    """The leaves below ``pairs``, left to right, each once with its count.
+
+    ``pairs`` holds ``(count, root)`` pairs, and ``edges(node)`` the
+    ``(operand, sign)`` pairs a node is flattened through, none for a leaf.
+    A leaf's count sums the signs of the paths that reach it.  A node is
+    flattened through once; reached again, it is a leaf, so a shared sum
+    costs one walk.  A ``Neg``, one node over its operand, is flattened
+    through each time.
     """
-    out = []
-    stack = list(reversed(signed))
+    if len(pairs) > 1:  # a root given twice is one root
+        roots = {}
+        for k, root in pairs:
+            roots[id(root)] = (roots.get(id(root), (0,))[0] + k, root)
+        pairs = list(roots.values())
+    out, where, inner = [], {}, set()
+    stack = pairs[::-1]
     while stack:
-        sign, node = stack.pop()
-        if isinstance(node, Add):
-            stack.append((sign, node.right))
-            stack.append((sign, node.left))
-        elif isinstance(node, Sub):
-            stack.append((-sign, node.right))
-            stack.append((sign, node.left))
-        elif isinstance(node, Neg):
-            stack.append((-sign, node.arg))
+        k, node = stack.pop()
+        below = () if id(node) in inner else edges(node)
+        if below:
+            if type(node) is not Neg:
+                inner.add(id(node))
+            stack += [(sign * k, op) for op, sign in reversed(below)]
+        elif id(node) in where:
+            i = where[id(node)]
+            out[i] = (out[i][0] + k, node)
         else:
-            out.append((sign, node))
+            where[id(node)] = len(out)
+            out.append((k, node))
     return out
+
+
+def summands(signed) -> list:
+    """The ``(count, term)`` pairs of signed sums, left to right.
+
+    ``signed`` holds ``(count, expression)`` pairs.  Each expression is
+    flattened through its ``Add``, ``Sub`` and ``Neg`` nodes, which flip the
+    sign of what they subtract or negate.  Each term comes once, with the
+    sum of its signs (``x - x`` gives one term of count 0), and a sum node
+    reached a second time is a term, so shared sums are walked once.
+    """
+    return _leaves(signed, _sum_edges)
 
 
 def expr_sum(terms) -> Expr:
@@ -893,92 +960,75 @@ def _subst(e: Expr, repl) -> Expr:
 
 # --- simplification --------------------------------------------------------
 #
-# The rewrite set is fixed and bounded: constant folding, the 0/1 identities,
-# double negation, and merging of like terms in sums (with rational
-# coefficients pulled out of products and divisions).  One bottom-up pass is
-# idempotent because every rule produces output the other rules leave alone.
+# One walk of postorder.  The operands of a sum are its summands and those of
+# a product its factors (_leaves, through Add, Sub and Neg or through Mul and
+# Neg, a Neg being a factor -1), so each whole sum or product is combined
+# once, into the form of the module docstring.  A term 1*S or -1*S, S a sum,
+# stands for S's terms, and a quotient by an exact constant is a product.  A
+# float coefficient that would leave double range is not folded (_fold):
+# such like terms stay apart, and such a product keeps its constants, in
+# order, in front of its factors, one opaque factor of its term.
 #
-# The symbolic commands simplify the same subtrees again and again: _diff's
-# product and quotient rules reuse a node's operands, product() multiplies
-# every F entry into several H entries, and curvature, family and contract
-# simplify grids that are simplified already.  So simplify caches in each
-# node's ``_simple`` slot, which lives exactly as long as the node, under two
-# admission rules that keep what it holds proportional to what is reused:
-#
-# - Every result is marked _SIMPLE, its own simplified form, so simplifying
-#   it again costs one slot read.  A sentinel rather than a self-reference
-#   avoids a reference cycle on every node; idempotency makes it exact.
-# - An input node keeps its result only from its second visit on; the first
-#   writes _SEEN.  So a comparison, which simplifies each entry once, holds
-#   no copies, and an F entry that product() reuses is read from its slot
-#   from its second use on.
-#
-# The Add/Sub operands of a sum read their slot but leave it as it was:
-# otherwise every prefix of a long left-folded sum would keep its own
-# simplified prefix, memory quadratic in the sum's length.  On the
-# benchmark's ``algebra`` workload (seed 7), caching every visit without
-# these rules raised the largest command's peak RSS from 19.3 to 23.1 MB,
-# and dropping only the second-visit rule raised that of classify on a
-# family from 19.2 to 20.6 MB; with every rule the largest reads 19.4 MB.
+# simplify caches in each node's ``_simple`` slot, as the symbolic commands
+# simplify the same subtrees again and again.  Every result is marked
+# _SIMPLE, its own simplified form.  An input node keeps its result only
+# from its second visit on, the first writing _SEEN, so a comparison, which
+# simplifies each entry once, holds no copies.  Only the root and the
+# operands of sums and products are written, not the nodes a sum is
+# flattened through, whose prefixes would cost memory quadratic in its
+# length; a node with a result in its slot is an operand.  On ``algebra``
+# (seed 7), caching every visit raised the largest command's peak RSS from
+# 19.3 to 23.1 MB, and dropping the second-visit rule that of classify on a
+# family from 19.2 to 20.6 MB.
 
 _SEEN = object()
 _SIMPLE = object()
 
 
 def simplify(e: Expr) -> Expr:
-    try:
-        memo = e._simple
-    except AttributeError:
-        raise TypeError(f"not an expression: {e!r}") from None
-    if memo is not None and memo is not _SEEN:
-        return e if memo is _SIMPLE else memo
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, (Add, Sub)):
-        left, right = e.left, e.right
-        marks = left._simple, right._simple
-        out = _sum_of([(1, simplify(left)), (1 if isinstance(e, Add) else -1, simplify(right))])
-        if isinstance(left, (Add, Sub)):
-            _set_simple(left, marks[0])
-        if isinstance(right, (Add, Sub)):
-            _set_simple(right, marks[1])
-    elif isinstance(e, Mul):
-        out = _product_of([simplify(e.left), simplify(e.right)])
-    elif isinstance(e, Neg):
-        out = _neg(simplify(e.arg))
-    elif isinstance(e, Div):
-        out = _quotient(simplify(e.left), simplify(e.right))
-    elif isinstance(e, Pow):
-        out = _power(simplify(e.base), e.exponent)
-    else:
-        out = _function(e.name, simplify(e.arg))
-    _set_simple(out, _SIMPLE)
-    _set_simple(e, _SEEN if memo is None else out)
-    return out
+    """The canonical form of ``e``, described above."""
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    done = {}  # id of a node -> its simplified form
+    parts = {}  # id of a sum or product -> its (count, operand) pairs
+
+    def operands(node):
+        memo = node._simple
+        if memo is not None and memo is not _SEEN or isinstance(node, (Const, Var)):
+            done[id(node)] = memo if isinstance(memo, Expr) else node
+            return ()
+        if not isinstance(node, (Add, Sub, Neg, Mul)):
+            return node.children()
+        edges = _product_edges if isinstance(node, Mul) else _sum_edges
+        pairs = parts[id(node)] = _leaves(
+            [(1, node)], lambda n: edges(n) if n._simple in (None, _SEEN) else ())
+        return [leaf for _, leaf in pairs]
+
+    for node in postorder([e], operands):
+        key = id(node)
+        if key in done:
+            continue
+        if isinstance(node, (Add, Sub, Neg, Mul)):
+            pairs = [(k, done[id(leaf)]) for k, leaf in parts.pop(key)]
+            out = _product(pairs) if isinstance(node, Mul) else _sum(pairs)
+        elif isinstance(node, Div):
+            out = _quotient(done[id(node.left)], done[id(node.right)])
+        elif isinstance(node, Pow):
+            out = _power(done[id(node.base)], node.exponent)
+        else:
+            out = _function(node.name, done[id(node.arg)])
+        _set_simple(out, _SIMPLE)
+        _set_simple(node, out if node._simple is _SEEN else _SEEN)
+        done[key] = out
+    return done[id(e)]
 
 
-def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def _is_const(e: Expr, value) -> bool:
-    return isinstance(e, Const) and e.value == value
+_AT = {("sin", 0): 0, ("cos", 0): 1, ("exp", 0): 1, ("ln", 1): 0}  # f(c) for exact values
 
 
 def _function(name: str, a: Expr) -> Expr:
-    if name == "sin" and _is_const(a, 0):
-        return Const(0)
-    if name == "cos" and _is_const(a, 0):
-        return Const(1)
-    if name == "exp" and _is_const(a, 0):
-        return Const(1)
-    if name == "ln" and _is_const(a, 1):
-        return Const(0)
-    return Fn(name, a)
+    value = _AT.get((name, a.value)) if isinstance(a, Const) else None
+    return Fn(name, a) if value is None else Const(value)
 
 
 def _power(base: Expr, n: int) -> Expr:
@@ -998,113 +1048,146 @@ def _quotient(a: Expr, b: Expr) -> Expr:
         if isinstance(a, Const):
             value = _fold(operator.truediv, a.value, b.value)
             return Div(a, b) if value is None else Const(value)
-        if b.value == 1:
-            return a
-        if b.value == -1:
-            return _neg(a)
-        if isinstance(b.value, Fraction):
-            # a/c with c exact rational becomes (1/c)*a so that like-term
-            # merging sees the coefficient.  Float divisors stay divisions.
-            return _product_of([Const(1 / b.value), a])
-    if _is_const(a, 0) and not _is_const(b, 0):
+        if isinstance(b.value, Fraction) or abs(b.value) == 1:  # other floats stay divisors
+            return _product([(1, Const(1 / Fraction(b.value))), (1, a)])
+    if isinstance(a, Const) and a.value == 0 and not (isinstance(b, Const) and b.value == 0):
         return Const(0)
     return Div(a, b)
 
 
 def _fold(op, a, b):
     """``op(a, b)`` on constant values, or None where a float result would
-    not be finite: such a fold is refused and its nodes are kept apart.
-
-    The loops of _flatten and _sum_of make the same check inline.
-    """
+    not be finite (a float overflows, or meets a Fraction beyond double
+    range): such a fold is refused and its nodes are kept apart."""
     try:
         value = op(a, b)
     except (OverflowError, ZeroDivisionError):
-        # Float overflow, or a Fraction that leaves double range (too large,
-        # or so small that a float divisor becomes 0.0) when met by a float.
         return None
     return value if isinstance(value, Fraction) or math.isfinite(value) else None
 
 
-def _mul_chain(factors) -> Expr:
-    e = factors[0]
-    for f in factors[1:]:
-        e = Mul(e, f)
-    return e
+def _coefficient(consts):
+    """The product of the ``consts`` left to right: 1 for none, None if not finite."""
+    coeff = consts[0].value if consts else Fraction(1)
+    for c in consts[1:]:
+        coeff = _fold(operator.mul, coeff, c.value)
+        if coeff is None:
+            break
+    return coeff
 
 
-def _flatten(parts):
-    """Split the product of ``parts`` into (coefficient, non-constant factors).
+_RANKS = {Const: 0, Var: 1, Fn: 2, Pow: 3, Mul: 4, Div: 5, Neg: 6, Add: 7, Sub: 8}
 
-    The coefficient is None when folding the constants would not be finite.
-    """
-    coeff = Fraction(1)
-    factors = []
-    stack = list(reversed(parts))
+
+def _order(e: Expr) -> tuple:
+    """A key that orders trees by structure: for each node of a pre-order
+    walk, its type, then its value, name or exponent, then whether it is a
+    float constant."""
+    if type(e) is Var:
+        return ((1, e.name, False),)
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        field = (node.name if kind in (Var, Fn) else node.value if kind is Const
+                 else node.exponent if kind is Pow else 0)
+        out.append((_RANKS[kind], field, type(field) is float))
+        stack += reversed(node.children())
+    return tuple(out)
+
+
+def _base_order(f: Expr) -> tuple:
+    return (_order(f.base), f.exponent) if isinstance(f, Pow) else (_order(f), 1)
+
+
+def _split(term: Expr):
+    """The constants (a Neg is -1) and the other factors of a product, in order."""
+    consts, factors = [], []
+    stack = [term]
     while stack:
         node = stack.pop()
         if isinstance(node, Mul):
-            stack.append(node.right)
-            stack.append(node.left)
+            stack += (node.right, node.left)
         elif isinstance(node, Neg):
-            coeff = -coeff
+            consts.append(_MINUS_ONE)
             stack.append(node.arg)
-        elif isinstance(node, Const):
-            try:
-                coeff = coeff * node.value
-            except OverflowError:  # a Fraction beyond double range met a float
-                coeff = math.inf
         else:
-            factors.append(node)
-    if isinstance(coeff, float) and not math.isfinite(coeff):
-        coeff = None
-    return coeff, tuple(factors)
+            (consts if isinstance(node, Const) else factors).append(node)
+    return consts, tuple(factors)
 
 
-def _product_of(parts) -> Expr:
-    """Combine already simplified factors, folding constants together."""
-    coeff, factors = _flatten(parts)
+def _term(coeff, factors) -> Expr:
+    """The canonical product of ``coeff`` and sorted, merged ``factors``."""
+    if not factors:
+        return Const(coeff)
+    if coeff < 0 and (coeff != -1 or len(factors) > 1 or not isinstance(factors[0], (Add, Sub))):
+        return Neg(_term(-coeff, factors))  # but -1*S stays a product: -S is a sum
+    if coeff != 1:
+        if isinstance(factors[0], Mul):  # a product whose constants did not fold
+            return _product([(1, Const(coeff)), (1, factors[0])])
+        factors = (Const(coeff), *factors)
+    return reduce(Mul, factors)
+
+
+def _product(pairs) -> Expr:
+    """The product of simplified operands, each to the power of its count."""
+    consts = []  # in order
+    powers = {}  # (base, exponent > 0) -> exponent
+    for k, node in pairs:
+        own, factors = _split(node)
+        for c in own:
+            power = _power(c, k)
+            if isinstance(power, Const):
+                consts.append(power)
+            else:  # a power that does not fold is a factor
+                factors += (c,)
+        for f in factors:
+            base, n = (f.base, f.exponent * k) if isinstance(f, Pow) else (f, k)
+            powers[base, n > 0] = powers.get((base, n > 0), 0) + n
+    coeff = _coefficient(consts)
+    merged = (base if n == 1 else Pow(base, n) for (base, _), n in powers.items())
+    factors = tuple(sorted(merged, key=_base_order))
     if coeff is None:
-        # Refuse to fold a non-finite coefficient; rebuild untouched.
-        return _mul_chain(list(parts))
-    if coeff == 0:
-        return Const(0)
-    if factors and coeff == -1:
-        return Neg(_mul_chain(factors))
-    return _coeff_times(coeff, factors)
+        # Fresh constants: one node met twice would be a power the next time.
+        return _term(1, tuple(Const(c.value) for c in consts) + factors)
+    return Const(0) if coeff == 0 else _term(coeff, factors)
 
 
-def _sum_of(signed) -> Expr:
-    """Combine signed, already simplified summands, merging like terms.
-
-    A summand splits into (coefficient, factors), () for a constant; one
-    whose coefficient would not be finite is one opaque factor.  A merge
-    whose coefficient would not be finite is refused: the summands stay
-    apart, as _product_of leaves such a product unfolded.
-    """
+def _sum(pairs) -> Expr:
+    """The sum of simplified operands, each times its count, like terms
+    merged; a merge that would not be finite is refused."""
     terms = []  # [coefficient, factors], in order of first appearance
     latest = {}  # factors -> the last of terms with them; () for constants
     refused = set()  # factors of some refused merge
-    for sign, node in summands(signed):
-        coeff, factors = _flatten((node,))
-        if coeff is None:
-            coeff, factors = Fraction(1), (node,)
-        if sign < 0:
-            coeff = -coeff
-        term = latest.get(factors)
-        if term is None and not factors:
-            coeff = Fraction(0) + coeff  # the constant part starts from exact 0
-        elif term is not None:
-            try:
-                merged = term[0] + coeff
-            except OverflowError:  # a Fraction beyond double range met a float
-                merged = math.inf
-            if not isinstance(merged, float) or math.isfinite(merged):
-                term[0] = merged
-                continue
-            refused.add(factors)
-        term = latest[factors] = [coeff, factors]
-        terms.append(term)
+    while pairs:
+        for k, node in summands(pairs):
+            consts, factors = _split(node)
+            coeff = _coefficient(consts)
+            if coeff is None:
+                coeff, factors = Fraction(1), (node,)
+            if k != 1:
+                scaled = _fold(operator.mul, coeff, k)
+                if scaled is None:  # a term reached k times, past double range
+                    coeff, factors = Fraction(1), (_product([(1, Const(k)), (1, node)]),)
+                else:
+                    coeff = scaled
+            term = latest.get(factors)
+            if term is None and not factors:
+                coeff = Fraction(0) + coeff  # the constant part starts from exact 0
+            elif term is not None:
+                merged = _fold(operator.add, term[0], coeff)
+                if merged is not None:
+                    term[0] = merged
+                    continue
+                refused.add(factors)
+            term = latest[factors] = [coeff, factors]
+            terms.append(term)
+        pairs = []
+        for term in terms:  # a term 1*S or -1*S, S a sum, stands for S's terms
+            coeff, factors = term
+            if abs(coeff) == 1 and len(factors) == 1 and isinstance(factors[0], (Add, Sub)):
+                pairs.append((1 if coeff > 0 else -1, factors[0]))
+                term[0] = 0
 
     # Later like terms merged into the last of a refused chain, which may now
     # fit with the one before it.  Merge neighbours until no merge is finite,
@@ -1123,27 +1206,14 @@ def _sum_of(signed) -> Expr:
                 chain.pop(i)
             i = max(i - 1, 0)
 
+    # The sort is stable, so the terms of a refused chain keep their order.
     consts = [coeff for coeff, factors in terms if not factors]
-    terms = [(coeff, factors) for coeff, factors in terms if factors and coeff != 0]
+    terms = [t for t in terms if t[1] and t[0] != 0]
+    terms.sort(key=lambda term: [*map(_base_order, term[1])])
     terms += [(coeff, ()) for coeff in consts if coeff != 0]
     if not terms:
-        terms.append((consts[0] if consts else Fraction(0), ()))
-
-    out = None
-    for coeff, factors in terms:
-        positive = coeff >= 0
-        piece = _coeff_times(coeff if positive else abs(coeff), factors)
-        if out is None:
-            out = piece if positive else _neg(piece)
-        else:
-            out = Add(out, piece) if positive else Sub(out, piece)
+        return Const(consts[0] if consts else 0)
+    out = _term(*terms[0])
+    for coeff, factors in terms[1:]:
+        out = Add(out, _term(coeff, factors)) if coeff > 0 else Sub(out, _term(-coeff, factors))
     return out
-
-
-def _coeff_times(coeff, factors) -> Expr:
-    """The chain c*f1*f2*... that _product_of builds, so simplify leaves it alone."""
-    if not factors:
-        return Const(coeff)
-    if coeff == 1:
-        return _mul_chain(factors)
-    return _mul_chain((Const(coeff),) + factors)

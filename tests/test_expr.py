@@ -3,7 +3,12 @@
 import copy
 import gc
 import math
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,9 +19,11 @@ from hypothesis import strategies as st
 import numpy as np
 
 from jetconn import (
+    SYMBOLIC,
     Add,
     Const,
     Div,
+    EqualityResult,
     EvalError,
     Fn,
     FunctionArityError,
@@ -206,10 +213,25 @@ class TestWalks:
 
     def test_summands_carry_their_signs(self):
         x1, x2, y1 = Var("x1"), Var("x2"), Var("y1")
-        e = Add(Sub(x1, Sub(x2, y1)), Neg(Add(x1, y1)))  # x1 - (x2 - y1) + -(x1 + y1)
-        assert summands([(1, e), (-1, x2)]) == [
-            (1, x1), (-1, x2), (1, y1), (-1, x1), (-1, y1), (-1, x2)
-        ]
+        e = Add(Sub(x1, Sub(x2, y1)), Neg(Add(Var("x1"), y1)))  # x1 - (x2 - y1) + -(x1 + y1)
+        # A term object met twice is one term with the sum of its signs.
+        assert summands([(1, e), (-1, x2)]) == [(1, x1), (-2, x2), (0, y1), (-1, Var("x1"))]
+        assert [id(t) for _, t in summands([(1, e)])][:3] == [id(x1), id(x2), id(y1)]
+
+    def test_summands_take_a_shared_sum_once(self):
+        # 2^60 paths through 61 sums: each sum is flattened through once, and
+        # reached again it is a term.  Only ids are compared, as the repr of
+        # such a tree is as long as its paths.
+        x1, y1 = Var("x1"), Var("y1")
+        sums = [Sub(x1, y1)]
+        for _ in range(60):
+            sums.append(Add(sums[-1], sums[-1]))
+        e = sums[-1]
+        out = summands([(1, e), (3, Neg(e))])
+        assert [k for k, _ in out] == [1, -1] + [1] * 60 + [-3]
+        assert [id(t) for _, t in out] == [id(x1), id(y1)] + [id(s) for s in sums]
+        once = simplify(Sub(e, parse_expr(f"{2**60}*x1 - {2**60}*y1", U21)))
+        assert once == Const(0)
 
 
 class TestParser:
@@ -430,10 +452,12 @@ class TestSimplify:
          ("-y1*1e308 - 1e308*y1", "-1e+308*y1 - 1e+308*y1"),
          ("1e308 + 1e308", "1e+308 + 1e+308"),
          ("1e308*y1 + 1e308*y1 - 1e308*y1", "1e+308*y1"),
-         ("1e308*10*y1 + y1", "1e+308*10*y1 + y1"),
+         ("1e308*10*y1 + y1", "y1 + 1e+308*10*y1"),
          ("1e308*10*0*y1", "1e+308*10*0*y1"),
-         ("1e308*10*(-y1) + 1e308*10*(-y1)", "2*(1e+308*10*(-y1))"),
-         ("10^400*1e308*x1 + x1", "10^400*1e+308*x1 + x1"),
+         # A product whose constants do not fold keeps them in their order,
+         # a Neg among them as -1, in front of its factors.
+         ("1e308*10*(-y1) + 1e308*10*(-y1)", "2*1e+308*10*(-1)*y1"),
+         ("10^400*1e308*x1 + x1", "x1 + 10^400*1e+308*x1"),
          ("10^400/1e-308", "10^400/1e-308"),
          ("1e-308/10^-400", "1e-308/0." + "0" * 399 + "1"),
          # A later term merged into the last of a refused chain; the chain
@@ -450,6 +474,60 @@ class TestSimplify:
         once = simplify(parse_expr(text, U21))
         assert to_text(once).replace(str(10**400), "10^400") == expected
         assert_fixed_point(once)
+
+    @pytest.mark.parametrize(
+        "a, b", [("x1*y1", "y1*x1"), ("x1*x1", "x1^2"), ("sin(x1 + x2)", "sin(x2 + x1)")]
+    )
+    def test_commuted_operands_cancel(self, a, b):
+        assert simplify(Sub(parse_expr(a, U21), parse_expr(b, U21))) == Const(0)
+
+    def test_equal_atoms_are_settled_symbolically(self):
+        a, b = parse_expr("sin(x1 + x2)", U21), parse_expr("sin(x2 + x1)", U21)
+        assert expr_equal(a, b) == EqualityResult(True, SYMBOLIC)
+
+    def test_powers_merge_only_with_the_same_sign(self):
+        # x1*x1^-1 is undefined at 0, so it does not become 1.
+        assert to_text(simplify(parse_expr("x1*x1^-1*x1^2*x1^-2", U21))) == "x1^-3*x1^3"
+        assert to_text(simplify(parse_expr("-x2*x1*3*x1", U21))) == "-3*x1^2*x2"
+
+    @given(st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=100, deadline=None)
+    def test_reordered_polynomial_has_one_form(self, seed):
+        # Terms shuffled and each term's factors reversed, as the benchmark's
+        # sampling workload writes H_ji from H_ij.
+        gen = np.random.default_rng(seed)
+        names = ("x1", "x2", "y1")
+
+        def factors():
+            return [str(gen.choice(names)) for _ in range(int(gen.integers(0, 4)))]
+
+        terms = [(int(gen.integers(-9, 10)), factors()) for _ in range(int(gen.integers(1, 8)))]
+        text = " + ".join("*".join([f"({c})"] + f) for c, f in terms)
+        gen.shuffle(terms)
+        shuffled = " + ".join("*".join(f[::-1] + [f"({c})"]) for c, f in terms)
+        once = simplify(parse_expr(text, U21))
+        assert repr(simplify(parse_expr(shuffled, U21))) == repr(once)
+        assert_fixed_point(once)
+
+    def test_long_sum_without_recursion(self):
+        # 10^4 terms nest 10^4 deep; the same terms, built again in the
+        # opposite order, cancel them.
+        def terms(ks):
+            return expr_sum(Mul(Const(k), Mul(Pow(Var("x1"), k), Var("y1"))) for k in ks)
+
+        once = simplify(terms(range(1, 10_001)))
+        assert [k for k, _ in summands([(1, once)])] == [1] * 10_000
+        difference = simplify(Sub(terms(range(1, 10_001)), terms(range(10_000, 0, -1))))
+        assert difference == Const(0)
+
+    def test_shared_sums_are_flattened_once(self):
+        e = Var("x1")
+        for _ in range(40):
+            e = Add(e, e)
+        start = time.perf_counter()
+        once = simplify(e)
+        seconds = time.perf_counter() - start
+        assert once == parse_expr("1099511627776*x1", U21) and seconds < 0.1
 
     @given(st.integers(min_value=0, max_value=20000))
     @settings(max_examples=200, deadline=None)
@@ -528,3 +606,18 @@ class TestSimplify:
             if not (math.isfinite(a) and math.isfinite(b)):
                 continue
             assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
+
+
+def test_bench_simplify_runs():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    out = subprocess.run(
+        [sys.executable, "benchmarks/bench_simplify.py", "--sizes", "10,20", "--depth", "10",
+         "--repeat", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "| n | 10 | 20 |"
+    assert out.stdout.splitlines()[-1].endswith("-> 1024*x1")

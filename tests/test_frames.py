@@ -78,7 +78,7 @@ class TestTwofoldFrame:
         M = twofold_frame(c)
         assert M[0][0] == Const(1)
         assert M[1][0] == P("v1")  # first fiber rows against base columns
-        assert M[2][0] == simplify(P("w1*u1"))
+        assert M[2][0] == P("w1*u1")
         assert M[3][0] == P("z1")
         assert M[3][1] == P("w1")  # doubled rows against first fiber
         assert M[3][2] == Const(2)
@@ -131,13 +131,14 @@ class TestTwofoldFrame:
         doc_dims = (1, 1, 1, 1)
         u = twofold_universe(doc_dims)
         P = lambda s: parse_expr(s, u)
+        # A nonzero g12_f2 leaves rounding in the residuals at tol = 0.
         c = TwoFoldConnection(
             doc_dims,
             ((P("v1"),),),
             ((P("w1*u1"),),),
             ((P("z1"),),),
             ((P("w1"),),),
-            ((P("0"),),),
+            ((P("z1"),),),
         )
         with pytest.raises(FrameVerificationError, match="deviation"):
             twofold_dual_coframe(c, tol=0.0)

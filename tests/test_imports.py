@@ -8,8 +8,8 @@ imported only by ``Program.__call__``, which no command calls, so importing
 jetconn and running any command leaves it out of ``sys.modules``.
 
 The package registers its submodules as lazy modules, whose code runs on
-first attribute access; a lazy module's class is ``types.ModuleType`` once
-its code has run.
+first attribute access, once, even when two threads touch it together; a
+lazy module's class is ``types.ModuleType`` once its code has run.
 """
 
 import ast
@@ -173,6 +173,39 @@ def test_sampled_classify_runs_without_numpy(tmp_path):
     child = run_child(["-c", CHILD, "classify", str(path)])
     assert child.stderr.splitlines()[-1] == CLEAN
     assert child.stdout == "holonomic (probabilistic)\n"
+
+
+# Four threads, more than this host's cores, released together by a barrier
+# with a short switch interval, touch the name a lazy module defines last;
+# each records whether it found it.
+RACE = (
+    "import ast, pathlib, sys, threading\n"
+    "import jetconn\n"
+    "name = sys.argv[1]\n"
+    "source = pathlib.Path(jetconn.__file__).with_name(name + '.py').read_text()\n"
+    "last = [n.name for n in ast.parse(source).body\n"
+    "        if isinstance(n, (ast.FunctionDef, ast.ClassDef))][-1]\n"
+    "module = getattr(jetconn, name)\n"
+    "barrier = threading.Barrier(4)\n"
+    "found = []\n"
+    "def touch():\n"
+    "    barrier.wait(timeout=60)\n"
+    "    found.append(hasattr(module, last))\n"
+    "sys.setswitchinterval(1e-6)\n"
+    "threads = [threading.Thread(target=touch) for _ in range(4)]\n"
+    "for t in threads: t.start()\n"
+    "for t in threads: t.join(timeout=60)\n"
+    "print(found, any(t.is_alive() for t in threads), type(module).__name__)\n"
+)
+
+
+@pytest.mark.parametrize("module", ["connections", "evaluate", "expr", "frames", "io", "jets",
+                                    "transport", "_enclose", "_poly", "_tape"])
+def test_lazy_module_loads_once_for_threads(module):
+    # Every thread waits until the first has run the module's code.
+    child = run_child(["-c", RACE, module])
+    assert (child.returncode, child.stdout) == (0, "[True, True, True, True] False module\n"), \
+        child.stderr
 
 
 # --- the public API -----------------------------------------------------------

@@ -10,6 +10,7 @@ against sympy.
 
 import ast
 import pathlib
+import time
 
 import pytest
 
@@ -91,9 +92,14 @@ class TestFallsBackToSampling:
         assert outcome(a, b) == (True, PROBABILISTIC)
 
     def test_float_constants_sample(self):
-        a, b = "5e-1*x1*x2", "x2*x1/2"
+        # 0.1 + 0.2 is not 0.3 in floats, so a float coefficient is left over.
+        a, b = "1e-1*x1 + 2e-1*x1", "3e-1*x1"
         assert _poly.expand(simplify(Sub(P(a), P(b)))) is None
         assert outcome(a, b) == (True, PROBABILISTIC)
+
+    def test_float_half_cancels_exactly(self):
+        # 0.5 is 1/2 exactly, and the sorted products are like terms.
+        assert outcome("5e-1*x1*x2", "x2*x1/2") == (True, SYMBOLIC)
 
     def test_zero_denominator_still_raises(self):
         # simplify leaves x1/0; the expansion's denominator is the zero
@@ -158,12 +164,31 @@ class TestIterative:
         assert _poly.decide(e) is True
 
     def test_difference_too_deep_to_simplify(self):
-        # simplify(a - b) exhausts the stack on these sums; expr_equal goes on
-        # with the unsimplified difference, which the expansion settles.
+        # The sums nest 2000 deep, past the interpreter's recursion limit;
+        # simplify(a - b) flattens them on a stack and settles both.
         terms = [Pow(Var("x1"), k) for k in range(2000)]
         a, b = expr_sum(terms), expr_sum(reversed(terms))
         assert expr_equal(a, b) == EqualityResult(True, SYMBOLIC)
         assert expr_equal(a, Add(b, Const(1))) == EqualityResult(False, SYMBOLIC)
+
+
+    def test_equal_deep_atom_arguments(self):
+        # Two distinct 5000-term sums, equal as trees: == compares them on a
+        # stack, so the two atoms are one generator.
+        def long_sum():
+            return expr_sum(Mul(Const(k), Pow(Var("x1"), k)) for k in range(1, 5001))
+
+        verdict = _poly.decide(Sub(Fn("sin", long_sum()), Fn("sin", long_sum())))
+        assert verdict is True
+
+    def test_shared_sums_are_expanded_once(self):
+        e = Var("x1")
+        for _ in range(40):
+            e = Add(e, e)
+        start = time.perf_counter()
+        verdict = _poly.decide(Sub(e, Mul(Const(2**40), Var("x1"))))
+        seconds = time.perf_counter() - start
+        assert verdict is True and seconds < 0.1
 
 
 class TestTolerance:
