@@ -1,19 +1,22 @@
-"""Time ``simplify`` on long sums and on a DAG of shared sums.
+"""Time ``simplify``, ``diff`` and ``to_text`` on long sums and on a DAG of shared sums.
 
-The first table is the sum of n distinct terms ``k*x1^k*y1``, k = 1..n,
-parsed from text, so it nests n deep.  Each time is the best of
-``--repeat`` runs, each on a freshly parsed tree, so no run reads the
-cache of another.  The last line times ``e = e + e`` done ``--depth``
-times from ``e = x1``: 2^depth paths through depth + 1 nodes, which must
-simplify to one term.  Usage:
+The table's sums have n distinct terms ``k*x1^k*y1``, k = 1..n, parsed
+from text, so they nest n deep.  Each time is the best of ``--repeat``
+runs.  ``simplify`` gets a freshly parsed tree each run, so no run reads
+the cache of another; ``diff`` (by x1) and ``to_text`` get the simplified
+sum.  Linear time shows as times that grow with n.  The last two lines
+time ``diff`` and ``simplify`` on ``e = e + e`` done ``--depth`` times
+from ``e = x1``: 2^depth paths through depth + 1 nodes, which must
+simplify to one term (``to_text`` is not timed there: the text has
+2^depth terms).  Usage:
 
-    python3 benchmarks/bench_simplify.py [--sizes 200,400,800,1600] [--depth 40] [--repeat 3]
+    python3 benchmarks/bench_simplify.py [--sizes 200,400,800,1600,10000] [--depth 40] [--repeat 3]
 """
 
 import argparse
 import time
 
-from jetconn import SymbolUniverse, parse_expr, simplify, to_text
+from jetconn import SymbolUniverse, diff, parse_expr, simplify, to_text
 from jetconn.expr import Add, Var
 
 U = SymbolUniverse(1, 1)
@@ -41,20 +44,31 @@ def doubling(depth):
     return e
 
 
+def by_x1(e):
+    return diff(e, "x1")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="200,400,800,1600")
+    parser.add_argument("--sizes", default="200,400,800,1600,10000")
     parser.add_argument("--depth", type=int, default=40)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
 
     sizes = [int(n) for n in args.sizes.split(",")]
+    rows = {"simplify": [], "diff": [], "to_text": []}
+    for n in sizes:
+        rows["simplify"].append(best_of(args.repeat, lambda n=n: long_sum(n), simplify)[0])
+        once = simplify(long_sum(n))
+        rows["diff"].append(best_of(args.repeat, lambda: once, by_x1)[0])
+        rows["to_text"].append(best_of(args.repeat, lambda: once, to_text)[0])
     print("| n | " + " | ".join(map(str, sizes)) + " |")
     print("|---|" + "---|" * len(sizes))
-    times = [best_of(args.repeat, lambda n=n: long_sum(n), simplify)[0] for n in sizes]
-    print("| simplify, s | " + " | ".join(f"{t:.3f}" for t in times) + " |")
-    seconds, out = best_of(args.repeat, lambda: doubling(args.depth), simplify)
-    print(f"doubling DAG, depth {args.depth}: {seconds:.4f} s -> {to_text(out)}")
+    for name, times in rows.items():
+        print(f"| {name}, s | " + " | ".join(f"{t:.3f}" for t in times) + " |")
+    for name, run in (("diff", by_x1), ("simplify", simplify)):
+        seconds, out = best_of(args.repeat, lambda: doubling(args.depth), run)
+        print(f"doubling DAG, depth {args.depth}: {name} {seconds:.4f} s -> {to_text(out)}")
 
 
 if __name__ == "__main__":

@@ -382,8 +382,8 @@ def main(argv=None) -> int:
     except JetconnError as err:
         message = f"{_inputs(args)}: {err}"
     except RecursionError:
-        # The expression core recurses over the tree; very deep or very
-        # long expressions exhaust the interpreter's stack.
+        # Only the expression parser recurses, once per nesting level, so
+        # text nested thousands of parentheses deep exhausts the stack.
         message = f"{_inputs(args)}: expression too deeply nested to process"
     except MemoryError:
         message = f"{_inputs(args)}: out of memory"

@@ -27,6 +27,10 @@ Integer and decimal literals are kept as exact :class:`fractions.Fraction`
 values; only literals in scientific notation or results of float arithmetic
 carry IEEE semantics.
 
+Every transform of a tree (simplify, diff, substitute, free_vars, copy and
+pickle) walks :func:`postorder`, each distinct node once, and the printers
+pop pieces off a stack; only the parser recurses, once per nesting level.
+
 :func:`simplify` gives a tree one canonical form.  Each sum and product is
 flattened whole.  A sum merges like terms, those with equal factors, by
 adding their coefficients; a product folds its constants into one
@@ -225,11 +229,17 @@ class Expr:
         return self._hash
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+        return _emit(self, _repr_pieces)
 
     def __reduce__(self):
-        # copy and pickle rebuild a node through its constructor, _simple empty.
-        return type(self), self._key()
+        # copy and pickle rebuild each distinct node once, _simple empty, from
+        # a postorder table: type and fields, an operand as (its row number,).
+        rows, table = {}, []
+        for node in postorder([self]):
+            rows[id(node)] = len(table)
+            table.append((type(node), *[
+                (rows[id(f)],) if isinstance(f, Expr) else f for f in node._key()]))
+        return _from_table, (table,)
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -269,15 +279,15 @@ class Expr:
 
     def free_vars(self) -> frozenset:
         """Set of variable names referenced anywhere in the tree."""
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                out.add(node.name)
-            else:
-                stack.extend(node.children())
-        return frozenset(out)
+        return frozenset(node.name for node in postorder([self]) if type(node) is Var)
+
+
+def _from_table(table) -> "Expr":
+    """The root, last, of the tree that ``Expr.__reduce__`` wrote as ``table``."""
+    nodes = []
+    for kind, *fields in table:
+        nodes.append(kind(*[nodes[f[0]] if type(f) is tuple else f for f in fields]))
+    return nodes[-1]
 
 
 # Node constructors set each field through its slot's own setter, which,
@@ -458,19 +468,21 @@ def postorder(roots, children=None):
     """
     children = children or operator.methodcaller("children")
     seen = set()
-    todo = [(root, False) for root in roots]
+    todo = list(roots)  # a node under _READY is yielded when _READY is popped
     while todo:
-        node, ready = todo.pop()
-        if ready:
-            yield node
+        node = todo.pop()
+        if node is _READY:
+            yield todo.pop()
         elif id(node) not in seen:
             seen.add(id(node))
             operands = children(node)
             if operands:
-                todo.append((node, True))
-                todo.extend((child, False) for child in operands)
+                todo += (node, _READY, *operands)
             else:
                 yield node
+
+
+_READY = object()
 
 
 _MINUS_ONE = Const(-1)
@@ -614,7 +626,9 @@ _TOKEN_IDENT = "ident"
 _TOKEN_OP = "op"
 _TOKEN_END = "end"
 
-_NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+# One alternative per token kind, each a group named after the kind.
+_TOKEN_RE = re.compile(r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])")
 
 
 class _Token:
@@ -631,25 +645,14 @@ def _tokenize(text: str):
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
             continue
-        if ch.isdigit():
-            m = _NUM_RE.match(text, i)
-            tokens.append(_Token(_TOKEN_NUM, m.group(0), i + 1))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(_Token(_TOKEN_IDENT, m.group(0), i + 1))
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(_TOKEN_OP, ch, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i + 1)
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i + 1)
+        tokens.append(_Token(m.lastgroup, m.group(), i + 1))
+        i = m.end()
     tokens.append(_Token(_TOKEN_END, "", n + 1))
     return tokens
 
@@ -794,29 +797,16 @@ _LVL_POW = 3
 _LVL_ATOM = 4
 
 
-def _const_level(value) -> int:
-    if value < 0:
-        return _LVL_SIGNED
-    if isinstance(value, Fraction) and value.denominator != 1:
-        if _decimal_digits(value) is None:
-            return _LVL_TERM  # prints as p/q, a division
-    return _LVL_ATOM
-
-
 def _decimal_digits(value: Fraction):
     """Number of fractional digits needed to print ``value`` exactly, or None."""
     q = value.denominator
-    twos = 0
-    while q % 2 == 0:
-        q //= 2
-        twos += 1
+    twos = (q & -q).bit_length() - 1  # the lowest set bit of q
+    q >>= twos
     fives = 0
     while q % 5 == 0:
         q //= 5
         fives += 1
-    if q != 1:
-        return None
-    return max(twos, fives)
+    return max(twos, fives) if q == 1 else None
 
 
 def _const_text(value) -> str:
@@ -833,45 +823,56 @@ def _const_text(value) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _level(e: Expr) -> int:
-    if isinstance(e, Const):
-        return _const_level(e.value)
-    if isinstance(e, Neg):
-        return _LVL_SIGNED
-    if isinstance(e, (Add, Sub)):
-        return _LVL_SUM
-    if isinstance(e, (Mul, Div)):
-        return _LVL_TERM
-    if isinstance(e, Pow):
-        return _LVL_POW
-    return _LVL_ATOM
+_LEVELS = {Neg: _LVL_SIGNED, Add: _LVL_SUM, Sub: _LVL_SUM, Mul: _LVL_TERM, Div: _LVL_TERM,
+           Pow: _LVL_POW, Fn: _LVL_ATOM}
+_INFIX = {Add: (" + ", _LVL_SIGNED, _LVL_TERM), Sub: (" - ", _LVL_SIGNED, _LVL_TERM),
+          Mul: ("*", _LVL_TERM, _LVL_POW), Div: ("/", _LVL_TERM, _LVL_POW)}
+
+
+def _emit(e, pieces) -> str:
+    """The strings of a stack of items, ``(e, _LVL_SIGNED)`` first, joined: a
+    ``(node, need)`` item is replaced by the items of ``pieces(node, need)``."""
+    out, stack = [], [(e, _LVL_SIGNED)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack += reversed(pieces(*item))
+    return "".join(out)
 
 
 # A sum is printed bare only where a leading minus is legal (at the start of
 # the text, of a parenthesis or of a function argument, or as the left
 # operand of such a sum), so its left operand may start with a minus too.
-def _fmt(e: Expr, need: int) -> str:
-    if _level(e) < need:
-        return "(" + _fmt(e, _LVL_SIGNED) + ")"
-    if isinstance(e, Const):
-        return _const_text(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _fmt(e.arg, _LVL_TERM)
-    if isinstance(e, Add):
-        return _fmt(e.left, _LVL_SIGNED) + " + " + _fmt(e.right, _LVL_TERM)
-    if isinstance(e, Sub):
-        return _fmt(e.left, _LVL_SIGNED) + " - " + _fmt(e.right, _LVL_TERM)
-    if isinstance(e, Mul):
-        return _fmt(e.left, _LVL_TERM) + "*" + _fmt(e.right, _LVL_POW)
-    if isinstance(e, Div):
-        return _fmt(e.left, _LVL_TERM) + "/" + _fmt(e.right, _LVL_POW)
-    if isinstance(e, Pow):
-        return _fmt(e.base, _LVL_ATOM) + "^" + str(e.exponent)
-    if isinstance(e, Fn):
-        return e.name + "(" + _fmt(e.arg, _LVL_SIGNED) + ")"
-    raise TypeError(f"not an expression: {e!r}")
+def _text_pieces(e, need) -> tuple:
+    kind = type(e)
+    if kind is Var:
+        return (e.name,)
+    if kind is Const:  # a negative constant binds as a sign, p/q as a quotient
+        text = _const_text(e.value)
+        level = _LVL_SIGNED if e.value < 0 else _LVL_TERM if "/" in text else _LVL_ATOM
+        return ("(", text, ")") if level < need else (text,)
+    if kind not in _LEVELS:
+        raise TypeError(f"not an expression: {e!r}")
+    if _LEVELS[kind] < need:
+        return "(", (e, _LVL_SIGNED), ")"
+    if kind is Neg:
+        return "-", (e.arg, _LVL_TERM)
+    if kind is Pow:
+        return (e.base, _LVL_ATOM), f"^{e.exponent}"
+    if kind is Fn:
+        return e.name + "(", (e.arg, _LVL_SIGNED), ")"
+    op, left, right = _INFIX[kind]
+    return (e.left, left), op, (e.right, right)
+
+
+def _repr_pieces(e, _need) -> list:
+    out = [type(e).__name__ + "("]
+    for field in e._key():
+        out += ((field, None) if isinstance(field, Expr) else repr(field), ", ")
+    out[-1] = ")"
+    return out
 
 
 def to_text(e: Expr) -> str:
@@ -880,10 +881,13 @@ def to_text(e: Expr) -> str:
     Parentheses are inserted exactly where precedence or associativity would
     otherwise change the tree.
     """
-    return _fmt(e, _LVL_SIGNED)
+    return _emit(e, _text_pieces)
 
 
 # --- differentiation and substitution --------------------------------------
+#
+# Both are one walk of postorder that builds each distinct node's result from
+# its operands' results: a shared subtree is handled once, its result shared.
 
 def diff(e: Expr, var: str, universe: SymbolUniverse = None) -> Expr:
     """Partial derivative with respect to ``var``, simplified.
@@ -898,64 +902,56 @@ def diff(e: Expr, var: str, universe: SymbolUniverse = None) -> Expr:
 
 
 def _diff(e: Expr, var: str) -> Expr:
-    if isinstance(e, Const):
-        return Const(0)
-    if isinstance(e, Var):
-        return Const(1) if e.name == var else Const(0)
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return Add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return Sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Mul):
-        return Add(
-            Mul(_diff(e.left, var), e.right),
-            Mul(e.left, _diff(e.right, var)),
-        )
-    if isinstance(e, Div):
-        num = Sub(
-            Mul(_diff(e.left, var), e.right),
-            Mul(e.left, _diff(e.right, var)),
-        )
-        return Div(num, Pow(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Const(0)
-        inner = _diff(e.base, var)
-        return Mul(Mul(Const(e.exponent), Pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Fn):
-        inner = _diff(e.arg, var)
-        if e.name == "sin":
-            return Mul(Fn("cos", e.arg), inner)
-        if e.name == "cos":
-            return Mul(Neg(Fn("sin", e.arg)), inner)
-        if e.name == "exp":
-            return Mul(Fn("exp", e.arg), inner)
-        return Div(inner, e.arg)  # ln
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    d = {}  # id of a node -> its derivative
+    for node in postorder([e]):
+        kind = type(node)
+        if kind is Const:
+            out = Const(0)
+        elif kind is Var:
+            out = Const(1 if node.name == var else 0)
+        elif kind is Neg:
+            out = Neg(d[id(node.arg)])
+        elif kind is Add or kind is Sub:
+            out = kind(d[id(node.left)], d[id(node.right)])
+        elif kind is Mul:
+            out = Add(Mul(d[id(node.left)], node.right), Mul(node.left, d[id(node.right)]))
+        elif kind is Div:
+            num = Sub(Mul(d[id(node.left)], node.right), Mul(node.left, d[id(node.right)]))
+            out = Div(num, Pow(node.right, 2))
+        elif kind is Pow:
+            n, inner = node.exponent, d[id(node.base)]
+            out = Mul(Mul(Const(n), Pow(node.base, n - 1)), inner) if n else Const(0)
+        else:
+            arg, inner = node.arg, d[id(node.arg)]
+            if node.name == "sin":
+                out = Mul(Fn("cos", arg), inner)
+            elif node.name == "cos":
+                out = Mul(Neg(Fn("sin", arg)), inner)
+            elif node.name == "exp":
+                out = Mul(Fn("exp", arg), inner)
+            else:  # ln
+                out = Div(inner, arg)
+        d[id(node)] = out
+    return d[id(e)]
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions (simultaneously, not iteratively)."""
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
     repl = {name: as_expr(value) for name, value in mapping.items()}
-    return _subst(e, repl)
-
-
-def _subst(e: Expr, repl) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return repl.get(e.name, e)
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, repl))
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return type(e)(_subst(e.left, repl), _subst(e.right, repl))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, repl), e.exponent)
-    if isinstance(e, Fn):
-        return Fn(e.name, _subst(e.arg, repl))
-    raise TypeError(f"not an expression: {e!r}")
+    done = {}  # id of a node -> its image
+    for node in postorder([e]):
+        if type(node) is Var:
+            out = repl.get(node.name, node)
+        elif type(node) is Const:
+            out = node
+        else:  # rebuilt from its fields, each operand replaced by its image
+            out = type(node)(*[done[id(f)] if isinstance(f, Expr) else f for f in node._key()])
+        done[id(node)] = out
+    return done[id(e)]
 
 
 # --- simplification --------------------------------------------------------

@@ -477,22 +477,33 @@ class TestTransportCommands:
         assert str(conn) in err and str(loop) in err
 
 class TestFailureEdges:
-    @pytest.fixture
-    def deep(self, tmp_path):
-        # A 1000-term sum nests 1000 deep, past the interpreter's stack.
-        terms = " + ".join(f"{k}*x1*y1" for k in range(1, 1001))
-        path = tmp_path / "deep.json"
+    @staticmethod
+    def conn_file(path, entry):
         path.write_text(
-            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 1, "F": [[terms]]}),
+            json.dumps({"order": 1, "base_dim": 1, "fiber_dim": 1, "F": [[entry]]}),
             encoding="utf-8",
         )
         return path
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        # 3000 nested parentheses: the parser recurses once per level, past
+        # the interpreter's stack.
+        return self.conn_file(tmp_path / "deep.json", "(" * 3000 + "x1*y1" + ")" * 3000)
 
     def test_deep_expression_is_a_one_line_error(self, run, deep):
         code, out, err = run("prolong", deep)
         assert code == 1
         assert out == ""
         assert err == f"error: {deep}: expression too deeply nested to process\n"
+
+    def test_long_sum_is_prolonged(self, run, tmp_path):
+        # A 1000-term sum nests 1000 deep; diff and to_text walk it on a stack.
+        terms = " + ".join(f"{k}*x1*y1" for k in range(1, 1001))
+        code, out, err = run("prolong", self.conn_file(tmp_path / "long.json", terms))
+        assert (code, err) == (0, "")
+        # F = 500500*x1*y1, so H = dF/dx1 + dF/dy1*F.
+        assert json.loads(out)["H"] == [[["250500250000*x1^2*y1 + 500500*y1"]]]
 
     def test_deep_symmetric_pair_is_settled_exactly(self, run, tmp_path):
         # H_12 and H_21 are one 1000-term sum in two orders, nested 1000

@@ -1,6 +1,7 @@
 """Expression layer: parser, printer, differentiation, simplification."""
 
 import copy
+import functools
 import gc
 import math
 import os
@@ -51,6 +52,20 @@ from conftest import random_expr
 
 U21 = SymbolUniverse(2, 1)
 U33 = SymbolUniverse(3, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def long_sum():
+    """The simplified sum of ``k*x1^k*y1``, k = 1..10 000: it nests 10 000 deep."""
+    return simplify(parse_expr(" + ".join(f"{k}*x1^{k}*y1" for k in range(1, 10_001)), U21))
+
+
+def doubling_dag(n):
+    """``e = e + e*y1`` done ``n`` times from ``x1``: 2^n paths through 2n + 2 nodes."""
+    e, y1 = Var("x1"), Var("y1")
+    for _ in range(n):
+        e = Add(e, Mul(e, y1))
+    return e
 
 
 def assert_fixed_point(once):
@@ -135,15 +150,21 @@ class TestNodes:
         for node, text in NODES.values():
             assert repr(node) == text
 
-    @pytest.mark.parametrize("name", sorted(NODES))
+    @pytest.mark.parametrize("name", [*sorted(NODES), "long sum"])
     def test_copy_and_pickle_rebuild_the_node(self, name):
-        node, text = NODES[name]
+        node, text = NODES[name] if name in NODES else (long_sum(), repr(long_sum()))
         simplify(node)
         simplify(node)  # the second visit fills the node's _simple slot
         for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert type(twin) is type(node) and repr(twin) == text
             assert twin == node and hash(twin) == hash(node)
-            assert twin._simple is None
+            assert all(n._simple is None for n in postorder([twin]))
+
+    def test_copy_keeps_shared_nodes_shared(self):
+        e = doubling_dag(40)
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin is not e and twin.left is twin.right.left
+            assert len(list(postorder([twin]))) == 82 and twin._hash == e._hash
 
     def test_immutable(self):
         e = Mul(Var("x1"), Var("x2"))
@@ -186,6 +207,16 @@ class TestNodes:
         e = parse_expr("x1*y1 + sin(x2)", U21)
         assert e.free_vars() == frozenset({"x1", "x2", "y1"})
 
+    def test_free_vars_and_substitute_take_a_shared_subtree_once(self):
+        e = doubling_dag(40)
+        start = time.perf_counter()
+        names = e.free_vars()
+        image = substitute(e, {"y1": Var("x2")})
+        seconds = time.perf_counter() - start
+        assert names == {"x1", "y1"} and image.free_vars() == {"x1", "x2"}
+        assert image.left is image.right.left and len(list(postorder([image]))) == 82
+        assert seconds < 0.1
+
 
 class TestWalks:
     def test_postorder_yields_a_shared_subtree_once(self):
@@ -210,6 +241,15 @@ class TestWalks:
             e = Neg(e)
         walk = list(postorder([e]))
         assert len(walk) == 10_001 and walk[0] == Var("x1") and walk[-1] is e
+
+    def test_transforms_walk_a_long_sum_without_recursion(self):
+        s = long_sum()
+        text = to_text(s)
+        assert parse_expr(text, U21) == s
+        assert repr(s).count("Var('y1')") == 10_000
+        assert to_text(substitute(s, {"y1": Var("x2")})) == text.replace("y1", "x2")
+        derivative = " + ".join(f"{k * k}*x1^{k - 1}*y1" for k in range(1, 10_001))
+        assert diff(s, "x1") == simplify(parse_expr(derivative, U21))
 
     def test_summands_carry_their_signs(self):
         x1, x2, y1 = Var("x1"), Var("x2"), Var("y1")
@@ -277,6 +317,13 @@ class TestParser:
             parse_expr("x1 + + x2", U21)
         assert exc.value.position == 6
         assert "position 6" in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["x1 + é", "x1 + ²"])
+    def test_non_ascii_character_is_a_parse_error(self, text):
+        # A letter or digit outside ASCII starts no token.
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, U21)
+        assert exc.value.position == 6
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as exc:
@@ -619,5 +666,8 @@ def test_bench_simplify_runs():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0] == "| n | 10 | 20 |"
-    assert out.stdout.splitlines()[-1].endswith("-> 1024*x1")
+    lines = out.stdout.splitlines()
+    assert lines[0] == "| n | 10 | 20 |"
+    assert [line.split(",")[0] for line in lines[2:5]] == ["| simplify", "| diff", "| to_text"]
+    assert lines[-2].endswith("-> 1024")  # d/dx1 of 2^10*x1
+    assert lines[-1].endswith("-> 1024*x1")
