@@ -27,9 +27,9 @@ Integer and decimal literals are kept as exact :class:`fractions.Fraction`
 values; only literals in scientific notation or results of float arithmetic
 carry IEEE semantics.
 
-Every transform of a tree (simplify, diff, substitute, free_vars, copy and
-pickle) walks :func:`postorder`, each distinct node once, and the printers
-pop pieces off a stack; only the parser recurses, once per nesting level.
+Every transform of a tree (simplify, diff, substitute, copy and pickle)
+walks :func:`postorder`, each distinct node once, ``free_vars`` a stack of
+its own, and the printers pop pieces off a stack; only the parser recurses.
 
 :func:`simplify` gives a tree one canonical form.  Each sum and product is
 flattened whole.  A sum merges like terms, those with equal factors, by
@@ -279,7 +279,16 @@ class Expr:
 
     def free_vars(self) -> frozenset:
         """Set of variable names referenced anywhere in the tree."""
-        return frozenset(node.name for node in postorder([self]) if type(node) is Var)
+        # Each distinct node once; postorder would cost twice this for no use.
+        out, seen, stack = set(), set(), [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is Var:
+                out.add(node.name)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack += node.children()
+        return frozenset(out)
 
 
 def _from_table(table) -> "Expr":
@@ -626,9 +635,10 @@ _TOKEN_IDENT = "ident"
 _TOKEN_OP = "op"
 _TOKEN_END = "end"
 
-# One alternative per token kind, each a group named after the kind.
+# A group per token kind, named after it, then whitespace and anything else.
 _TOKEN_RE = re.compile(r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])")
+                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])"
+                       r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 class _Token:
@@ -642,18 +652,12 @@ class _Token:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i + 1)
-        tokens.append(_Token(m.lastgroup, m.group(), i + 1))
-        i = m.end()
-    tokens.append(_Token(_TOKEN_END, "", n + 1))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start() + 1))
+    tokens.append(_Token(_TOKEN_END, "", len(text) + 1))
     return tokens
 
 
@@ -797,28 +801,22 @@ _LVL_POW = 3
 _LVL_ATOM = 4
 
 
-def _decimal_digits(value: Fraction):
-    """Number of fractional digits needed to print ``value`` exactly, or None."""
-    q = value.denominator
-    twos = (q & -q).bit_length() - 1  # the lowest set bit of q
-    q >>= twos
-    fives = 0
-    while q % 5 == 0:
-        q //= 5
-        fives += 1
-    return max(twos, fives) if q == 1 else None
-
-
 def _const_text(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if value.denominator == 1:
+    q = value.denominator
+    if q == 1:
         return str(value.numerator)
-    digits = _decimal_digits(value)
-    if digits is None:
-        return f"{value.numerator}/{value.denominator}"
+    twos = (q & -q).bit_length() - 1  # q = 2^twos * 5^fives * rest
+    fives, rest = 0, q >> twos
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{value.numerator}/{q}"
+    digits = max(twos, fives)  # the fractional digits that print value exactly
     sign = "-" if value < 0 else ""
-    scaled = abs(value.numerator) * 10**digits // value.denominator
+    scaled = abs(value.numerator) * 10**digits // q
     text = str(scaled).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
