@@ -279,7 +279,7 @@ class Expr:
 
     def free_vars(self) -> frozenset:
         """Set of variable names referenced anywhere in the tree."""
-        # Each distinct node once; postorder would cost twice this for no use.
+        # Each distinct node once, without postorder, whose order costs twice as much.
         out, seen, stack = set(), set(), [self]
         while stack:
             node = stack.pop()
