@@ -30,14 +30,13 @@ expanded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
-from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, postorder, summands
+from .expr import (MAX_POWER_BITS, Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, bit_size,
+                   postorder, summands)
 
 BUDGET = 50_000  # coefficient products one expansion may spend
 MAX_GENERATORS = 64  # variables and atoms in one expansion: the length of a monomial
-MAX_POWER_BITS = 1 << 16  # bit size allowed for one coefficient raised to a power
 
 
 class _GiveUp(Exception):
@@ -105,11 +104,6 @@ def _walk(e: Expr):
             raise _GiveUp
         order.append(node)
     return order, terms, generators
-
-
-def _bits(c) -> int:
-    c = Fraction(c)
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 class _Ring:
@@ -196,7 +190,7 @@ class _Ring:
             return p
         if len(p) == 1:
             [(m, c)] = p.items()
-            if c not in (1, -1) and n * _bits(c) > MAX_POWER_BITS:
+            if c not in (1, -1) and n * bit_size(c) > MAX_POWER_BITS:
                 raise _GiveUp
             return {tuple(k * n for k in m): c**n}
         # p^n has at most C(n + t - 1, t - 1) terms, t the terms of p.

@@ -381,10 +381,6 @@ def main(argv=None) -> int:
         message = str(err)
     except JetconnError as err:
         message = f"{_inputs(args)}: {err}"
-    except RecursionError:
-        # Only the expression parser recurses, once per nesting level, so
-        # text nested thousands of parentheses deep exhausts the stack.
-        message = f"{_inputs(args)}: expression too deeply nested to process"
     except MemoryError:
         message = f"{_inputs(args)}: out of memory"
     else:

@@ -16,7 +16,8 @@ and stores them once through ``Value.__init__``; equality, hashing and
 ``repr`` follow the fields.
 
 Concrete syntax (``*`` and ``/`` bind tighter than ``+`` and ``-``, ``^``
-tighter still, unary minus applies to a whole term):
+tighter still; a minus is unary only at the start of an expression, a
+parenthesis or a function argument, and negates a whole term):
 
     expr   := ["-"] term {("+" | "-") term}
     term   := factor {("*" | "/") factor}
@@ -28,8 +29,9 @@ values; only literals in scientific notation or results of float arithmetic
 carry IEEE semantics.
 
 Every transform of a tree (simplify, diff, substitute, copy and pickle)
-walks :func:`postorder`, each distinct node once, ``free_vars`` a stack of
-its own, and the printers pop pieces off a stack; only the parser recurses.
+walks :func:`postorder`, each distinct node once, ``free_vars`` and ``==``
+a stack of their own, the printers pop pieces off a stack and the parser
+keeps its open parentheses on one, so nothing recurses.
 
 :func:`simplify` gives a tree one canonical form.  Each sum and product is
 flattened whole.  A sum merges like terms, those with equal factors, by
@@ -208,10 +210,12 @@ class Expr:
         raise AttributeError("expression nodes are immutable")
 
     def __eq__(self, other):
-        # Pairs of subtrees wait on a stack, so deep trees need no recursion.
+        # Pairs of subtrees wait on a stack, each pushed once, so deep trees
+        # need no recursion and a shared subtree is compared once.  The set of
+        # pushed pairs is made at the second push: comparing leaves needs none.
         if not isinstance(other, Expr):
             return NotImplemented
-        pairs = [(self, other)]
+        pairs, pushed = [(self, other)], None
         while pairs:
             a, b = pairs.pop()
             if a is b:
@@ -220,6 +224,11 @@ class Expr:
                 return False
             for x, y in zip(a._key(), b._key()):
                 if isinstance(x, Expr):
+                    if pushed is None:
+                        pushed = set()
+                    elif (id(x), id(y)) in pushed:
+                        continue
+                    pushed.add((id(x), id(y)))
                     pairs.append((x, y))
                 elif x != y:
                     return False
@@ -630,156 +639,28 @@ def expr_grid(value, shape, allowed, what: str):
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_NUM = "num"
-_TOKEN_IDENT = "ident"
-_TOKEN_OP = "op"
-_TOKEN_END = "end"
+MAX_DIGITS = 1000  # digits allowed in one numeric literal
 
 # A group per token kind, named after it, then whitespace and anything else.
 _TOKEN_RE = re.compile(r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
                        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])"
                        r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos  # 1-based offset of the first character
+# Binding strength and node of each infix operator.  A leading minus negates
+# a whole term: it binds tighter than + and -, looser than * and /.
+_BINDING = {"+": (1, Add), "-": (1, Sub), "*": (3, Mul), "/": (3, Div)}
+_LEADING_MINUS = (2, Neg)
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start() + 1)
-        if m.lastgroup != "space":
-            tokens.append(_Token(m.lastgroup, m.group(), m.start() + 1))
-    tokens.append(_Token(_TOKEN_END, "", len(text) + 1))
-    return tokens
-
-
-def _number_value(text: str) -> Fraction:
-    # Decimal parses every literal the lexer accepts and keeps it exact.
-    return Fraction(Decimal(text))
-
-
-class _Parser:
-    def __init__(self, text: str, universe: SymbolUniverse):
-        self.text = text
-        self.universe = universe
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        tok = self.current
-        if tok.kind != _TOKEN_OP or tok.text != symbol:
-            raise ParseError(f"expected {symbol!r}", tok.pos)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.current
-        if tok.kind != _TOKEN_END:
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return e
-
-    def expr(self) -> Expr:
-        negate = False
-        tok = self.current
-        if tok.kind == _TOKEN_OP and tok.text == "-":
-            self.advance()
-            negate = True
-        e = self.term()
-        if negate:
-            e = Neg(e)
-        while True:
-            tok = self.current
-            if tok.kind == _TOKEN_OP and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Add(e, rhs) if tok.text == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            tok = self.current
-            if tok.kind == _TOKEN_OP and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = Mul(e, rhs) if tok.text == "*" else Div(e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        e = self.base()
-        tok = self.current
-        if tok.kind == _TOKEN_OP and tok.text == "^":
-            self.advance()
-            e = Pow(e, self.integer())
-        return e
-
-    def integer(self) -> int:
-        sign = 1
-        tok = self.current
-        if tok.kind == _TOKEN_OP and tok.text == "-":
-            self.advance()
-            sign = -1
-        tok = self.current
-        if tok.kind != _TOKEN_NUM or "." in tok.text or "e" in tok.text or "E" in tok.text:
-            raise ParseError("expected an integer exponent", tok.pos)
-        self.advance()
-        return sign * int(tok.text)
-
-    def base(self) -> Expr:
-        tok = self.current
-        if tok.kind == _TOKEN_NUM:
-            self.advance()
-            value = _number_value(tok.text)
-            if "e" in tok.text or "E" in tok.text:
-                # Scientific notation means float semantics were intended.
-                return Const(float(value))
-            return Const(value)
-        if tok.kind == _TOKEN_IDENT:
-            self.advance()
-            name = tok.text
-            if name in FUNCTIONS:
-                self.expect_op("(")
-                after = self.current
-                if after.kind == _TOKEN_OP and after.text == ")":
-                    raise FunctionArityError(
-                        f"{name}() takes exactly one argument", after.pos
-                    )
-                arg = self.expr()
-                after = self.current
-                if after.kind == _TOKEN_OP and after.text == ",":
-                    raise FunctionArityError(
-                        f"{name}() takes exactly one argument", after.pos
-                    )
-                self.expect_op(")")
-                return Fn(name, arg)
-            if name not in self.universe:
-                raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.pos)
-            return Var(name)
-        if tok.kind == _TOKEN_OP and tok.text == "(":
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError("expected a number, variable or '('", tok.pos)
+def _reduce(pending, operands, strength):
+    """Apply the pending operators, last first, that bind at least ``strength``."""
+    while pending and pending[-1][0] >= strength:
+        op = pending.pop()[1]
+        if op is Neg:
+            operands[-1] = Neg(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = op(operands[-1], right)
 
 
 def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
@@ -787,9 +668,88 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
 
     Raises :class:`ParseError` (with a 1-based position) on malformed input,
     :class:`UnknownIdentifierError` for identifiers outside the universe and
-    :class:`FunctionArityError` for multi-argument function calls.
+    :class:`FunctionArityError` for multi-argument function calls.  A bad
+    character, or a literal of more than ``MAX_DIGITS`` digits, is reported
+    before any error of the grammar.
     """
-    return _Parser(text, universe).parse()
+    tokens = []  # (kind, text, 1-based position); an operator's text tells it apart
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start() + 1)
+        if kind == "num" and sum(map(str.isdigit, word)) > MAX_DIGITS:
+            raise ParseError(f"number of more than {MAX_DIGITS} digits", m.start() + 1)
+        if kind != "space":
+            tokens.append((kind, word, m.start() + 1))
+    tokens.append(("end", "", len(text) + 1))
+
+    # Two stacks: the finished operands, and the open groups (the whole text,
+    # a parenthesis or a function argument), each with its function name or
+    # None and its pending operators.  Nesting takes no recursion.
+    operands, groups, i, opened = [], [(None, [])], 0, True
+    while True:
+        kind, word, pos = tokens[i]
+        if opened and word == "-":
+            groups[-1][1].append(_LEADING_MINUS)
+            i += 1
+            kind, word, pos = tokens[i]
+        opened = False
+        if kind == "num":
+            value = Fraction(Decimal(word))  # exact for every literal the lexer accepts
+            # Scientific notation means float semantics were intended.
+            operands.append(Const(float(value) if "e" in word or "E" in word else value))
+        elif word in FUNCTIONS:
+            if tokens[i + 1][1] != "(":
+                raise ParseError("expected '('", tokens[i + 1][2])
+            if tokens[i + 2][1] == ")":
+                raise FunctionArityError(f"{word}() takes exactly one argument", tokens[i + 2][2])
+            groups.append((word, []))
+            i, opened = i + 2, True
+            continue
+        elif kind == "ident":
+            if word not in universe:
+                raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
+            operands.append(Var(word))
+        elif word == "(":
+            groups.append((None, []))
+            i, opened = i + 1, True
+            continue
+        else:
+            raise ParseError("expected a number, variable or '('", pos)
+        i += 1
+        # A base is complete: take its exponent, then an infix operator, or
+        # end the group, whose value is a base of the group around it.
+        while True:
+            kind, word, pos = tokens[i]
+            if word == "^":
+                negative = tokens[i + 1][1] == "-"
+                i += 1 + negative
+                kind, word, pos = tokens[i]
+                if kind != "num" or not word.isdigit():
+                    raise ParseError("expected an integer exponent", pos)
+                operands[-1] = Pow(operands[-1], -int(word) if negative else int(word))
+                i += 1
+                kind, word, pos = tokens[i]
+            if word in _BINDING:
+                break
+            name, pending = groups[-1]
+            _reduce(pending, operands, 0)
+            if len(groups) == 1:
+                if kind == "end":
+                    return operands[0]
+                raise ParseError(f"unexpected trailing input {word!r}", pos)
+            if name and word == ",":
+                raise FunctionArityError(f"{name}() takes exactly one argument", pos)
+            if word != ")":
+                raise ParseError("expected ')'", pos)
+            groups.pop()
+            if name:
+                operands[-1] = Fn(name, operands[-1])
+            i += 1
+        strength, op = _BINDING[word]
+        _reduce(groups[-1][1], operands, strength)
+        groups[-1][1].append((strength, op))
+        i += 1
 
 
 # --- printing --------------------------------------------------------------
@@ -1025,12 +985,22 @@ def _function(name: str, a: Expr) -> Expr:
     return Fn(name, a) if value is None else Const(value)
 
 
+MAX_POWER_BITS = 1 << 16  # bit size allowed for one exact constant raised to a power
+
+
+def bit_size(c) -> int:
+    """Bits of the exact number ``c``: those of its numerator or denominator."""
+    c = Fraction(c)
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 def _power(base: Expr, n: int) -> Expr:
     if n == 0:
         return Const(1)
     if n == 1:
         return base
-    if isinstance(base, Const) and (base.value != 0 or n > 0):
+    if isinstance(base, Const) and (base.value != 0 or n > 0) and not (
+            base.is_exact and abs(n) * bit_size(base.value) > MAX_POWER_BITS):
         folded = _fold(operator.pow, base.value, n)
         if folded is not None:
             return Const(folded)

@@ -209,7 +209,8 @@ def load_path(path) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
+            # The decoder recurses once per nesting level of arrays and objects.
             raise FormatError(f"not valid JSON: {err}") from None
     return load_data(data)
 

@@ -12,6 +12,7 @@ import pytest
 
 from jetconn.cli import main
 from jetconn.evaluate import MAX_SAMPLES
+from jetconn.expr import MAX_DIGITS
 from jetconn.transport import MAX_STEPS
 
 SAMPLE_NAMES = [
@@ -487,15 +488,40 @@ class TestFailureEdges:
 
     @pytest.fixture
     def deep(self, tmp_path):
-        # 3000 nested parentheses: the parser recurses once per level, past
-        # the interpreter's stack.
-        return self.conn_file(tmp_path / "deep.json", "(" * 3000 + "x1*y1" + ")" * 3000)
+        # 100 000 nested parentheses, far past the interpreter's recursion
+        # limit: the parser keeps its open groups on a stack.
+        return self.conn_file(tmp_path / "deep.json", "(" * 100_000 + "x1*y1" + ")" * 100_000)
 
-    def test_deep_expression_is_a_one_line_error(self, run, deep):
-        code, out, err = run("prolong", deep)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: {deep}: expression too deeply nested to process\n"
+    def test_deep_expression_prolongs_like_the_flat_one(self, run, deep, tmp_path):
+        assert run("validate", deep) == (0, f"{deep}: valid order-1 connection\n", "")
+        flat = run("prolong", self.conn_file(tmp_path / "flat.json", "x1*y1"))
+        assert flat[0] == 0
+        assert run("prolong", deep) == flat
+
+    def test_json_nested_too_deep_is_a_format_error(self, run, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run("validate", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, position",
+        [("x1^" + "7" * 5000 + "*y1", 4), ("7" * 5000 + "*y1", 1)],
+        ids=["exponent", "coefficient"],
+    )
+    def test_literal_of_too_many_digits_names_the_file(self, run, tmp_path, entry, position):
+        path = self.conn_file(tmp_path / "digits.json", entry)
+        message = f"number of more than {MAX_DIGITS} digits (at position {position})"
+        for command in ("validate", "prolong"):
+            assert run(command, path) == (1, "", f"error: {path}: {message}\n")
+
+    def test_huge_constant_power_stays_unfolded(self, run, tmp_path):
+        # Folding 3^100000000 would take minutes; past MAX_POWER_BITS it stays a power.
+        code, out, err = run("prolong", self.conn_file(tmp_path / "power.json", "3^100000000*y1"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["H"] == [[["3^200000000*y1"]]]
 
     def test_long_sum_is_prolonged(self, run, tmp_path):
         # A 1000-term sum nests 1000 deep; diff and to_text walk it on a stack.
@@ -519,11 +545,11 @@ class TestFailureEdges:
         assert run("classify", path) == (0, "holonomic (symbolic)\n", "")
 
     def test_deep_expression_names_every_input(self, run, deep, sample_dir):
-        other = sample_dir / "conn_exp.json"
+        other = sample_dir / "conn_a.json"  # base_dim 2, against deep's 1
         code, _, err = run("product", deep, other)
         assert code == 1
-        assert err.startswith(f"error: {deep} and {other}: ")
-        assert err.count("\n") == 1
+        assert err == (f"error: {deep} and {other}: "
+                       "connections live on different universes: (1,1) vs (2,1)\n")
 
     @pytest.mark.parametrize(
         "entry, h",

@@ -46,7 +46,7 @@ from jetconn import (
     to_text,
 )
 
-from jetconn.expr import expr_sum, postorder, summands
+from jetconn.expr import MAX_DIGITS, expr_sum, postorder, summands
 
 from conftest import random_expr
 
@@ -203,6 +203,16 @@ class TestNodes:
         with pytest.raises(TypeError):
             as_expr(True)
 
+    def test_equality_takes_a_shared_subtree_once(self):
+        e = doubling_dag(40)
+        start = time.perf_counter()
+        assert copy.deepcopy(e) == e
+        # 1 and 2^61 hash alike, so every pair above the leaves agrees in hash.
+        one, other = (substitute(e, {"x1": Const(c)}) for c in (1, 2**61))
+        assert hash(one) == hash(other)
+        assert one != other
+        assert time.perf_counter() - start < 0.1
+
     def test_free_vars(self):
         e = parse_expr("x1*y1 + sin(x2)", U21)
         assert e.free_vars() == frozenset({"x1", "x2", "y1"})
@@ -279,9 +289,11 @@ class TestParser:
         e = parse_expr("x1 + x2*x3^2", U33)
         assert e == Add(Var("x1"), Mul(Var("x2"), Pow(Var("x3"), 2)))
 
-    def test_unary_minus_binds_loosest(self):
+    def test_leading_minus_negates_a_whole_term(self):
         assert parse_expr("-x1^2", U21) == Neg(Pow(Var("x1"), 2))
         assert parse_expr("-x1 + x2", U21) == Add(Neg(Var("x1")), Var("x2"))
+        assert parse_expr("-x1*x2 + y1", U21) == Add(Neg(Mul(Var("x1"), Var("x2"))), Var("y1"))
+        assert parse_expr("x1 - (-x2/y1)", U21) == Sub(Var("x1"), Neg(Div(Var("x2"), Var("y1"))))
 
     def test_left_associative_sub_div(self):
         assert parse_expr("x1 - x2 - x3", U33) == Sub(
@@ -324,6 +336,53 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_expr(text, U21)
         assert exc.value.position == 6
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("x1 + ) @", ParseError, "unexpected character '@' (at position 8)"),
+            ("sin x1", ParseError, "expected '(' (at position 5)"),
+            ("sin()", FunctionArityError, "sin() takes exactly one argument (at position 5)"),
+            ("cos(x1, y1)", FunctionArityError,
+             "cos() takes exactly one argument (at position 7)"),
+            ("(x1 + y1", ParseError, "expected ')' (at position 9)"),
+            ("(x1, y1)", ParseError, "expected ')' (at position 4)"),
+            ("sin(x1^2^3)", ParseError, "expected ')' (at position 9)"),
+            ("x1 y1", ParseError, "unexpected trailing input 'y1' (at position 4)"),
+            ("(x1))", ParseError, "unexpected trailing input ')' (at position 5)"),
+            ("x1^2^3", ParseError, "unexpected trailing input '^' (at position 5)"),
+            ("x1^1.5", ParseError, "expected an integer exponent (at position 4)"),
+            ("x1^--2", ParseError, "expected an integer exponent (at position 5)"),
+            ("x1*-y1", ParseError, "expected a number, variable or '(' (at position 4)"),
+            ("--x1", ParseError, "expected a number, variable or '(' (at position 2)"),
+            ("", ParseError, "expected a number, variable or '(' (at position 1)"),
+            ("x1 + q7", UnknownIdentifierError, "unknown identifier 'q7' (at position 6)"),
+        ],
+    )
+    def test_messages_and_positions(self, text, error, message):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, U21)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_deep_nesting_parses_without_recursion(self):
+        deep = "(" * 100_000 + "x1*y1" + ")" * 100_000
+        assert parse_expr(deep, U21) == Mul(Var("x1"), Var("y1"))
+        for prefix, node in (("-(", Neg), ("sin(", functools.partial(Fn, "sin"))):
+            expected = Var("x1")
+            for _ in range(5000):
+                expected = node(expected)
+            assert parse_expr(prefix * 5000 + "x1" + ")" * 5000, U21) == expected
+
+    def test_literal_digits_are_bounded(self):
+        longest = "9" * MAX_DIGITS
+        assert parse_expr(f"x1^{longest}", U21) == Pow(Var("x1"), int(longest))
+        exact = Const(Fraction(int(longest), 10 ** (MAX_DIGITS - 1)))
+        assert parse_expr(f"9.{longest[1:]}", U21) == exact
+        # A lexical error: reported before the unbalanced parenthesis after it.
+        message = rf"^number of more than {MAX_DIGITS} digits \(at position 6\)$"
+        with pytest.raises(ParseError, match=message):
+            parse_expr(f"x1 + 1{longest} + )", U21)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as exc:
@@ -655,19 +714,34 @@ class TestSimplify:
             assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
 
-def test_bench_simplify_runs():
-    root = pathlib.Path(__file__).resolve().parent.parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    """Run a script of the checkout from its root, importing jetconn from its ``src``."""
     path = os.environ.get("PYTHONPATH")
-    src = str(root / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    out = subprocess.run(
-        [sys.executable, "benchmarks/bench_simplify.py", "--sizes", "10,20", "--depth", "10",
-         "--repeat", "1"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
+    out = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    return out
+
+
+def test_bench_simplify_runs():
+    out = run_script("benchmarks/bench_simplify.py", "--sizes", "10,20", "--depth", "10",
+                     "--repeat", "1")
     lines = out.stdout.splitlines()
     assert lines[0] == "| n | 10 | 20 |"
-    assert [line.split(",")[0] for line in lines[2:5]] == ["| simplify", "| diff", "| to_text"]
+    assert [line.split(",")[0] for line in lines[2:6]] == [
+        "| simplify", "| diff", "| to_text", "| parse"]
+    assert lines[-3].endswith("against a deepcopy -> True")
     assert lines[-2].endswith("-> 1024")  # d/dx1 of 2^10*x1
     assert lines[-1].endswith("-> 1024*x1")
+
+
+def test_parse_differential_runs():
+    # Against this checkout's own src, so every text must agree.
+    out = run_script("benchmarks/parse_differential.py", "src", "--texts", "300", "--seed", "1")
+    assert out.stdout.startswith("300 texts, seed 1: ")
+    assert "valid" in out.stdout and "ParseError" in out.stdout
