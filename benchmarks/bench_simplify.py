@@ -4,7 +4,9 @@ The table's sums have n distinct terms ``k*x1^k*y1``, k = 1..n, parsed
 from text, so they nest n deep.  Each time is the best of ``--repeat``
 runs.  ``simplify`` gets a freshly parsed tree each run, so no run reads
 the cache of another; ``diff`` (by x1) and ``to_text`` get the simplified
-sum, and ``parse`` is ``parse_expr`` of the sum's text.  Linear time
+sum; ``diff (parsed)`` differentiates a freshly parsed tree, simplifying it
+too, as ``product`` does with each entry it reads; and ``parse`` is
+``parse_expr`` of the sum's text.  Linear time
 shows as times that grow with n.  The last three lines time ``==``
 against a ``copy.deepcopy``, ``diff`` and ``simplify`` on ``e = e + e``
 done ``--depth`` times from ``e = x1``: 2^depth paths through depth + 1
@@ -62,11 +64,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sizes = [int(n) for n in args.sizes.split(",")]
-    rows = {"simplify": [], "diff": [], "to_text": [], "parse": []}
+    rows = {"simplify": [], "diff": [], "diff (parsed)": [], "to_text": [], "parse": []}
     for n in sizes:
         rows["simplify"].append(best_of(args.repeat, lambda n=n: long_sum(n), simplify)[0])
         once = simplify(long_sum(n))
         rows["diff"].append(best_of(args.repeat, lambda: once, by_x1)[0])
+        rows["diff (parsed)"].append(best_of(args.repeat, lambda n=n: long_sum(n), by_x1)[0])
         rows["to_text"].append(best_of(args.repeat, lambda: once, to_text)[0])
         text = long_text(n)
         rows["parse"].append(best_of(args.repeat, lambda: text, lambda t: parse_expr(t, U))[0])

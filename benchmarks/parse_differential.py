@@ -5,8 +5,10 @@ characters or tokens inserted, deleted or swapped, or a soup of tokens.
 Both parsers must give the same tree ``repr``, or raise the same exception
 type with the same message and position.  Texts holding a scientific
 literal with an exponent of five or more digits are skipped and counted:
-both parsers build that power of ten exactly, which takes seconds or
-more.  The first disagreement is printed and exits 1; otherwise one line
+a parser that builds that power of ten exactly takes seconds or more on
+them.  Such a parser also raises ``OverflowError`` on ``1e400``, where this
+one raises a ``ParseError``, so against it the texts holding ``1e400``
+differ.  The first disagreement is printed and exits 1; otherwise one line
 counts the texts by outcome.  Usage:
 
     python3 benchmarks/parse_differential.py OTHER_SRC [--texts 200000] [--seed 7]

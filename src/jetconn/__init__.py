@@ -34,8 +34,8 @@ _EXPORTS = {
         classify curvature ehresmann_prolongation exchange family is_fiber_linear
         linear_to_general product""",
     "errors": """DimensionMismatchError EvalError FormatError FrameVerificationError
-        FunctionArityError JetconnError ParseError SamplingError TransportError
-        UnknownIdentifierError""",
+        FunctionArityError JetconnError ParseError SamplingError SizeLimitError
+        TransportError UnknownIdentifierError""",
     "evaluate": "PROBABILISTIC SYMBOLIC EqualityResult SamplePolicy eval_expr expr_equal",
     "expr": """Add Const Div Expr Fn Mul Neg Pow Sub SymbolUniverse Var as_expr cos
         diff exp ln parse_expr simplify sin substitute to_text""",
@@ -87,8 +87,8 @@ def _register(name):
     return module
 
 
-# Every submodule but cli: the homes of public names and four private ones.
-for _name in (*_EXPORTS, "_enclose", "_poly", "_tape", "kernel"):
+# Every submodule but cli: the homes of public names and five private ones.
+for _name in (*_EXPORTS, "_derive", "_enclose", "_poly", "_tape", "kernel"):
     globals()[_name] = _register(_name)
 del _name
 

@@ -24,6 +24,10 @@ class FunctionArityError(ParseError):
     """Function applied to the wrong number of arguments."""
 
 
+class SizeLimitError(JetconnError):
+    """A value past a size limit, such as a constant too long to print."""
+
+
 class EvalError(JetconnError):
     """Numeric evaluation failure: division by zero, ln domain, missing variable."""
 

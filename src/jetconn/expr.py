@@ -43,6 +43,14 @@ last; the order compares node types, names, values, exponents and operands,
 never a hash.  The result is a left fold of the binary nodes: ``c*f1*f2``,
 ``-(c*f1*f2)`` when c < 0, ``f1*f2`` when c = 1, and ``t1 + t2 - t3``.
 Atoms and quotients are kept, with simplified operands.
+
+:func:`diff` differentiates ``simplify(e)`` term by term, so its result
+depends on the canonical form, not on how the input was grouped: the
+derivative of ``sin(x1)*x1*y1`` is that of ``y1*x1*sin(x1)``.  Each term
+of the form gives one product-rule term per factor that depends on the
+variable, and all of them are merged once, as a sum is.  A tree with a
+float constant keeps the older route, ``simplify`` of the binary
+product-rule tree, since float merges depend on their order.
 """
 
 from __future__ import annotations
@@ -50,15 +58,19 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import chain
 from typing import Mapping
 
+from . import _derive
 from .errors import (
     DimensionMismatchError,
     FunctionArityError,
     ParseError,
+    SizeLimitError,
     UnknownIdentifierError,
 )
 
@@ -695,9 +707,12 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
             kind, word, pos = tokens[i]
         opened = False
         if kind == "num":
-            value = Fraction(Decimal(word))  # exact for every literal the lexer accepts
-            # Scientific notation means float semantics were intended.
-            operands.append(Const(float(value) if "e" in word or "E" in word else value))
+            # Scientific notation means float semantics were intended.  float()
+            # rounds the literal correctly, without building its power of ten.
+            value = float(word) if "e" in word or "E" in word else Fraction(Decimal(word))
+            if value == math.inf:  # the lexer reads no sign
+                raise ParseError("number out of floating point range", pos)
+            operands.append(Const(value))
         elif word in FUNCTIONS:
             if tokens[i + 1][1] != "(":
                 raise ParseError("expected '('", tokens[i + 1][2])
@@ -764,6 +779,14 @@ _LVL_ATOM = 4
 def _const_text(value) -> str:
     if isinstance(value, float):
         return repr(value)
+    try:
+        return _exact_text(value)
+    except ValueError:  # a numerator or denominator past Python's limit for str(int)
+        limit = sys.get_int_max_str_digits()
+        raise SizeLimitError(f"a constant of more than {limit} digits cannot be printed") from None
+
+
+def _exact_text(value: Fraction) -> str:
     q = value.denominator
     if q == 1:
         return str(value.numerator)
@@ -844,55 +867,25 @@ def to_text(e: Expr) -> str:
 
 # --- differentiation and substitution --------------------------------------
 #
-# Both are one walk of postorder that builds each distinct node's result from
-# its operands' results: a shared subtree is handled once, its result shared.
+# diff differentiates the canonical form term by term; its code is in
+# _derive, which a command loads only when it differentiates.  substitute is
+# one walk of postorder that builds each distinct node's image from its
+# operands' images: a shared subtree is handled once.
 
 def diff(e: Expr, var: str, universe: SymbolUniverse = None) -> Expr:
     """Partial derivative with respect to ``var``, simplified.
 
     When a universe is supplied the variable name is checked against it
-    first; otherwise any syntactically valid name is accepted.
+    first; otherwise any syntactically valid name is accepted.  The result
+    is ``simplify(e)`` differentiated term by term (see
+    :mod:`jetconn._derive`), so it does not depend on how ``e`` is grouped.
     """
     if universe is not None and var not in universe:
         raise ValueError(f"{var!r} is not a variable of this universe")
     Var(var)  # validates the name
-    return simplify(_diff(e, var))
-
-
-def _diff(e: Expr, var: str) -> Expr:
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    d = {}  # id of a node -> its derivative
-    for node in postorder([e]):
-        kind = type(node)
-        if kind is Const:
-            out = Const(0)
-        elif kind is Var:
-            out = Const(1 if node.name == var else 0)
-        elif kind is Neg:
-            out = Neg(d[id(node.arg)])
-        elif kind is Add or kind is Sub:
-            out = kind(d[id(node.left)], d[id(node.right)])
-        elif kind is Mul:
-            out = Add(Mul(d[id(node.left)], node.right), Mul(node.left, d[id(node.right)]))
-        elif kind is Div:
-            num = Sub(Mul(d[id(node.left)], node.right), Mul(node.left, d[id(node.right)]))
-            out = Div(num, Pow(node.right, 2))
-        elif kind is Pow:
-            n, inner = node.exponent, d[id(node.base)]
-            out = Mul(Mul(Const(n), Pow(node.base, n - 1)), inner) if n else Const(0)
-        else:
-            arg, inner = node.arg, d[id(node.arg)]
-            if node.name == "sin":
-                out = Mul(Fn("cos", arg), inner)
-            elif node.name == "cos":
-                out = Mul(Neg(Fn("sin", arg)), inner)
-            elif node.name == "exp":
-                out = Mul(Fn("exp", arg), inner)
-            else:  # ln
-                out = Div(inner, arg)
-        d[id(node)] = out
-    return d[id(e)]
+    return _derive.derivative(e, var)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -1095,7 +1088,18 @@ def _term(coeff, factors) -> Expr:
 
 def _product(pairs) -> Expr:
     """The product of simplified operands, each to the power of its count."""
-    consts = []  # in order
+    consts, coeff, factors = _collect(pairs)
+    if coeff is None:
+        # Fresh constants: one node met twice would be a power the next time.
+        return _term(1, tuple(Const(c.value) for c in consts) + factors)
+    return Const(0) if coeff == 0 else _term(coeff, factors)
+
+
+def _collect(pairs):
+    """The constants of a product of simplified operands, each to the power
+    of its count, in order; their product, None if not finite; and the other
+    factors, equal bases merged, sorted."""
+    consts = []
     powers = {}  # (base, exponent > 0) -> exponent
     for k, node in pairs:
         own, factors = _split(node)
@@ -1108,33 +1112,36 @@ def _product(pairs) -> Expr:
         for f in factors:
             base, n = (f.base, f.exponent * k) if isinstance(f, Pow) else (f, k)
             powers[base, n > 0] = powers.get((base, n > 0), 0) + n
-    coeff = _coefficient(consts)
     merged = (base if n == 1 else Pow(base, n) for (base, _), n in powers.items())
-    factors = tuple(sorted(merged, key=_base_order))
-    if coeff is None:
-        # Fresh constants: one node met twice would be a power the next time.
-        return _term(1, tuple(Const(c.value) for c in consts) + factors)
-    return Const(0) if coeff == 0 else _term(coeff, factors)
+    return consts, _coefficient(consts), tuple(sorted(merged, key=_base_order))
 
 
-def _sum(pairs) -> Expr:
-    """The sum of simplified operands, each times its count, like terms
-    merged; a merge that would not be finite is refused."""
+def _terms(pairs):
+    """The (coefficient, factors) of each summand of ``pairs``, times its count."""
+    for k, node in summands(pairs):
+        consts, factors = _split(node)
+        coeff = _coefficient(consts)
+        if coeff is None:
+            coeff, factors = Fraction(1), (node,)
+        if k != 1:
+            scaled = _fold(operator.mul, coeff, k)
+            if scaled is None:  # a term reached k times, past double range
+                coeff, factors = Fraction(1), (_product([(1, Const(k)), (1, node)]),)
+            else:
+                coeff = scaled
+        yield coeff, factors
+
+
+def _sum(pairs, split=()) -> Expr:
+    """The sum of simplified operands, each times its count, and of the
+    terms ``split``, (coefficient, factors) pairs whose factors are sorted
+    and merged as :func:`_collect` leaves them; like terms are merged, and
+    a merge that would not be finite is refused."""
     terms = []  # [coefficient, factors], in order of first appearance
     latest = {}  # factors -> the last of terms with them; () for constants
     refused = set()  # factors of some refused merge
-    while pairs:
-        for k, node in summands(pairs):
-            consts, factors = _split(node)
-            coeff = _coefficient(consts)
-            if coeff is None:
-                coeff, factors = Fraction(1), (node,)
-            if k != 1:
-                scaled = _fold(operator.mul, coeff, k)
-                if scaled is None:  # a term reached k times, past double range
-                    coeff, factors = Fraction(1), (_product([(1, Const(k)), (1, node)]),)
-                else:
-                    coeff = scaled
+    while pairs or split:
+        for coeff, factors in chain(split, _terms(pairs)):
             term = latest.get(factors)
             if term is None and not factors:
                 coeff = Fraction(0) + coeff  # the constant part starts from exact 0
@@ -1146,7 +1153,7 @@ def _sum(pairs) -> Expr:
                 refused.add(factors)
             term = latest[factors] = [coeff, factors]
             terms.append(term)
-        pairs = []
+        pairs, split = [], ()
         for term in terms:  # a term 1*S or -1*S, S a sum, stands for S's terms
             coeff, factors = term
             if abs(coeff) == 1 and len(factors) == 1 and isinstance(factors[0], (Add, Sub)):
@@ -1157,17 +1164,17 @@ def _sum(pairs) -> Expr:
     # fit with the one before it.  Merge neighbours until no merge is finite,
     # leaving out zeros as the output does, so a second pass finds none.
     for factors in refused:
-        chain = [term for term in terms if term[1] == factors and term[0] != 0]
+        run = [term for term in terms if term[1] == factors and term[0] != 0]
         i = 0
-        while i + 1 < len(chain):
-            merged = _fold(operator.add, chain[i][0], chain[i + 1][0])
+        while i + 1 < len(run):
+            merged = _fold(operator.add, run[i][0], run[i + 1][0])
             if merged is None:
                 i += 1
                 continue
-            chain[i][0] = merged
-            chain.pop(i + 1)[0] = 0
+            run[i][0] = merged
+            run.pop(i + 1)[0] = 0
             if merged == 0:
-                chain.pop(i)
+                run.pop(i)
             i = max(i - 1, 0)
 
     # The sort is stable, so the terms of a refused chain keep their order.

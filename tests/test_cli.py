@@ -517,6 +517,20 @@ class TestFailureEdges:
         for command in ("validate", "prolong"):
             assert run(command, path) == (1, "", f"error: {path}: {message}\n")
 
+    def test_constant_too_long_to_print_names_the_file(self, run, tmp_path):
+        # Five 1000-digit literals fold into one coefficient of 5000 digits,
+        # past the digits Python prints of an int.
+        path = self.conn_file(tmp_path / "long.json", "*".join(["9" * 1000] * 5) + "*y1")
+        assert run("validate", path)[0] == 0
+        limit = sys.get_int_max_str_digits()
+        message = f"a constant of more than {limit} digits cannot be printed"
+        assert run("prolong", path) == (1, "", f"error: {path}: {message}\n")
+
+    def test_literal_beyond_double_range_is_a_parse_error(self, run, tmp_path):
+        path = self.conn_file(tmp_path / "inf.json", "x1 + 1e400*y1")
+        message = "number out of floating point range (at position 6)"
+        assert run("validate", path) == (1, "", f"error: {path}: {message}\n")
+
     def test_huge_constant_power_stays_unfolded(self, run, tmp_path):
         # Folding 3^100000000 would take minutes; past MAX_POWER_BITS it stays a power.
         code, out, err = run("prolong", self.conn_file(tmp_path / "power.json", "3^100000000*y1"))

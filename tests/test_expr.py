@@ -26,6 +26,7 @@ from jetconn import (
     Div,
     EqualityResult,
     EvalError,
+    Expr,
     Fn,
     FunctionArityError,
     Mul,
@@ -46,6 +47,7 @@ from jetconn import (
     to_text,
 )
 
+from jetconn import _derive, _poly
 from jetconn.expr import MAX_DIGITS, expr_sum, postorder, summands
 
 from conftest import random_expr
@@ -321,6 +323,23 @@ class TestParser:
         assert not e.is_exact
         assert e.value == 1000.0
 
+    @pytest.mark.parametrize("word", ["1e3", "2E-2", "1.5e-3", "12345678901234567890e-5",
+                                      "4.9e-324", "1.7976931348623157e308", "0.1e1"])
+    def test_scientific_literal_is_rounded_once(self, word):
+        assert parse_expr(word, U21).value.hex() == float(Fraction(word)).hex()
+
+    def test_scientific_literal_takes_no_power_of_ten(self):
+        # float() rounds the literal itself: an exact 10^-9999999 or
+        # 10^9999999 would take seconds to build.
+        start = time.perf_counter()
+        assert repr(parse_expr("1e-9999999*y1", U21)) == "Mul(Const(0.0), Var('y1'))"
+        with pytest.raises(ParseError) as exc:
+            parse_expr("x1 + 1e9999999*y1", U21)
+        assert str(exc.value) == "number out of floating point range (at position 6)"
+        with pytest.raises(ParseError, match=r"^number out of floating point range \(at position 1\)$"):
+            parse_expr("1e400", U21)
+        assert time.perf_counter() - start < 1.0
+
     def test_negative_exponent_accepted(self):
         assert parse_expr("x1^-2", U21) == Pow(Var("x1"), -2)
 
@@ -467,6 +486,36 @@ class TestSubstitute:
         assert substitute(e, {"x1": 3}) == Pow(Const(3), 2)
 
 
+def opaque_zero_quotients(e):
+    """``e`` with each distinct quotient by the constant 0 replaced by a variable."""
+    names, done = {}, {}
+    for node in postorder([e]):
+        if type(node) in (Const, Var):
+            out = node
+        else:
+            out = type(node)(*[done[id(f)] if isinstance(f, Expr) else f for f in node._key()])
+            if type(out) is Div and out.right == Const(0):
+                out = names.setdefault(out, Var(f"zero{len(names)}"))
+        done[id(node)] = out
+    return done[id(e)]
+
+
+def compare_with_binary_route(seeds, names=("x1", "x2", "y1")):
+    """Counts of (tree, variable) pairs by how ``diff`` and the binary route compare."""
+    counts = {"equal": 0, "proved": 0, "unproved": 0}
+    for seed in seeds:
+        e = random_expr(np.random.default_rng(seed), names)
+        for v in names:
+            new, old = diff(e, v), simplify(_derive.product_rule_tree(e, v))
+            if repr(new) == repr(old):
+                counts["equal"] += 1
+            elif _poly.decide(opaque_zero_quotients(Sub(new, old))):
+                counts["proved"] += 1
+            else:
+                counts["unproved"] += 1
+    return counts
+
+
 class TestDiff:
     def test_polynomial(self):
         e = parse_expr("x1^2*x2", U33)
@@ -495,6 +544,51 @@ class TestDiff:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             diff(parse_expr("x1", U21), "x9", U21)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [("sin(x1)*x1*y1", "y1*x1*sin(x1)", "x1*y1*cos(x1) + y1*sin(x1)"),
+         ("(x1 + 1)*(x1 + 1)", "(x1 + 1)^2", "2*(x1 + 1)"),
+         ("x2*(x1*y1)^2", "(x2*x1)*(y1*(x1*y1))", "2*x1*x2*y1^2")],
+    )
+    def test_grouping_does_not_change_the_derivative(self, a, b, expected):
+        # diff works on simplify(e), so inputs with one canonical form agree.
+        first, second = (diff(parse_expr(text, U21), "x1") for text in (a, b))
+        assert repr(first) == repr(second)
+        assert to_text(first) == expected
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_derivative_of_the_canonical_form(self, seed):
+        e = random_expr(np.random.default_rng(seed), ("x1", "x2", "y1"))
+        for v in ("x1", "x2", "y1"):
+            d = diff(e, v)
+            assert repr(d) == repr(diff(simplify(e), v))
+            assert_fixed_point(d)
+
+    def test_zero_markers_are_kept(self):
+        # ln(0) and a/0 differentiate to 0/0 though no variable is in them.
+        e = parse_expr("ln(0)*y1 + x1/0 + ln(x2 - x2)", U21)
+        assert to_text(diff(e, "x1")) == "y1*(0/0) + 2*(0/0)"
+        assert to_text(diff(parse_expr("sin(x2)/0", U21), "x1")) == "0/0"
+
+    def test_float_constant_keeps_the_binary_route(self):
+        # simplify folds 1e0 away, but the derivative keeps its float 1.0.
+        e = parse_expr("1e0*x1 + 2.5e0*x1*x1", U21)
+        assert repr(diff(e, "x1")) == repr(simplify(_derive.product_rule_tree(e, "x1")))
+        assert to_text(diff(e, "x1")) == "5.0*x1 + 1.0"
+
+    def test_against_the_binary_route(self):
+        """``diff`` against ``simplify`` of the binary product-rule tree.
+
+        Where the two differ in grouping, as in ``y1*(x1*cos(x1) + sin(x1))``
+        against ``x1*y1*cos(x1) + y1*sin(x1)``, the exact expansion must
+        prove them equal, a quotient by the constant 0 standing for a
+        variable of its own.
+        """
+        counts = compare_with_binary_route(range(2000))
+        assert counts["unproved"] == 0
+        assert counts["equal"] > 0.98 * sum(counts.values())
 
     @given(st.integers(min_value=0, max_value=2000))
     @settings(max_examples=120, deadline=None)
@@ -733,8 +827,8 @@ def test_bench_simplify_runs():
                      "--repeat", "1")
     lines = out.stdout.splitlines()
     assert lines[0] == "| n | 10 | 20 |"
-    assert [line.split(",")[0] for line in lines[2:6]] == [
-        "| simplify", "| diff", "| to_text", "| parse"]
+    assert [line.split(",")[0] for line in lines[2:7]] == [
+        "| simplify", "| diff", "| diff (parsed)", "| to_text", "| parse"]
     assert lines[-3].endswith("against a deepcopy -> True")
     assert lines[-2].endswith("-> 1024")  # d/dx1 of 2^10*x1
     assert lines[-1].endswith("-> 1024*x1")

@@ -106,12 +106,12 @@ GOLDEN = {"twofold": ROOT / "tests/golden/twofold.out"}
 # The jetconn modules, cli aside, whose code each command runs.
 EXECUTED = {
     "validate": "connections errors expr io",
-    "product": "connections errors expr io",
+    "product": "_derive connections errors expr io",
     "classify": "connections errors evaluate expr io",
     "semiholonomy": "errors expr io jets",
     "frames": "connections errors expr frames io",
-    "transport 1": "_tape connections errors expr io transport",
-    "holonomy": "_tape connections errors expr io transport",
+    "transport 1": "_derive _tape connections errors expr io transport",
+    "holonomy": "_derive _tape connections errors expr io transport",
     "twofold": "_tape connections errors evaluate expr frames io",
 }
 
@@ -200,7 +200,7 @@ RACE = (
 
 
 @pytest.mark.parametrize("module", ["connections", "evaluate", "expr", "frames", "io", "jets",
-                                    "transport", "_enclose", "_poly", "_tape"])
+                                    "transport", "_derive", "_enclose", "_poly", "_tape"])
 def test_lazy_module_loads_once_for_threads(module):
     # Every thread waits until the first has run the module's code.
     child = run_child(["-c", RACE, module])
@@ -220,8 +220,8 @@ PUBLIC = {
     ],
     "errors": [
         "DimensionMismatchError", "EvalError", "FormatError", "FrameVerificationError",
-        "FunctionArityError", "JetconnError", "ParseError", "SamplingError", "TransportError",
-        "UnknownIdentifierError",
+        "FunctionArityError", "JetconnError", "ParseError", "SamplingError", "SizeLimitError",
+        "TransportError", "UnknownIdentifierError",
     ],
     "evaluate": [
         "EqualityResult", "PROBABILISTIC", "SYMBOLIC", "SamplePolicy", "eval_expr", "expr_equal",
@@ -257,7 +257,7 @@ PUBLIC_NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 101
+    assert len(PUBLIC_NAMES) == 102
     assert sorted(jetconn.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(jetconn))
 
