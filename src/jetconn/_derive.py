@@ -10,14 +10,17 @@ factors) pairs as ``expr._collect`` gives them: a sum's are its terms'
 times their counts, and a term c*f1^k1*...*fr^kr gives one for each base fi
 that depends on the variable, the product of c*ki, fi^(ki - 1), fi' and the
 other factors.  A base, function argument or quotient operand needs its
-derivative as one tree, its slope: 1 for the variable, the one term of a
-function or quotient (chain and quotient rule through ``_product``,
-``_quotient`` and ``_power``), and the ``_sum`` of a sum's or product's
-terms, as its derivative would simplify alone.  The whole derivative is one
-``_sum``, so no binary product-rule tree is built, and the result depends
-on ``simplify(e)``, not on how ``e`` was grouped.  ``ln(a)`` and ``a/b``
-keep their rule when the inner slopes are 0, so ``ln(0)`` and ``a/0``
-still give the marker ``0/0``.  ``simplify(e)`` is cached in ``e``'s slot,
+derivative as a slope: the (count, factor) pairs of one product, multiplied
+out only where it is used.  The variable's slope is 1; a sum's or
+product's is the ``_sum`` of its terms, as its derivative would simplify
+alone; a quotient's or ``ln``'s is the one tree of the quotient rule
+through ``_product``, ``_quotient`` and ``_power``; and ``sin``, ``cos`` and
+``exp`` put ``cos(a)``, ``-sin(a)`` or ``exp(a)`` in front of their
+argument's slope, so a chain of n functions is merged and sorted once, not
+n times.  The whole derivative is one ``_sum``, so no binary product-rule
+tree is built, and the result depends on ``simplify(e)``, not on how ``e``
+was grouped.  ``ln(a)`` and ``a/b`` keep their rule when the inner slopes
+are 0, so ``ln(0)`` and ``a/0`` still give the marker ``0/0``.  ``simplify(e)`` is cached in ``e``'s slot,
 so the m + n derivatives of one entry simplify it once.
 
 A tree with a float constant keeps the binary route,
@@ -85,8 +88,8 @@ def _derivative_terms(e: Expr, var: str) -> list:
     """The (coefficient, factors) terms of the derivative of canonical ``e``."""
     d = {}  # id of a node -> the terms of its derivative
     parts = {}  # id of a sum -> its (count, term) pairs; of a term -> (c, factors)
-    slopes = {}  # id of a node -> its derivative as one tree, None for 0
-    unit = Const(1)
+    slopes = {}  # id of a node -> its slope, None for 0
+    unit = [(1, Const(1))]
 
     def operands(node):  # those that are not a constant or a variable
         kind = type(node)
@@ -105,7 +108,13 @@ def _derivative_terms(e: Expr, var: str) -> list:
         kind = type(node)
         if kind is Var:
             return [(Fraction(1), ())] if node.name == var else []
-        return [] if kind is Const else d[id(node)]
+        if kind is Const:
+            return []
+        key = id(node)
+        if key not in d:  # a function or quotient: its slope, multiplied out
+            pairs = slopes[key]
+            d[key] = [] if pairs is None else [_collect(pairs)[1:]]
+        return d[key]
 
     def slope(node):
         kind = type(node)
@@ -114,9 +123,9 @@ def _derivative_terms(e: Expr, var: str) -> list:
         if kind is Const:
             return None
         key = id(node)
-        if key not in slopes:
+        if key not in slopes:  # a sum or a product: the _sum of its terms
             split = d[key]
-            slopes[key] = _sum((), split) if split else None
+            slopes[key] = [(1, _sum((), split))] if split else None
         return slopes[key]
 
     for node in postorder([e], operands):  # a constant or variable only as the root
@@ -124,51 +133,51 @@ def _derivative_terms(e: Expr, var: str) -> list:
         if kind is Var or kind is Const:
             continue
         if kind is Add or kind is Sub:
-            out = [(c if k == 1 else k * c, f)
-                   for k, t in parts.pop(id(node)) for c, f in terms(t)]
+            d[id(node)] = [(c if k == 1 else k * c, f)
+                           for k, t in parts.pop(id(node)) for c, f in terms(t)]
         elif kind is Fn or kind is Div:
-            tree = _rule(node, slope)
-            consts, factors = _split(tree)
-            coeff = _coefficient(consts)
-            slopes[id(node)] = tree if coeff else None
-            out = [(coeff, factors)] if coeff else []
+            slopes[id(node)] = _rule(node, slope)
         else:  # a term c * f1^k1 * ... * fr^kr
             coeff, factors = parts.pop(id(node))
-            out = []
+            out = d[id(node)] = []
             for i, f in enumerate(factors):
                 base, k = (f.base, f.exponent) if type(f) is Pow else (f, 1)
                 inner = slope(base)
-                if inner is unit:  # fi is a variable: fi^(ki - 1) takes its place,
+                if inner is unit:  # fi is the variable: fi^(ki - 1) takes its place,
                     # so the factors stay sorted and nothing merges
                     rest = (_power(base, k - 1),) if k != 1 else ()
                     out.append((coeff * k, factors[:i] + rest + factors[i + 1:]))
                 elif inner is not None:
-                    pairs = [(1, Const(coeff * k)), (1, _power(base, k - 1)), (1, inner)]
+                    pairs = [(1, Const(coeff * k)), (1, _power(base, k - 1)), *inner]
                     pairs += [(1, g) for g in factors[:i] + factors[i + 1:]]
                     out.append(_collect(pairs)[1:])
-        d[id(node)] = out
     return terms(e)
 
 
-def _rule(node, slope) -> Expr:
-    """The derivative of a function or quotient node from its operands' slopes."""
+def _rule(node, slope):
+    """The slope of a function or quotient node from its operands' slopes."""
     if type(node) is Div:
         a, b = node.left, node.right
         da, db = slope(a), slope(b)
-        num = [] if da is None else [(1, _product([(1, da), (1, b)]))]
+        num = [] if da is None else [(1, _product([*da, (1, b)]))]
         if db is not None:
-            num.append((-1, _product([(1, a), (1, db)])))
-        return _quotient(_sum(num), _power(b, 2))
+            num.append((-1, _product([(1, a), *db])))
+        return _nonzero(_quotient(_sum(num), _power(b, 2)))
     arg, inner = node.arg, slope(node.arg)
     if node.name == "ln":
-        return _quotient(Const(0) if inner is None else inner, arg)
+        return _nonzero(_quotient(Const(0) if inner is None else _product(inner), arg))
     if inner is None:
-        return Const(0)
+        return None
     if node.name == "sin":
-        return _product([(1, _function("cos", arg)), (1, inner)])
+        return [(1, _function("cos", arg)), *inner]
     if node.name == "cos":
-        return _product([(1, _MINUS_ONE), (1, _function("sin", arg)), (1, inner)])
-    return _product([(1, node), (1, inner)])
+        return [(1, _MINUS_ONE), (1, _function("sin", arg)), *inner]
+    return [(1, node), *inner]
+
+
+def _nonzero(tree: Expr):
+    """The slope ``[(1, tree)]``, or None if ``tree`` is the constant 0."""
+    return None if type(tree) is Const and tree.value == 0 else [(1, tree)]
 
 
 def product_rule_tree(e: Expr, var: str) -> Expr:

@@ -1112,8 +1112,10 @@ def _collect(pairs):
         for f in factors:
             base, n = (f.base, f.exponent * k) if isinstance(f, Pow) else (f, k)
             powers[base, n > 0] = powers.get((base, n > 0), 0) + n
-    merged = (base if n == 1 else Pow(base, n) for (base, _), n in powers.items())
-    return consts, _coefficient(consts), tuple(sorted(merged, key=_base_order))
+    merged = [base if n == 1 else Pow(base, n) for (base, _), n in powers.items()]
+    if len(merged) > 1:  # a key walks the factor's whole tree
+        merged.sort(key=_base_order)
+    return consts, _coefficient(consts), tuple(merged)
 
 
 def _terms(pairs):
@@ -1180,7 +1182,8 @@ def _sum(pairs, split=()) -> Expr:
     # The sort is stable, so the terms of a refused chain keep their order.
     consts = [coeff for coeff, factors in terms if not factors]
     terms = [t for t in terms if t[1] and t[0] != 0]
-    terms.sort(key=lambda term: [*map(_base_order, term[1])])
+    if len(terms) > 1:  # a key walks every factor's whole tree
+        terms.sort(key=lambda term: [*map(_base_order, term[1])])
     terms += [(coeff, ()) for coeff in consts if coeff != 0]
     if not terms:
         return Const(consts[0] if consts else 0)
