@@ -8,6 +8,10 @@ made from the root of the repository with relative paths.  The files under
 
 Regenerate them only for a deliberate change of output, and show in the
 same change why the new bytes are right.
+
+``cli_usage.txt`` pins the parser's own text at 80 columns: the ``--help``
+of ``jetconn`` and of each subcommand, and the usage error of each
+subcommand run with no arguments.  It is written by the same ``--regen``.
 """
 
 import contextlib
@@ -106,6 +110,19 @@ JSON_COMMANDS = {
 }
 
 
+SUBCOMMANDS = (
+    "validate", "product", "prolong", "curvature", "exchange", "family", "classify",
+    "semiholonomy", "frames", "twofold", "jacobian", "transport", "holonomy",
+)
+USAGE_CASES = (
+    [["--help"]]
+    + [[name, "--help"] for name in SUBCOMMANDS]
+    + [[name] for name in SUBCOMMANDS]
+    + [["transport", "3", "a", "b", "--y0", "1"]]
+)
+USAGE = GOLDEN / "cli_usage.txt"
+
+
 def strict_json(text):
     """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
 
@@ -136,6 +153,26 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def usage_transcript():
+    """Exit code, stdout and stderr of each ``USAGE_CASES`` run, at 80 columns."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        blocks = []
+        for argv in USAGE_CASES:
+            code, out, err = run_cli(argv)
+            blocks.append(
+                f"$ jetconn {' '.join(argv)}\nexit {code}\n"
+                f"--- stdout\n{out}--- stderr\n{err}"
+            )
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return "\n".join(blocks)
+
+
 def load_manifest():
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
@@ -161,6 +198,10 @@ def test_transcript(name):
         strict_json(out)
 
 
+def test_usage_text():
+    assert usage_transcript() == USAGE.read_text(encoding="utf-8")
+
+
 def test_strict_json_refuses_non_finite_numbers():
     for text in ("NaN", "[Infinity]", '{"a": -Infinity}'):
         with pytest.raises(ValueError, match="is not valid JSON"):
@@ -178,6 +219,7 @@ def regenerate():
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
         manifest[name] = {"argv": argv, "exit": code, "stderr": err}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    USAGE.write_text(usage_transcript(), encoding="utf-8")
 
 
 if __name__ == "__main__":
