@@ -17,34 +17,28 @@ from .errors import EvalError, FormatError, JetconnError
 from .expr import to_text
 
 
-def _load(path) -> io.Document:
+def _load(path, *kinds) -> io.Document:
+    """The document at ``path``, whose kind must be one of ``kinds`` if any are given.
+
+    "connection1" stands for any first-order connection: a linear or affine
+    document comes back as a general one.  Every failure names ``path``, and
+    a wrong kind is named as the first of ``kinds``.
+    """
     try:
-        return io.load_path(path)
+        doc = io.load_path(path)
     except OSError as err:
-        reason = err.strerror or str(err)
-        raise FormatError(f"{path}: {reason}") from None
+        raise FormatError(f"{path}: {err.strerror or err}") from None
     except (JetconnError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: {err}") from None
-
-
-def _first_order(doc: io.Document):
-    if doc.kind == "connection1":
-        return doc.value
-    if doc.kind == "linear":
-        return connections.linear_to_general(doc.value)
-    if doc.kind == "affine":
-        return connections.affine_to_general(doc.value)
-    raise FormatError(
-        f"expected a first-order connection, got {io.KIND_LABELS[doc.kind]}"
-    )
-
-
-def _expect(doc: io.Document, kind: str):
-    if doc.kind != kind:
-        label = io.KIND_LABELS[kind]
-        article = "an" if label[0] in "aeiou" else "a"
-        raise FormatError(f"expected {article} {label}, got {io.KIND_LABELS[doc.kind]}")
-    return doc.value
+    if not kinds or doc.kind in kinds:
+        return doc
+    if "connection1" in kinds and doc.kind == "linear":
+        return io.Document("connection1", connections.linear_to_general(doc.value))
+    if "connection1" in kinds and doc.kind == "affine":
+        return io.Document("connection1", connections.affine_to_general(doc.value))
+    label = "first-order connection" if kinds[0] == "connection1" else io.KIND_LABELS[kinds[0]]
+    article = "an" if label[0] in "aeiou" else "a"
+    raise FormatError(f"{path}: expected {article} {label}, got {io.KIND_LABELS[doc.kind]}")
 
 
 def _policy(args, points: int = 64, tol: float = 1e-9) -> evaluate.SamplePolicy:
@@ -92,9 +86,12 @@ def _grid_out(grid, assignment):
 def _emit(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        raise FormatError(f"{args.output}: {err.strerror or err}") from None
 
 
 def _cmd_validate(args) -> str:
@@ -103,41 +100,41 @@ def _cmd_validate(args) -> str:
 
 
 def _cmd_product(args) -> str:
-    gamma = _first_order(_load(args.first))
-    gamma_bar = _first_order(_load(args.second))
+    gamma = _load(args.first, "connection1").value
+    gamma_bar = _load(args.second, "connection1").value
     return io.dump_json(io.connection2_to_data(connections.product(gamma, gamma_bar)))
 
 
 def _cmd_prolong(args) -> str:
-    gamma = _first_order(_load(args.file))
+    gamma = _load(args.file, "connection1").value
     return io.dump_json(io.connection2_to_data(connections.ehresmann_prolongation(gamma)))
 
 
 def _cmd_curvature(args) -> str:
-    gamma = _first_order(_load(args.file))
+    gamma = _load(args.file, "connection1").value
     grid = connections.curvature(gamma)
     return io.dump_json(io.curvature_to_data(grid, gamma.universe))
 
 
 def _cmd_exchange(args) -> str:
-    delta = _expect(_load(args.file), "connection2")
+    delta = _load(args.file, "connection2").value
     return io.dump_json(io.connection2_to_data(connections.exchange(delta)))
 
 
 def _cmd_family(args) -> str:
-    gamma = _first_order(_load(args.file))
+    gamma = _load(args.file, "connection1").value
     if not math.isfinite(args.k):
         raise FormatError("--k must be a finite number")
     return io.dump_json(io.connection2_to_data(connections.family(gamma, args.k)))
 
 
 def _cmd_classify(args) -> str:
-    delta = _expect(_load(args.file), "connection2")
+    delta = _load(args.file, "connection2").value
     return f"{connections.classify(delta, _policy(args))}\n"
 
 
 def _cmd_semiholonomy(args) -> str:
-    point = _expect(_load(args.file), "jet")
+    point = _load(args.file, "jet").value
     core = jets.is_semiholonomic_point(point)
     agree = jets.projections_agree(point)
     holo = jets.is_holonomic_point(point)
@@ -149,14 +146,11 @@ def _cmd_semiholonomy(args) -> str:
 
 
 def _cmd_frames(args) -> str:
-    doc = _load(args.file)
+    doc = _load(args.file, "connection1", "connection2")
+    assignment = None if args.at is None else _assignment(doc.value.universe, args.at)
     if doc.kind == "connection2":
-        delta = doc.value
-        assignment = None
-        if args.at is not None:
-            assignment = _assignment(delta.universe, args.at)
         rows = []
-        for row in frames.horizontal_lift_field(delta):
+        for row in frames.horizontal_lift_field(doc.value):
             rows.append(
                 {
                     "direction": row.direction,
@@ -165,11 +159,7 @@ def _cmd_frames(args) -> str:
                 }
             )
         return io.dump_json({"lift": rows})
-    gamma = _first_order(doc)
-    built = frames.adapted_frame(gamma)
-    assignment = None
-    if args.at is not None:
-        assignment = _assignment(gamma.universe, args.at)
+    built = frames.adapted_frame(doc.value)
     return io.dump_json(
         {
             "frame": _grid_out(built.frame, assignment),
@@ -179,11 +169,10 @@ def _cmd_frames(args) -> str:
 
 
 def _cmd_twofold(args) -> str:
-    doc = _load(args.file)
-    conn = _expect(doc, "twofold")
+    doc = _load(args.file, "twofold")
     policy = _policy(args, points=100, tol=1e-10)
     dual = frames.twofold_dual_coframe(
-        conn, doc.extra, points=policy.points, tol=policy.tol, seed=policy.seed
+        doc.value, doc.extra, points=policy.points, tol=policy.tol, seed=policy.seed
     )
     return io.dump_json(
         {
@@ -197,7 +186,7 @@ def _cmd_twofold(args) -> str:
 
 
 def _cmd_jacobian(args) -> str:
-    transform = _expect(_load(args.file), "transform")
+    transform = _load(args.file, "transform").value
     report = frames.validate_twofold_jacobian(transform, _policy(args))
     return io.dump_json(
         {
@@ -210,16 +199,15 @@ def _cmd_jacobian(args) -> str:
 
 
 def _cmd_transport(args) -> str:
-    conn_doc = _load(args.connection)
-    curve = _expect(_load(args.curve), "curve")
+    conn = _load(args.connection, "connection1" if args.variant == "1" else "connection2").value
+    curve = _load(args.curve, "curve").value
     y0 = _floats(args.y0, "--y0")
     steps = args.steps
     if args.variant == "1":
-        result = transport.transport1(_first_order(conn_doc), curve, y0, steps)
+        result = transport.transport1(conn, curve, y0, steps)
     elif args.variant == "2":
-        delta = _expect(conn_doc, "connection2")
-        n = delta.universe.fiber_dim
-        m = delta.universe.base_dim
+        n = conn.universe.fiber_dim
+        m = conn.universe.base_dim
         if args.yj0 is None:
             yj0 = tuple((0.0,) * m for _ in range(n))
         else:
@@ -229,15 +217,15 @@ def _cmd_transport(args) -> str:
                     f"--yj0 needs {n * m} values (row-major y_i^p), got {len(flat)}"
                 )
             yj0 = tuple(flat[p * m : (p + 1) * m] for p in range(n))
-        result = transport.transport2(delta, curve, y0, yj0, steps)
+        result = transport.transport2(conn, curve, y0, yj0, steps)
     else:
-        result = transport.second_order_ode(_expect(conn_doc, "connection2"), curve, y0, steps)
+        result = transport.second_order_ode(conn, curve, y0, steps)
     return io.transport_csv(result)
 
 
 def _cmd_holonomy(args) -> str:
-    gamma = _first_order(_load(args.connection))
-    loop = _expect(_load(args.loop), "curve")
+    gamma = _load(args.connection, "connection1").value
+    loop = _load(args.loop, "curve").value
     result = transport.loop_holonomy(gamma, loop, steps=args.steps)
     return io.dump_json(
         {
@@ -246,6 +234,30 @@ def _cmd_holonomy(args) -> str:
             "matrix": [[float(v) for v in row] for row in result.matrix],
         }
     )
+
+
+# One row per subcommand: its help line, its positional arguments and the
+# function that runs it.  Every positional but ``variant`` names an input
+# file, in the order a diagnostic lists them.
+_COMMANDS = {
+    "validate": ("check a document file", ("file",), _cmd_validate),
+    "product": ("order-2 product of two connections", ("first", "second"), _cmd_product),
+    "prolong": ("self-product of a connection", ("file",), _cmd_prolong),
+    "curvature": ("curvature grid of a connection", ("file",), _cmd_curvature),
+    "exchange": ("swap the two order-1 projections", ("file",), _cmd_exchange),
+    "family": ("k-weighted symmetrization family", ("file",), _cmd_family),
+    "classify": ("holonomy class of an order-2 connection", ("file",), _cmd_classify),
+    "semiholonomy": ("point-level jet checks", ("file",), _cmd_semiholonomy),
+    "frames": (
+        "adapted frame (order 1) or horizontal lift (order 2)", ("file",), _cmd_frames,
+    ),
+    "twofold": ("two-fold frame with verified dual", ("file",), _cmd_twofold),
+    "jacobian": ("check a transform respects the fibering", ("file",), _cmd_jacobian),
+    "transport": (
+        "integrate transport along a curve", ("variant", "connection", "curve"), _cmd_transport,
+    ),
+    "holonomy": ("transport a basis around a loop", ("connection", "loop"), _cmd_holonomy),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,108 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Connections on fibered manifolds: products, frames, transport.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for command, (help_line, positionals, run) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, parents=[common], help=help_line)
+        for name in positionals:
+            p.add_argument(name, choices=("1", "2", "ode2") if name == "variant" else None)
+        p.set_defaults(run=run)
 
-    p = sub.add_parser("validate", parents=[common], help="check a document file")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser(
-        "product", parents=[common], help="order-2 product of two connections"
+    parsers["family"].add_argument("--k", type=float, required=True, help="family parameter")
+    parsers["frames"].add_argument(
+        "--at", default=None, help="evaluate at comma-separated point"
     )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(run=_cmd_product)
-
-    p = sub.add_parser(
-        "prolong", parents=[common], help="self-product of a connection"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_prolong)
-
-    p = sub.add_parser(
-        "curvature", parents=[common], help="curvature grid of a connection"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_curvature)
-
-    p = sub.add_parser(
-        "exchange", parents=[common], help="swap the two order-1 projections"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_exchange)
-
-    p = sub.add_parser(
-        "family", parents=[common], help="k-weighted symmetrization family"
-    )
-    p.add_argument("file")
-    p.add_argument("--k", type=float, required=True, help="family parameter")
-    p.set_defaults(run=_cmd_family)
-
-    p = sub.add_parser(
-        "classify", parents=[common], help="holonomy class of an order-2 connection"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser(
-        "semiholonomy", parents=[common], help="point-level jet checks"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_semiholonomy)
-
-    p = sub.add_parser(
-        "frames",
-        parents=[common],
-        help="adapted frame (order 1) or horizontal lift (order 2)",
-    )
-    p.add_argument("file")
-    p.add_argument("--at", default=None, help="evaluate at comma-separated point")
-    p.set_defaults(run=_cmd_frames)
-
-    p = sub.add_parser(
-        "twofold", parents=[common], help="two-fold frame with verified dual"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_twofold)
-
-    p = sub.add_parser(
-        "jacobian", parents=[common], help="check a transform respects the fibering"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_jacobian)
-
-    p = sub.add_parser(
-        "transport", parents=[common], help="integrate transport along a curve"
-    )
-    p.add_argument("variant", choices=("1", "2", "ode2"))
-    p.add_argument("connection")
-    p.add_argument("curve")
+    p = parsers["transport"]
     p.add_argument("--y0", required=True, help="initial fiber point, comma-separated")
     p.add_argument(
         "--yj0", default=None, help="initial jet block for variant 2, row-major"
     )
     p.add_argument("--steps", type=int, default=100, help="integration steps")
-    p.set_defaults(run=_cmd_transport)
-
-    p = sub.add_parser(
-        "holonomy", parents=[common], help="transport a basis around a loop"
+    parsers["holonomy"].add_argument(
+        "--steps", type=int, required=True, help="integration steps"
     )
-    p.add_argument("connection")
-    p.add_argument("loop")
-    p.add_argument("--steps", type=int, required=True, help="integration steps")
-    p.set_defaults(run=_cmd_holonomy)
-
     return parser
 
 
-# Positional arguments that name input files, in the order a diagnostic lists them.
-_INPUT_ARGS = ("file", "first", "second", "connection", "curve", "loop")
-
-
 def _inputs(args) -> str:
-    return " and ".join(
-        str(getattr(args, name)) for name in _INPUT_ARGS if hasattr(args, name)
-    )
+    _, positionals, _ = _COMMANDS[args.command]
+    return " and ".join(str(getattr(args, name)) for name in positionals if name != "variant")
 
 
 def main(argv=None) -> int:
@@ -377,7 +313,7 @@ def main(argv=None) -> int:
         text = args.run(args)
         _emit(args, text)
     except (FormatError, OSError, ValueError) as err:
-        # A FormatError from loading already names its file.
+        # A FormatError from loading or writing already names its file.
         message = str(err)
     except JetconnError as err:
         message = f"{_inputs(args)}: {err}"

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, diagnostics, goldens, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -102,30 +103,40 @@ class TestUsageErrors:
         assert "transport" in out
 
 
+class Wrong(str):
+    """The input file that a kind-mismatch diagnostic names."""
+
+
 class TestKindMismatch:
-    """A file of the wrong kind fails with exit 1 and names both kinds."""
+    """A file of the wrong kind fails with exit 1 and names itself and both kinds."""
 
     @pytest.mark.parametrize(
         "argv, expected, got",
         [
-            (["exchange", "conn_a.json"], "an order-2 connection", "order-1 connection"),
-            (["classify", "jet_semi.json"], "an order-2 connection", "jet point"),
-            (["transport", "2", "conn_a.json", "curve_unit.json", "--y0", "1"],
+            (["exchange", Wrong("conn_a.json")], "an order-2 connection", "order-1 connection"),
+            (["classify", Wrong("jet_semi.json")], "an order-2 connection", "jet point"),
+            (["transport", "2", Wrong("conn_a.json"), "curve_unit.json", "--y0", "1"],
              "an order-2 connection", "order-1 connection"),
-            (["transport", "ode2", "twofold.json", "curve_unit.json", "--y0", "1"],
+            (["transport", "ode2", Wrong("twofold.json"), "curve_unit.json", "--y0", "1"],
              "an order-2 connection", "two-fold connection"),
-            (["semiholonomy", "conn_a.json"], "a jet point", "order-1 connection"),
-            (["twofold", "transform.json"], "a two-fold connection", "two-fold transform"),
-            (["jacobian", "twofold.json"], "a two-fold transform", "two-fold connection"),
-            (["transport", "1", "conn_a.json", "conn_b.json", "--y0", "1"],
+            (["semiholonomy", Wrong("conn_a.json")], "a jet point", "order-1 connection"),
+            (["twofold", Wrong("transform.json")], "a two-fold connection", "two-fold transform"),
+            (["jacobian", Wrong("twofold.json")], "a two-fold transform", "two-fold connection"),
+            (["transport", "1", "conn_a.json", Wrong("conn_b.json"), "--y0", "1"],
              "a curve", "order-1 connection"),
-            (["holonomy", "conn_a.json", "jet_nonholo.json", "--steps", "4"],
+            (["holonomy", "conn_a.json", Wrong("jet_nonholo.json"), "--steps", "4"],
              "a curve", "jet point"),
+            (["prolong", Wrong("jet_semi.json")], "a first-order connection", "jet point"),
+            (["frames", Wrong("transform.json")],
+             "a first-order connection", "two-fold transform"),
+            (["transport", "1", Wrong("twofold.json"), "curve_unit.json", "--y0", "1"],
+             "a first-order connection", "two-fold connection"),
         ],
     )
     def test_message(self, run, sample_dir, argv, expected, got):
+        (wrong,) = [sample_dir / a for a in argv if isinstance(a, Wrong)]
         argv = [sample_dir / a if a.endswith(".json") else a for a in argv]
-        assert run(*argv) == (1, "", f"error: expected {expected}, got {got}\n")
+        assert run(*argv) == (1, "", f"error: {wrong}: expected {expected}, got {got}\n")
 
 
 class TestEmittedDocuments:
@@ -160,6 +171,16 @@ class TestEmittedDocuments:
         assert code == 0, err
         code, _, _ = run("validate", swapped)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "where, errno_code",
+        [("", errno.EISDIR), ("absent/out.json", errno.ENOENT)],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_output_names_the_path(self, run, sample_dir, tmp_path, where, errno_code):
+        target = tmp_path / where
+        code, out, err = run("prolong", sample_dir / "conn_a.json", "--output", target)
+        assert (code, out, err) == (1, "", f"error: {target}: {os.strerror(errno_code)}\n")
 
     def test_curvature_entries(self, run, sample_dir):
         code, out, _ = run("curvature", sample_dir / "conn_a.json")

@@ -10,8 +10,9 @@ Regenerate them only for a deliberate change of output, and show in the
 same change why the new bytes are right.
 
 ``cli_usage.txt`` pins the parser's own text at 80 columns: the ``--help``
-of ``jetconn`` and of each subcommand, and the usage error of each
-subcommand run with no arguments.  It is written by the same ``--regen``.
+of ``jetconn`` and of each subcommand, the usage error of each subcommand
+run with no arguments, and that of ``transport`` with an unknown variant.
+It is written by the same ``--regen``.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import os
 import pathlib
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -155,21 +157,14 @@ def run_cli(argv):
 
 def usage_transcript():
     """Exit code, stdout and stderr of each ``USAGE_CASES`` run, at 80 columns."""
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        blocks = []
+    blocks = []
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         for argv in USAGE_CASES:
             code, out, err = run_cli(argv)
             blocks.append(
                 f"$ jetconn {' '.join(argv)}\nexit {code}\n"
                 f"--- stdout\n{out}--- stderr\n{err}"
             )
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return "\n".join(blocks)
 
 
