@@ -706,17 +706,24 @@ class TestOptionRanges:
         code, out, err = run(*argv, option, value)
         assert (code, out, err) == (1, "", f"error: {option} must be finite numbers\n")
 
-    @pytest.mark.parametrize("steps", ["10", "0", "99999999999"])
+    @pytest.mark.parametrize("steps", ["10", "0", "99999999999", "2"])
     def test_holonomy_on_fiber_dimension_zero(self, run, sample_dir, tmp_path, steps):
         # A rank-0 bundle has no column to transport, and its holonomy is the
-        # identity of R^0; the step count is checked all the same.
-        conn = tmp_path / "rank0.json"
+        # identity of R^0; the step count is checked all the same, and the
+        # loop is still walked, so one with a pole inside it fails (2 steps).
+        conn, loop = tmp_path / "rank0.json", sample_dir / "loop_polar.json"
         data = {"order": 1, "base_dim": 2, "fiber_dim": 0, "F": []}
+        if steps == "2":
+            data["base_dim"], loop = 1, tmp_path / "pole.json"
+            pole = {"dim": 1, "components": ["1/(t - 1)^2"], "t0": 0.0, "t1": 2.0}
+            loop.write_text(json.dumps(pole), encoding="utf-8")
         conn.write_text(json.dumps(data), encoding="utf-8")
-        code, out, err = run("holonomy", conn, sample_dir / "loop_polar.json", "--steps", steps)
+        code, out, err = run("holonomy", conn, loop, "--steps", steps)
         if steps == "10":
             assert (code, err) == (0, "")
             assert json.loads(out) == {"defect": 0.0, "steps": 10, "matrix": []}
+        elif steps == "2":
+            assert (code, out, err) == (1, "", f"error: {conn} and {loop}: division by zero at t = 1.0\n")
         else:
             message = f"error: steps must be a positive integer, at most {MAX_STEPS}\n"
             assert (code, out, err) == (1, "", message)

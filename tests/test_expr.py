@@ -675,6 +675,9 @@ class TestSimplify:
          ("1e308 - x1 + 1e308 - 5e307", "-x1 + 1.5e+308"),
          ("1e308*x1 + 1e308*x1 - 5e307*x1", "1.5e+308*x1"),
          ("1e308 + 1e308 - 9e307", "1.1e+308"),
+         # A refused chain that merges back to zero leaves nothing of it.
+         ("1e308*y1 + 1e308*y1 - 1e308*y1 - 1e308*y1", "0"),
+         ("1e308*y1 + 1e308*y1 - 1e308*y1 - 1e308*y1 + x1", "x1"),
          # A quotient whose fold overflowed stays one opaque factor of its term.
          ("1e300/(1/10^10) + 1e300/(1/10^10)", "2*(1e+300/0.0000000001)")],
     )

@@ -418,6 +418,40 @@ class TestGeneratedLoop:
             [source] = self.sources(monkeypatch, run)
             assert "3125" not in source and "4375" not in source
 
+    @staticmethod
+    def diagonal(coeffs):
+        """F^p = c_p*y_p over one base dimension: each slot moves on its own."""
+        u = SymbolUniverse(1, len(coeffs))
+        return Connection1(u, tuple((parse_expr(f"{c}*y{p + 1}", u),) for p, c in enumerate(coeffs)))
+
+    def test_long_sums_continue_in_a_second_statement(self, monkeypatch):
+        # 65 slots: the finiteness sums run past _tape._FOLD terms and continue
+        # in a second statement, which rounds the same; each slot is its own
+        # one-dimensional transport, bit for bit.
+        coeffs = [round(0.25 + 0.03125 * p, 5) for p in range(65)]
+        c = curve_of(("sin(t)",), 0.0, 2.0)
+        y0 = tuple(1.0 + p / 8 for p in range(65))
+        g = self.diagonal(coeffs)
+        [source] = self.sources(monkeypatch, lambda: transport1(g, c, y0, 16))
+        assert "f = f + " in source
+        res = transport1(g, c, y0, 16)
+        for p, coeff in enumerate(coeffs):
+            alone = transport1(self.diagonal([coeff]), c, (y0[p],), 16)
+            assert [row[p].hex() for row in res.values] == [row[0].hex() for row in alone.values]
+
+    def test_long_sums_report_the_failing_slot(self):
+        # Slot 40 overflows; the whole state fails where that slot would alone.
+        coeffs = [0.5] * 65
+        coeffs[40] = 300
+        c = curve_of(("sin(t)",), 0.0, 2 * math.pi)
+        y0 = [1.0] * 65
+        y0[40] = 1e200
+        with pytest.raises(TransportError) as alone:
+            transport1(self.diagonal([300]), c, (1e200,), 64)
+        with pytest.raises(TransportError) as err:
+            transport1(self.diagonal(coeffs), c, y0, 64)
+        assert str(err.value) == str(alone.value)
+
 
 def numpy_transport1(g, y0, t1, steps):
     """Reference RK4 on numpy arrays with BLAS products, along x = (t, sin t)."""
