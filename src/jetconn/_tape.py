@@ -328,9 +328,7 @@ def _unless_finite(fast, exact, failure) -> list:
     ]
 
 
-def compile_integrator(
-    rows, base_names, fiber_names, curve, order=1, lanes=1, keep=True, jets=False
-):
+def compile_integrator(rows, base_names, fiber_names, curve, order=1, keep=True, jets=False):
     """Generate one function that runs a whole fixed-step RK4 integration along a curve.
 
     ``curve`` holds the expressions in t of the curve's m components, its m
@@ -343,19 +341,14 @@ def compile_integrator(
     - ``order`` 2: n rows of F, then the m rows of H^p for each p; slot p
       moves at ``(H^p x') x' + F^p x''``.
 
-    ``lanes`` states of that width are integrated side by side on one walk
-    of the curve, the rows evaluated per lane; with the same arithmetic in
-    the same order, each lane reproduces its own integration bit for bit.
-
     The function is ``run(start, h, steps, state, put, put_jet) ->
     (failure, state)``.  Step k takes its nodes at t = start + k*h, t + h/2
     and t + h, and evaluates the curve there inline, once per node; the
     stages take their coefficients at those nodes and update the state
     ``v + h/6*(d1 + 2.0*d2 + 2.0*d3 + d4)``, or, where that is not finite,
-    ``v + h/6*d1 + h/3*d2 + h/3*d3 + h/6*d4``.  ``state`` is the lanes'
-    states, one flat tuple.  With ``keep``, each step passes its state to
-    ``put``; with ``jets`` too, only its first n slots, and the rest to
-    ``put_jet`` as n rows of m jet slots.  Every dot is a left fold, one
+    ``v + h/6*d1 + h/3*d2 + h/3*d3 + h/6*d4``.  With ``keep``, each step
+    passes its state to ``put``; with ``jets`` too, only its first n slots,
+    and the rest to ``put_jet`` as n rows of m jet slots.  Every dot is a left fold, one
     IEEE operation at a time.  ``failure`` is None, and ``state`` the last
     state, unless a node's curve values or a stage's coefficients hold inf
     or nan (a failed guard leaves nan): then it is ``(t, status)``, the
@@ -373,7 +366,6 @@ def compile_integrator(
     flat = [e for row in rows for e in row]
     coeff_lines, coeff_status, _ = _block(flat, len(curve), _namer(const_slot, names))
     values = [f"v{len(curve) + e}" for e in range(len(flat))]
-    lane_slots = [range(j * width, (j + 1) * width) for j in range(lanes)]
 
     def dot(target, first, vec):
         return _fold(target, (f"{values[first + i]} * {vec[i]}" for i in range(m)))
@@ -383,26 +375,30 @@ def compile_integrator(
         return [f"tn = {time}", *curve_lines, *_unless_finite(point, point, failed)]
 
     def stage(s, rate):
-        lines = []
-        for lane in lane_slots:
-            d = [f"d{s}_{i}" for i in lane]
-            for q, i in enumerate(lane[:n]):
-                lines.append(f"x{q} = y{i}" + (f" + {rate} * d{s - 1}_{i}" if rate else ""))
-            lines += coeff_lines
-            for r in range(width):
-                if order == 1:
-                    lines += dot(d[r], r * m, velocity)
-                    continue
-                # (H^r x') x': g_i = H^r_i x' first, then g x'; then + F^r x''.
-                for i in range(m):
-                    lines += dot(f"g{i}", n * m + (r * m + i) * m, velocity)
-                lines += _fold("q", (f"g{i} * {velocity[i]}" for i in range(m)))
-                lines += dot(d[r], r * m, acceleration)
-                lines.append(f"{d[r]} = q + {d[r]}")
-            failed = [f"return (tn, {_tuple(coeff_status)}), None"]
-            lines += _unless_finite(d, values, failed)
-        return lines
+        d = [f"d{s}_{r}" for r in range(width)]
+        lines = [f"x{q} = y{q}" + (f" + {rate} * d{s - 1}_{q}" if rate else "") for q in range(n)]
+        lines += coeff_lines
+        for r in range(width):
+            if order == 1:
+                lines += dot(d[r], r * m, velocity)
+                continue
+            # (H^r x') x': g_i = H^r_i x' first, then g x'; then + F^r x''.
+            for i in range(m):
+                lines += dot(f"g{i}", n * m + (r * m + i) * m, velocity)
+            lines += _fold("q", (f"g{i} * {velocity[i]}" for i in range(m)))
+            lines += dot(d[r], r * m, acceleration)
+            lines.append(f"{d[r]} = q + {d[r]}")
+        failed = [f"return (tn, {_tuple(coeff_status)}), None"]
+        return lines + _unless_finite(d, values, failed)
 
+    slots = range(width)
+    z = [f"z{i}" for i in slots]
+    # The stage sum k1 + 2*k2 + ... can overflow before the state does.
+    fallback = [
+        *(f"z{i} = y{i} + h6 * d1_{i} + h3 * d2_{i} + h3 * d3_{i} + h6 * d4_{i}" for i in slots),
+        f"if not all(map(_isfinite, {_tuple(z)})):",
+        "    return (start + (k + 1) * h, None), None",
+    ]
     body = [
         *node("ta = start + k * h"),
         *stage(1, None),
@@ -411,21 +407,9 @@ def compile_integrator(
         *stage(3, "h2"),
         *node("ta + h"),
         *stage(4, "h"),
+        *(f"z{i} = y{i} + h6 * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})" for i in slots),
+        *_unless_finite(z, z, fallback),
     ]
-    slots = range(lanes * width)
-    for lane in lane_slots:
-        z = [f"z{i}" for i in lane]
-        for i in lane:
-            body.append(f"z{i} = y{i} + h6 * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})")
-        # The stage sum k1 + 2*k2 + ... can overflow before the state does.
-        fallback = [
-            f"z{i} = y{i} + h6 * d1_{i} + h3 * d2_{i} + h3 * d3_{i} + h6 * d4_{i}" for i in lane
-        ]
-        fallback += [
-            f"if not all(map(_isfinite, {_tuple(z)})):",
-            "    return (start + (k + 1) * h, None), None",
-        ]
-        body += _unless_finite(z, z, fallback)
     if keep:
         body.append(f"put({_tuple(f'z{q}' for q in range(n if jets else width))})")
         if jets:

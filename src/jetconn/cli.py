@@ -22,7 +22,7 @@ def _load(path, *kinds) -> io.Document:
 
     "connection1" stands for any first-order connection: a linear or affine
     document comes back as a general one.  Every failure names ``path``, and
-    a wrong kind is named as the first of ``kinds``.
+    a wrong kind names every one of ``kinds``.
     """
     try:
         doc = io.load_path(path)
@@ -36,9 +36,9 @@ def _load(path, *kinds) -> io.Document:
         return io.Document("connection1", connections.linear_to_general(doc.value))
     if "connection1" in kinds and doc.kind == "affine":
         return io.Document("connection1", connections.affine_to_general(doc.value))
-    label = "first-order connection" if kinds[0] == "connection1" else io.KIND_LABELS[kinds[0]]
-    article = "an" if label[0] in "aeiou" else "a"
-    raise FormatError(f"{path}: expected {article} {label}, got {io.KIND_LABELS[doc.kind]}")
+    labels = ["first-order connection" if k == "connection1" else io.KIND_LABELS[k] for k in kinds]
+    expected = " or ".join(("an " if label[0] in "aeiou" else "a ") + label for label in labels)
+    raise FormatError(f"{path}: expected {expected}, got {io.KIND_LABELS[doc.kind]}")
 
 
 def _policy(args, points: int = 64, tol: float = 1e-9) -> evaluate.SamplePolicy:

@@ -73,10 +73,10 @@ class TransportResult(Value):
 
 
 # Largest step count of one integration.  A transport keeps each step's
-# time and a tuple of the state, about 80 + 32*s bytes as Python objects,
-# so 10^6 steps of a state of size s hold about (80 + 32*s) MB of
-# trajectory before any output is written; a holonomy keeps only the last
-# state of each column.
+# time and a tuple of the state, 80 + 32*n bytes as Python objects (for
+# transport2, whose jet rows are tuples of their own, 128 + 80*n + 32*n*m),
+# so 10^6 steps hold that many MB of trajectory before any output is
+# written; a holonomy keeps only the last state of each column.
 MAX_STEPS = 10**6
 
 
@@ -247,18 +247,12 @@ def loop_holonomy(
         basis = [[1.0 if p == j else 0.0 for j in range(n)] for p in range(n)]
     rows = _real_rows(basis, n, None, f"basis must be an {n}-row matrix of column vectors")
     columns = _check_shapes(u, loop, steps, *zip(*rows))
-    # One walk of the curve for every column, the columns side by side.
-    run = _integrator(gamma, loop, gamma.F, lanes=len(columns), keep=False)
-    try:
-        state = _integrate(run, loop, steps, sum(columns, ()))
-    except TransportError:
-        # The columns fail independently: report the failure of the first
-        # one that fails, as when each was transported in turn.
-        single = _integrator(gamma, loop, gamma.F, keep=False)
-        for column in columns:
-            _integrate(single, loop, steps, column)
-        raise
-    matrix = tuple(zip(*(state[j * n : (j + 1) * n] for j in range(len(columns)))))
+    # Each column is its own transport1, in order, so the first column that
+    # fails raises.  A rank-0 bundle has no column, and walks the loop once
+    # with the empty state, so a loop that fails inside fails here too.
+    run = _integrator(gamma, loop, gamma.F, keep=False)
+    ends = [_integrate(run, loop, steps, column) for column in columns or [()]]
+    matrix = tuple(zip(*ends))
     # On a rank-0 bundle the matrix is empty, the identity of R^0.
     defect = max(
         (abs(v - (1.0 if p == j else 0.0)) for p, row in enumerate(matrix)

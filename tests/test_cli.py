@@ -128,7 +128,7 @@ class TestKindMismatch:
              "a curve", "jet point"),
             (["prolong", Wrong("jet_semi.json")], "a first-order connection", "jet point"),
             (["frames", Wrong("transform.json")],
-             "a first-order connection", "two-fold transform"),
+             "a first-order connection or an order-2 connection", "two-fold transform"),
             (["transport", "1", Wrong("twofold.json"), "curve_unit.json", "--y0", "1"],
              "a first-order connection", "two-fold connection"),
         ],
@@ -723,7 +723,8 @@ class TestOptionRanges:
             assert (code, err) == (0, "")
             assert json.loads(out) == {"defect": 0.0, "steps": 10, "matrix": []}
         elif steps == "2":
-            assert (code, out, err) == (1, "", f"error: {conn} and {loop}: division by zero at t = 1.0\n")
+            message = f"error: {conn} and {loop}: division by zero at t = 1.0\n"
+            assert (code, out, err) == (1, "", message)
         else:
             message = f"error: steps must be a positive integer, at most {MAX_STEPS}\n"
             assert (code, out, err) == (1, "", message)

@@ -308,8 +308,8 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_columns_are_transport1_bit_for_bit(self, dim):
-        # The columns run side by side on one walk of the loop, each with
-        # its own evaluation of F: column j is transport1 of basis column j.
+        # Each column runs through the generated loop of transport1: column j
+        # is transport1 of basis column j.
         g = random_linear_connection(np.random.default_rng(dim), dim, dim)
         loop = curve_of(("2 + cos(t)", "sin(t)", "cos(2*t)/3")[:dim], 0.0, 2 * math.pi)
         basis = np.random.default_rng(10 + dim).normal(size=(dim, dim))
@@ -422,7 +422,8 @@ class TestGeneratedLoop:
     def diagonal(coeffs):
         """F^p = c_p*y_p over one base dimension: each slot moves on its own."""
         u = SymbolUniverse(1, len(coeffs))
-        return Connection1(u, tuple((parse_expr(f"{c}*y{p + 1}", u),) for p, c in enumerate(coeffs)))
+        rows = tuple((parse_expr(f"{c}*y{p + 1}", u),) for p, c in enumerate(coeffs))
+        return Connection1(u, rows)
 
     def test_long_sums_continue_in_a_second_statement(self, monkeypatch):
         # 65 slots: the finiteness sums run past _tape._FOLD terms and continue
