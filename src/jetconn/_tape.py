@@ -348,12 +348,13 @@ def compile_integrator(rows, base_names, fiber_names, curve, order=1, keep=True,
     ``v + h/6*(d1 + 2.0*d2 + 2.0*d3 + d4)``, or, where that is not finite,
     ``v + h/6*d1 + h/3*d2 + h/3*d3 + h/6*d4``.  With ``keep``, each step
     passes its state to ``put``; with ``jets`` too, only its first n slots,
-    and the rest to ``put_jet`` as n rows of m jet slots.  Every dot is a left fold, one
-    IEEE operation at a time.  ``failure`` is None, and ``state`` the last
-    state, unless a node's curve values or a stage's coefficients hold inf
-    or nan (a failed guard leaves nan): then it is ``(t, status)``, the
-    node time and the statuses of that program's expressions, or ``(t,
-    None)`` with the time after the step whose state is not finite.
+    and the rest to ``put_jet`` as n rows of m jet slots.  Every dot is a
+    left fold, one IEEE operation at a time.  ``failure`` is None, and
+    ``state`` the last state, unless a node's curve values or a stage's
+    coefficients hold inf or nan (a failed guard leaves nan): then it is
+    ``(t, status)``, the node time and the statuses of that program's
+    expressions, or ``(t, None)`` with the time after the step whose state
+    is not finite.
     """
     m, n = len(base_names), len(fiber_names)
     width = n if order == 2 else len(rows)

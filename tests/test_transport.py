@@ -429,7 +429,7 @@ class TestGeneratedLoop:
         # 65 slots: the finiteness sums run past _tape._FOLD terms and continue
         # in a second statement, which rounds the same; each slot is its own
         # one-dimensional transport, bit for bit.
-        coeffs = [round(0.25 + 0.03125 * p, 5) for p in range(65)]
+        coeffs = [0.25 + p / 32 for p in range(65)]
         c = curve_of(("sin(t)",), 0.0, 2.0)
         y0 = tuple(1.0 + p / 8 for p in range(65))
         g = self.diagonal(coeffs)
