@@ -8,7 +8,9 @@ also times the ``transport 1`` and ``holonomy`` commands on
 ``sample_inputs/`` in process, with their output, and prints their ratio.
 Each of these times is the best of ``--repeat`` runs.  Last, start-up:
 the median wall time of ``validate sample_inputs/conn_linear.json`` as a
-new process, over five runs.  Usage:
+new process, over five runs, beside that of a bare ``python -c pass`` run
+alternately with it, and the difference, which is jetconn's own share.
+Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
 """
@@ -149,15 +151,21 @@ def bench_commands(steps, repeat):
 
 
 def bench_startup():
-    """Median wall time of one ``validate`` command in a new process."""
+    """Median wall times of one ``validate`` command and of ``python -c pass``,
+    each in a new process, run alternately."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jetconn.__file__).parent.parent))
-    argv = [sys.executable, "-m", "jetconn.cli", "validate", str(SAMPLES / "conn_linear.json")]
-    times = []
+    argvs = {
+        "validate": [sys.executable, "-m", "jetconn.cli", "validate",
+                     str(SAMPLES / "conn_linear.json")],
+        "pass": [sys.executable, "-c", "pass"],
+    }
+    times = {name: [] for name in argvs}
     for _ in range(STARTUP_RUNS):
-        start = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, capture_output=True)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        for name, argv in argvs.items():
+            start = time.perf_counter()
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            times[name].append(time.perf_counter() - start)
+    return {name: statistics.median(t) for name, t in times.items()}
 
 
 def main_bench():
@@ -181,7 +189,11 @@ def main_bench():
     print(f"command holonomy / transport 1: {ratio:.2f}")
     print(f"codegen, program of {ops} ops: {program_s:.4f} s ({1e6 * program_s / ops:.1f} us/op)")
     print(f"codegen, transport 2 loop: {loop_s:.4f} s")
-    print(f"start-up, validate, median of {STARTUP_RUNS} processes: {startup:.4f} s")
+    print(
+        f"start-up, validate, median of {STARTUP_RUNS} processes: {startup['validate']:.4f} s"
+        f" (python -c pass {startup['pass']:.4f} s,"
+        f" difference {startup['validate'] - startup['pass']:.4f} s)"
+    )
 
 
 if __name__ == "__main__":

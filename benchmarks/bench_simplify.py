@@ -7,7 +7,9 @@ the cache of another; ``diff`` (by x1) and ``to_text`` get the simplified
 sum; ``diff (parsed)`` differentiates a freshly parsed tree, simplifying it
 too, as ``product`` does with each entry it reads; and ``parse`` is
 ``parse_expr`` of the sum's text.  Linear time
-shows as times that grow with n.  The last three lines time ``==``
+shows as times that grow with n.  A second table gives the seconds of
+cyclic garbage collection within each of those best runs, clocked through
+``gc.callbacks``.  The last three lines time ``==``
 against a ``copy.deepcopy``, ``diff`` and ``simplify`` on ``e = e + e``
 done ``--depth`` times from ``e = x1``: 2^depth paths through depth + 1
 nodes, which must simplify to one term (``to_text`` is not timed there:
@@ -18,6 +20,7 @@ the text has 2^depth terms).  Usage:
 
 import argparse
 import copy
+import gc
 import time
 
 from jetconn import SymbolUniverse, diff, parse_expr, simplify, to_text
@@ -26,15 +29,38 @@ from jetconn.expr import Add, Var
 U = SymbolUniverse(1, 1)
 
 
+class GcClock:
+    """A ``gc.callbacks`` entry that adds up the seconds spent collecting."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self.start
+
+
 def best_of(repeat, make, run):
-    """The least wall time of ``run(make())`` over ``repeat`` calls, and its last result."""
-    best, result = float("inf"), None
-    for _ in range(repeat):
-        arg = make()
-        start = time.perf_counter()
-        result = run(arg)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+    """The least wall time of ``run(make())`` over ``repeat`` calls, the garbage
+    collection seconds within that call, and the last result."""
+    best, collecting, result = float("inf"), 0.0, None
+    clock = GcClock()
+    gc.callbacks.append(clock)
+    try:
+        for _ in range(repeat):
+            arg = make()
+            clock.seconds = 0.0
+            start = time.perf_counter()
+            result = run(arg)
+            seconds = time.perf_counter() - start
+            if seconds < best:
+                best, collecting = seconds, clock.seconds
+    finally:
+        gc.callbacks.remove(clock)
+    return best, collecting, result
 
 
 def long_text(n):
@@ -66,22 +92,24 @@ def main(argv=None):
     sizes = [int(n) for n in args.sizes.split(",")]
     rows = {"simplify": [], "diff": [], "diff (parsed)": [], "to_text": [], "parse": []}
     for n in sizes:
-        rows["simplify"].append(best_of(args.repeat, lambda n=n: long_sum(n), simplify)[0])
+        rows["simplify"].append(best_of(args.repeat, lambda n=n: long_sum(n), simplify))
         once = simplify(long_sum(n))
-        rows["diff"].append(best_of(args.repeat, lambda: once, by_x1)[0])
-        rows["diff (parsed)"].append(best_of(args.repeat, lambda n=n: long_sum(n), by_x1)[0])
-        rows["to_text"].append(best_of(args.repeat, lambda: once, to_text)[0])
+        rows["diff"].append(best_of(args.repeat, lambda: once, by_x1))
+        rows["diff (parsed)"].append(best_of(args.repeat, lambda n=n: long_sum(n), by_x1))
+        rows["to_text"].append(best_of(args.repeat, lambda: once, to_text))
         text = long_text(n)
-        rows["parse"].append(best_of(args.repeat, lambda: text, lambda t: parse_expr(t, U))[0])
-    print("| n | " + " | ".join(map(str, sizes)) + " |")
-    print("|---|" + "---|" * len(sizes))
-    for name, times in rows.items():
-        print(f"| {name}, s | " + " | ".join(f"{t:.3f}" for t in times) + " |")
+        rows["parse"].append(best_of(args.repeat, lambda: text, lambda t: parse_expr(t, U)))
+    for part, label in ((0, ""), (1, " gc")):
+        print("| n | " + " | ".join(map(str, sizes)) + " |")
+        print("|---|" + "---|" * len(sizes))
+        for name, runs in rows.items():
+            print(f"| {name}{label}, s | " + " | ".join(f"{r[part]:.3f}" for r in runs) + " |")
+        print()
     dag = doubling(args.depth)
-    seconds, same = best_of(args.repeat, lambda: copy.deepcopy(dag), dag.__eq__)
+    seconds, _, same = best_of(args.repeat, lambda: copy.deepcopy(dag), dag.__eq__)
     print(f"doubling DAG, depth {args.depth}: == {seconds:.6f} s against a deepcopy -> {same}")
     for name, run in (("diff", by_x1), ("simplify", simplify)):
-        seconds, out = best_of(args.repeat, lambda: doubling(args.depth), run)
+        seconds, _, out = best_of(args.repeat, lambda: doubling(args.depth), run)
         print(f"doubling DAG, depth {args.depth}: {name} {seconds:.4f} s -> {to_text(out)}")
 
 

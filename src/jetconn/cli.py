@@ -1,15 +1,18 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for domain errors (bad files, dimension
-mismatches, failed verification), 2 for usage errors.  All output is
-deterministic for a fixed --seed, so emitted files can be compared
-byte for byte.
+mismatches, failed verification) and for output that cannot be written,
+2 for usage errors.  All output is deterministic for a fixed --seed, so
+emitted files can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import math
+import os
 import sys
 
 from . import connections, evaluate, frames, io, jets, transport
@@ -84,14 +87,24 @@ def _grid_out(grid, assignment):
 
 
 def _emit(args, text: str) -> None:
-    if args.output is None:
-        sys.stdout.write(text)
+    """Write ``text`` to --output, or to stdout and flush it, so that a stream
+    that cannot take it fails here, by name, and not at exit."""
+    if args.output is not None:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise FormatError(f"{args.output}: {err.strerror or err}") from None
         return
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if sys.stdout is None:  # file descriptor 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as err:
-        raise FormatError(f"{args.output}: {err.strerror or err}") from None
+        # Drop the stream: what it still holds would fail again at exit.
+        sys.stdout = None
+        raise FormatError(f"stdout: {err.strerror or err}") from None
 
 
 def _cmd_validate(args) -> str:
@@ -321,9 +334,26 @@ def main(argv=None) -> int:
         message = f"{_inputs(args)}: out of memory"
     else:
         return 0
-    print(f"error: {message}", file=sys.stderr)
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        print(f"error: {message}", file=sys.stderr)
     return 1
 
 
+def entry() -> int:
+    """Run :func:`main` as a whole process and return its exit code.
+
+    Both process entry points end here: ``python -m jetconn.cli`` and the
+    ``jetconn`` console script.  ``gc.freeze()`` moves every object still
+    alive to the permanent generation, so the interpreter's shutdown
+    collections no longer walk them: a few milliseconds of every command,
+    spent freeing nothing, since expression trees hold no cycle and
+    nothing jetconn holds needs a finalizer.  ``main`` does not freeze, because
+    tests and benchmarks call it in a long-lived process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -266,15 +266,13 @@ def transport_csv(result: transport.TransportResult) -> str:
     if result.jet_values is not None:
         m = len(result.jet_values[0][0])
         header += [f"y{p}_{i}" for p in range(1, n + 1) for i in range(1, m + 1)]
-    lines = [",".join(header)]
-    # Every value is a float: float.__repr__ is repr, also for a numpy
-    # float64, which is a float whose own repr is not.
-    text = float.__repr__
+    # One format for every row.  Every value is a float, and %s of a float
+    # is its repr, also for a numpy float64, whose own repr is not.
+    row = ",".join(["%s"] * len(header)) + "\n"
     times, values, jet_values = result.times, result.values, result.jet_values
     if jet_values is None:
-        lines += [",".join(map(text, (t, *y))) for t, y in zip(times, values)]
+        rows = [row % (t, *y) for t, y in zip(times, values)]
     else:
         flat = itertools.chain.from_iterable
-        rows = zip(times, values, jet_values)
-        lines += [",".join(map(text, (t, *y, *flat(jet)))) for t, y, jet in rows]
-    return "\n".join(lines) + "\n"
+        rows = [row % (t, *y, *flat(jet)) for t, y, jet in zip(times, values, jet_values)]
+    return ",".join(header) + "\n" + "".join(rows)

@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, diagnostics, goldens, determinism."""
 
+import ast
 import errno
+import gc
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import sys
 
 import pytest
 
-from jetconn.cli import main
+from jetconn.cli import entry, main
 from jetconn.evaluate import MAX_SAMPLES
 from jetconn.expr import MAX_DIGITS
 from jetconn.transport import MAX_STEPS
@@ -865,3 +867,120 @@ class TestDeterminism:
             assert child.returncode == 0, child.stderr
             outs.append(child.stdout)
         assert outs[0] == outs[1]
+
+
+class TestProcessEntry:
+    """``python -m jetconn.cli`` and the console script: one process per command."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    def spawn(self, *argv, unbuffered="1", **kwargs):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), COLUMNS="80")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run(
+            [sys.executable, "-m", "jetconn.cli", *argv], cwd=self.ROOT, env=env,
+            stderr=subprocess.PIPE, timeout=60, **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ("validate", "sample_inputs/conn_linear.json"), 0,
+                b"sample_inputs/conn_linear.json: valid linear connection\n", b"",
+            ),
+            (
+                ("validate", "sample_inputs/absent.json"), 1,
+                b"", b"error: sample_inputs/absent.json: No such file or directory\n",
+            ),
+            (
+                ("transport", "3", "a.json", "b.json", "--y0", "1"), 2,
+                b"", b"jetconn transport: error: argument variant: invalid choice: '3' "
+                b"(choose from '1', '2', 'ode2')\n",
+            ),
+        ],
+    )
+    def test_process_matches_main_byte_for_byte(self, argv, code, out, err, capsys, monkeypatch):
+        child = self.spawn(*argv)
+        assert child.returncode == code
+        assert child.stdout == out
+        assert child.stderr.endswith(err)
+        monkeypatch.chdir(self.ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert (captured.out.encode(), captured.err.encode()) == (child.stdout, child.stderr)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["validate", "sample_inputs/conn_linear.json"], 0),
+         (["validate", "sample_inputs/absent.json"], 1),
+         (["frobnicate"], 2)],
+    )
+    def test_entry_freezes_after_main_on_every_exit(self, argv, code, capsys, monkeypatch):
+        calls = []
+        monkeypatch.chdir(self.ROOT)
+        monkeypatch.setattr(sys, "argv", ["jetconn", *argv])
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(capsys.readouterr()))
+        assert entry() == code
+        # Frozen once, after main has written everything.
+        assert len(calls) == 1
+        assert (calls[0].out != "") == (code == 0)
+        assert (calls[0].err != "") == (code != 0)
+
+    def test_main_in_process_does_not_freeze(self, run, sample_dir):
+        before = gc.get_freeze_count()
+        assert run("prolong", sample_dir / "conn_a.json")[0] == 0
+        assert run("validate", sample_dir / "absent.json")[0] == 1
+        assert run("frobnicate")[0] == 2
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_names_the_main_block_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["jetconn"]
+        tree = ast.parse((self.ROOT / "src" / "jetconn" / "cli.py").read_text(encoding="utf-8"))
+        block = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(block) == 1
+        assert [ast.unparse(stmt) for stmt in block[0].body] == ["sys.exit(entry())"]
+        assert script == "jetconn.cli:entry"
+
+    def test_closed_stdout_is_a_one_line_error(self):
+        child = self.spawn(
+            "validate", "sample_inputs/conn_linear.json", preexec_fn=lambda: os.close(1)
+        )
+        assert child.returncode == 1
+        assert child.stdout == b""
+        assert child.stderr == b"error: stdout: Bad file descriptor\n"
+
+    def test_closed_stdout_and_stderr_exit_1(self):
+        def close():
+            os.close(1)
+            os.close(2)
+
+        child = self.spawn("validate", "sample_inputs/conn_linear.json", preexec_fn=close)
+        assert (child.returncode, child.stdout, child.stderr) == (1, b"", b"")
+
+    def test_closed_stderr_keeps_the_error_off_stdout(self):
+        child = self.spawn("validate", "sample_inputs/absent.json", preexec_fn=lambda: os.close(2))
+        assert (child.returncode, child.stdout, child.stderr) == (1, b"", b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [("validate", "sample_inputs/conn_linear.json"), ("prolong", "sample_inputs/conn_a.json")],
+    )
+    def test_full_stdout_is_a_one_line_error(self, argv, unbuffered):
+        # Buffered, a short text fails only at the flush; without one, at exit,
+        # with Python's own exit code 120.
+        with open("/dev/full", "wb") as full:
+            child = self.spawn(*argv, unbuffered=unbuffered, stdout=full)
+        assert child.returncode == 1
+        assert child.stderr == b"error: stdout: No space left on device\n"
