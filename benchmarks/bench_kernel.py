@@ -10,6 +10,9 @@ Each of these times is the best of ``--repeat`` runs.  Last, start-up:
 the median wall time of ``validate sample_inputs/conn_linear.json`` as a
 new process, over five runs, beside that of a bare ``python -c pass`` run
 alternately with it, and the difference, which is jetconn's own share.
+In five more fresh processes it times the reading of that command line:
+by ``jetconn.cli``'s own reader, then by argparse as it would be read
+without the reader (the import, the first parser built and the parse).
 Usage:
 
     python3 benchmarks/bench_kernel.py [--points 20000] [--steps 20000] [--repeat 3]
@@ -168,6 +171,34 @@ def bench_startup():
     return {name: statistics.median(t) for name, t in times.items()}
 
 
+# In a fresh process: the reader's time on the command line after the
+# script name, then argparse's, whose import build_parser makes.
+READ_CHILD = (
+    "import sys, time\n"
+    "from jetconn import cli\n"
+    "argv = sys.argv[1:]\n"
+    "start = time.perf_counter()\n"
+    "assert cli._read(argv) is not None\n"
+    "read = time.perf_counter() - start\n"
+    "assert 'argparse' not in sys.modules\n"
+    "start = time.perf_counter()\n"
+    "cli.build_parser().parse_args(argv)\n"
+    "print(read, time.perf_counter() - start)\n"
+)
+
+
+def bench_reading():
+    """Median seconds the reader and argparse take on ``validate``'s command
+    line, each first in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jetconn.__file__).parent.parent))
+    argv = [sys.executable, "-c", READ_CHILD, "validate", str(SAMPLES / "conn_linear.json")]
+    runs = []
+    for _ in range(STARTUP_RUNS):
+        child = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        runs.append([float(word) for word in child.stdout.split()])
+    return [statistics.median(times) for times in zip(*runs)]
+
+
 def main_bench():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, default=20000)
@@ -180,6 +211,7 @@ def main_bench():
     commands = bench_commands(args.steps, args.repeat)
     program_s, ops, loop_s = bench_codegen(args.repeat)
     startup = bench_startup()
+    read_s, argparse_s = bench_reading()
     print(f"batch, {args.points} points: {batch:.4f} s")
     for name, seconds in variants.items():
         print(f"{name}, {args.steps} steps: {seconds:.4f} s")
@@ -193,6 +225,10 @@ def main_bench():
         f"start-up, validate, median of {STARTUP_RUNS} processes: {startup['validate']:.4f} s"
         f" (python -c pass {startup['pass']:.4f} s,"
         f" difference {startup['validate'] - startup['pass']:.4f} s)"
+    )
+    print(
+        f"start-up, reading validate's command line, median of {STARTUP_RUNS} processes:"
+        f" reader {read_s:.6f} s, argparse {argparse_s:.4f} s (import, parser, parse)"
     )
 
 

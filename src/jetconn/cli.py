@@ -4,16 +4,22 @@ Exit codes: 0 on success, 1 for domain errors (bad files, dimension
 mismatches, failed verification) and for output that cannot be written,
 2 for usage errors.  All output is deterministic for a fixed --seed, so
 emitted files can be compared byte for byte.
+
+One table, ``_COMMANDS``, declares every subcommand with its arguments.  A
+canonical command line is read straight from it; argparse, built from the
+same table, is imported only for help, usage errors and the command lines
+the reader leaves to it, such as ``--flag=value`` or a value that starts
+with ``-``.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import math
 import os
 import sys
+import types
 
 from . import connections, evaluate, frames, io, jets, transport
 from .errors import EvalError, FormatError, JetconnError
@@ -249,79 +255,133 @@ def _cmd_holonomy(args) -> str:
     )
 
 
-# One row per subcommand: its help line, its positional arguments and the
-# function that runs it.  Every positional but ``variant`` names an input
-# file, in the order a diagnostic lists them.
+# The options of every subcommand, then each subcommand's own, as
+# (flag, converter of the value, default, help line).  The attribute is the
+# flag without its dashes; a default of _REQUIRED makes the option required.
+_REQUIRED = object()
+_COMMON = (
+    ("--seed", int, 0, "sampling seed"),
+    ("--tol", float, None, "comparison tolerance"),
+    ("--samples", int, None, "sample point count"),
+    ("--output", str, None, "write output to PATH"),
+)
+_VARIANTS = ("1", "2", "ode2")
+
+# One row per subcommand: its help line, its positional arguments, the
+# function that runs it and its own options.  Every positional but
+# ``variant`` names an input file, in the order a diagnostic lists them.
 _COMMANDS = {
-    "validate": ("check a document file", ("file",), _cmd_validate),
-    "product": ("order-2 product of two connections", ("first", "second"), _cmd_product),
-    "prolong": ("self-product of a connection", ("file",), _cmd_prolong),
-    "curvature": ("curvature grid of a connection", ("file",), _cmd_curvature),
-    "exchange": ("swap the two order-1 projections", ("file",), _cmd_exchange),
-    "family": ("k-weighted symmetrization family", ("file",), _cmd_family),
-    "classify": ("holonomy class of an order-2 connection", ("file",), _cmd_classify),
-    "semiholonomy": ("point-level jet checks", ("file",), _cmd_semiholonomy),
+    "validate": ("check a document file", ("file",), _cmd_validate, ()),
+    "product": ("order-2 product of two connections", ("first", "second"), _cmd_product, ()),
+    "prolong": ("self-product of a connection", ("file",), _cmd_prolong, ()),
+    "curvature": ("curvature grid of a connection", ("file",), _cmd_curvature, ()),
+    "exchange": ("swap the two order-1 projections", ("file",), _cmd_exchange, ()),
+    "family": (
+        "k-weighted symmetrization family", ("file",), _cmd_family,
+        (("--k", float, _REQUIRED, "family parameter"),),
+    ),
+    "classify": ("holonomy class of an order-2 connection", ("file",), _cmd_classify, ()),
+    "semiholonomy": ("point-level jet checks", ("file",), _cmd_semiholonomy, ()),
     "frames": (
         "adapted frame (order 1) or horizontal lift (order 2)", ("file",), _cmd_frames,
+        (("--at", str, None, "evaluate at comma-separated point"),),
     ),
-    "twofold": ("two-fold frame with verified dual", ("file",), _cmd_twofold),
-    "jacobian": ("check a transform respects the fibering", ("file",), _cmd_jacobian),
+    "twofold": ("two-fold frame with verified dual", ("file",), _cmd_twofold, ()),
+    "jacobian": ("check a transform respects the fibering", ("file",), _cmd_jacobian, ()),
     "transport": (
         "integrate transport along a curve", ("variant", "connection", "curve"), _cmd_transport,
+        (
+            ("--y0", str, _REQUIRED, "initial fiber point, comma-separated"),
+            ("--yj0", str, None, "initial jet block for variant 2, row-major"),
+            ("--steps", int, 100, "integration steps"),
+        ),
     ),
-    "holonomy": ("transport a basis around a loop", ("connection", "loop"), _cmd_holonomy),
+    "holonomy": (
+        "transport a basis around a loop", ("connection", "loop"), _cmd_holonomy,
+        (("--steps", int, _REQUIRED, "integration steps"),),
+    ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--tol", type=float, default=None, help="comparison tolerance")
-    common.add_argument(
-        "--samples", type=int, default=None, help="sample point count"
-    )
-    common.add_argument("--output", default=None, help="write output to PATH")
+def _read(argv):
+    """The attributes ``build_parser().parse_args(argv)`` would return, for a
+    canonical ``argv``, and None for any other.
+
+    Canonical is the subcommand, then its positionals and its options in any
+    order: each option by its full flag, at most once, followed by a value
+    that does not start with ``-`` and that the option's converter accepts;
+    every required option given and ``variant`` one of its choices.  Help,
+    abbreviations, ``--flag=value``, ``--`` and every error are left to
+    argparse, which then parses the whole line itself.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, run, own = _COMMANDS[argv[0]]
+    converters = {flag: convert for flag, convert, _, _ in _COMMON + own}
+    values = {flag[2:]: default for flag, _, default, _ in _COMMON + own}
+    seen, given = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        value = next(words, "-")  # a flag at the end has no value
+        if word not in converters or word in seen or value.startswith("-"):
+            return None
+        seen.add(word)
+        try:
+            values[word[2:]] = converters[word](value)
+        except ValueError:
+            return None
+    # A required option that was not given still holds _REQUIRED.
+    if len(given) != len(positionals) or _REQUIRED in values.values():
+        return None
+    if positionals[0] == "variant" and given[0] not in _VARIANTS:
+        return None
+    values.update(zip(positionals, given), command=argv[0], run=run)
+    return types.SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of the same command line, for help and usage errors."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="jetconn",
         description="Connections on fibered manifolds: products, frames, transport.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for command, (help_line, positionals, run) in _COMMANDS.items():
-        p = parsers[command] = sub.add_parser(command, parents=[common], help=help_line)
+    for command, (help_line, positionals, run, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, convert, default, text in _COMMON:
+            p.add_argument(flag, type=convert, default=default, help=text)
+        # Added after the positionals, so that argparse names a missing
+        # required option after them, as it always has.
         for name in positionals:
-            p.add_argument(name, choices=("1", "2", "ode2") if name == "variant" else None)
+            p.add_argument(name, choices=_VARIANTS if name == "variant" else None)
+        for flag, convert, default, text in own:
+            if default is _REQUIRED:
+                p.add_argument(flag, type=convert, required=True, help=text)
+            else:
+                p.add_argument(flag, type=convert, default=default, help=text)
         p.set_defaults(run=run)
-
-    parsers["family"].add_argument("--k", type=float, required=True, help="family parameter")
-    parsers["frames"].add_argument(
-        "--at", default=None, help="evaluate at comma-separated point"
-    )
-    p = parsers["transport"]
-    p.add_argument("--y0", required=True, help="initial fiber point, comma-separated")
-    p.add_argument(
-        "--yj0", default=None, help="initial jet block for variant 2, row-major"
-    )
-    p.add_argument("--steps", type=int, default=100, help="integration steps")
-    parsers["holonomy"].add_argument(
-        "--steps", type=int, required=True, help="integration steps"
-    )
     return parser
 
 
 def _inputs(args) -> str:
-    _, positionals, _ = _COMMANDS[args.command]
+    positionals = _COMMANDS[args.command][1]
     return " and ".join(str(getattr(args, name)) for name in positionals if name != "variant")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         text = args.run(args)
         _emit(args, text)
@@ -335,7 +395,13 @@ def main(argv=None) -> int:
     else:
         return 0
     if sys.stderr is not None:  # print(file=None) would write to stdout
-        print(f"error: {message}", file=sys.stderr)
+        try:
+            print(f"error: {message}", file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:
+            # Drop the stream, as _emit drops stdout, so that exit does not
+            # fail on what it still holds.
+            sys.stderr = None
     return 1
 
 

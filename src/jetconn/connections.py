@@ -46,7 +46,7 @@ class Connection1(Value):
 
     def __init__(self, universe: SymbolUniverse, F):
         shape = (universe.fiber_dim, universe.base_dim)
-        names = universe.base_names + universe.fiber_names
+        names = SymbolUniverse(universe.base_dim, universe.fiber_dim)
         super().__init__(universe, expr_grid(F, shape, names, "F"))
 
 
@@ -57,7 +57,7 @@ class Connection2(Value):
 
     def __init__(self, universe: SymbolUniverse, F, G, H):
         n, m = universe.fiber_dim, universe.base_dim
-        names = universe.base_names + universe.fiber_names
+        names = SymbolUniverse(m, n)
         F = expr_grid(F, (n, m), names, "F")
         G = expr_grid(G, (n, m), names, "G")
         super().__init__(universe, F, G, expr_grid(H, (n, m, m), names, "H"))
@@ -73,7 +73,8 @@ class LinearConnection1(Value):
 
     def __init__(self, universe: SymbolUniverse, coeff):
         shape = (universe.fiber_dim, universe.base_dim, universe.fiber_dim)
-        super().__init__(universe, expr_grid(coeff, shape, universe.base_names, "coeff"))
+        names = SymbolUniverse(universe.base_dim, 0)
+        super().__init__(universe, expr_grid(coeff, shape, names, "coeff"))
 
 
 class AffineConnection(Value):
@@ -88,7 +89,7 @@ class AffineConnection(Value):
     def __init__(self, dim: int, christoffel):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        names = SymbolUniverse(dim, dim).base_names
+        names = SymbolUniverse(dim, 0)
         super().__init__(dim, expr_grid(christoffel, (dim, dim, dim), names, "christoffel"))
 
     @property

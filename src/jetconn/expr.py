@@ -622,8 +622,9 @@ def expr_grid(value, shape, allowed, what: str):
     or nesting at any depth raises :class:`DimensionMismatchError`, and an
     entry that uses a name outside ``allowed`` raises ``ValueError``.  Both
     messages start with ``what``.  ``shape == ()`` checks one expression.
+    ``allowed`` is only asked whether it holds each name an entry uses, so a
+    :class:`SymbolUniverse` serves for any dimension without listing its names.
     """
-    allowed = frozenset(allowed)
     size = "x".join(str(k) for k in shape)
     wanted = {0: "one expression", 1: f"a list of {size}"}.get(len(shape), f"a {size} grid")
 
@@ -641,7 +642,7 @@ def expr_grid(value, shape, allowed, what: str):
         if depth < len(shape):
             return tuple(entry(child, depth + 1) for child in node)
         e = as_expr(node)
-        stray = sorted(e.free_vars() - allowed)
+        stray = sorted(name for name in e.free_vars() if name not in allowed)
         if stray:
             raise ValueError(f"{what} references variables {stray} outside the universe")
         return e

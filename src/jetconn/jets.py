@@ -88,14 +88,17 @@ class JetPoint(Value):
         for key, value in values.items():
             p, seq = key
             table[(int(p), tuple(int(k) for k in seq))] = float(value)
-        expected = {
-            (p, seq)
-            for p in range(1, fiber_dim + 1)
-            for seq in all_sequences(order, base_dim)
-        }
-        if set(table) != expected:
-            missing = sorted(expected - set(table))[:3]
-            extra = sorted(set(table) - expected)[:3]
+        # The table must hold exactly the fiber_dim * len(sequences) keys of
+        # the jet space.  They are counted, never listed, since fiber_dim
+        # comes from the file; the first missing keys turn up within
+        # len(table) + 3 of them.
+        sequences = all_sequences(order, base_dim)
+        known = frozenset(sequences)
+        extra = sorted(key for key in table if not (1 <= key[0] <= fiber_dim
+                                                   and key[1] in known))[:3]
+        if extra or len(table) != fiber_dim * len(sequences):
+            expected = ((p, seq) for p in range(1, fiber_dim + 1) for seq in sequences)
+            missing = list(itertools.islice((k for k in expected if k not in table), 3))
             raise ValueError(
                 f"jet point table mismatch; missing {missing}, unexpected {extra}"
             )

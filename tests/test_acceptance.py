@@ -443,15 +443,10 @@ def test_criterion_09_parser_fuzz_and_diagnostics(capsys):
     )
 
 
-def test_criterion_10_cli_byte_determinism(capsys, tmp_path):
-    failures = []
-    prolonged = tmp_path / "prolonged.json"
-    code = main(
-        ["prolong", str(SAMPLES / "conn_a.json"), "--output", str(prolonged)]
-    )
-    assert code == 0
-    capsys.readouterr()
-    commands = [
+def criterion_10_commands(prolonged):
+    """The command lines criterion 10 runs twice each, after ``--seed 0`` is appended;
+    ``prolonged`` is an order-2 connection file."""
+    return [
         ("validate", str(SAMPLES / "conn_a.json")),
         ("product", str(SAMPLES / "conn_a.json"), str(SAMPLES / "conn_b.json")),
         ("prolong", str(SAMPLES / "conn_b.json")),
@@ -503,6 +498,17 @@ def test_criterion_10_cli_byte_determinism(capsys, tmp_path):
             "200",
         ),
     ]
+
+
+def test_criterion_10_cli_byte_determinism(capsys, tmp_path):
+    failures = []
+    prolonged = tmp_path / "prolonged.json"
+    code = main(
+        ["prolong", str(SAMPLES / "conn_a.json"), "--output", str(prolonged)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    commands = criterion_10_commands(prolonged)
     for argv in commands:
         seeded = list(argv) + ["--seed", "0"]
         runs = []

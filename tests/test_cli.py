@@ -10,10 +10,12 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from jetconn.cli import entry, main
+import test_golden
+from jetconn.cli import _read, build_parser, entry, main
 from jetconn.evaluate import MAX_SAMPLES
 from jetconn.expr import MAX_DIGITS
 from jetconn.transport import MAX_STEPS
@@ -35,10 +37,32 @@ SAMPLE_NAMES = [
 ]
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def agreed(argv):
+    """The reader's attributes for ``argv``, checked against argparse's, or None.
+
+    Values are compared by ``repr``, which tells 1 from 1.0 and finds nan
+    equal to nan.
+    """
+    args = _read(argv)
+    if args is not None:
+        parsed = build_parser().parse_args(argv)
+        assert {k: repr(v) for k, v in vars(args).items()} == \
+            {k: repr(v) for k, v in vars(parsed).items()}, argv
+    return args
+
+
 @pytest.fixture
 def run(capsys):
+    """Run main in process: exit code, stdout and stderr.  Every command line
+    of this module is also read both ways, and the two must agree."""
+
     def call(*argv):
-        code = main([str(a) for a in argv])
+        argv = [str(a) for a in argv]
+        agreed(argv)
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -103,6 +127,123 @@ class TestUsageErrors:
         code, out, _ = run("--help")
         assert code == 0
         assert "transport" in out
+
+
+class TestReader:
+    """The reader returns the attributes argparse would for a canonical command
+    line, and None for any other, which argparse then parses as before."""
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("workload", ["cli_samples", "algebra", "transport", "sampling"])
+    def test_workload_commands(self, workload, seed, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "clibench"))
+        from workloads import WORKLOADS
+
+        commands = [command.argv for command in WORKLOADS[workload](tmp_path, seed).commands]
+        # Only --flag=value lines, which the transport workload writes, go to argparse.
+        canonical = [not any(w.startswith("--") and "=" in w for w in argv) for argv in commands]
+        assert [agreed(argv) is not None for argv in commands] == canonical
+
+    @pytest.mark.parametrize("name", sorted(test_golden.CASES))
+    def test_golden_commands(self, name):
+        assert agreed(test_golden.CASES[name]) is not None
+
+    def test_usage_cases_go_to_argparse(self):
+        assert all(_read(argv) is None for argv in test_golden.USAGE_CASES)
+
+    def test_acceptance_commands(self, tmp_path):
+        from test_acceptance import criterion_10_commands
+
+        for argv in criterion_10_commands(tmp_path / "prolonged.json"):
+            assert agreed([*argv, "--seed", "0"]) is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transport", "--y0", "1", "1", "c.json", "u.json"],
+            ["transport", "1", "--steps", "5", "c.json", "--y0", "1,2", "u.json", "--seed", "3"],
+            ["holonomy", "--steps", "3", "c.json", "l.json", "--output", "out dir/h.json"],
+            ["family", "--k", "1e400", "a.json"],
+            ["classify", "a.json", "--tol", "nan", "--samples", "1_000"],
+            ["frames", "a.json", "--at", ""],
+            ["validate", ""],
+        ],
+    )
+    def test_canonical_in_any_order(self, argv):
+        assert agreed(argv) is not None
+
+    # Lines argparse refuses: the exit code and the last stderr line are
+    # those that argparse printed before the reader existed.
+    REFUSED = [
+        ([], "jetconn: error: the following arguments are required: command"),
+        (["--seed", "1", "validate", "{a}"], "jetconn: error: argument command: invalid choice: "
+         "'1' (choose from 'validate', 'product', 'prolong', 'curvature', 'exchange', "
+         "'family', 'classify', 'semiholonomy', 'frames', 'twofold', 'jacobian', "
+         "'transport', 'holonomy')"),
+        (["validate"], "jetconn validate: error: the following arguments are required: file"),
+        (["validate", "{a}", "{b}"], "jetconn: error: unrecognized arguments: {b}"),
+        (["validate", "{a}", "--k", "1"], "jetconn: error: unrecognized arguments: --k 1"),
+        (["validate", "{a}", "--seed"], "jetconn validate: error: argument --seed: expected one "
+         "argument"),
+        (["family", "{a}"], "jetconn family: error: the following arguments are required: --k"),
+        (["family", "{a}", "--k", "x"], "jetconn family: error: argument --k: invalid float "
+         "value: 'x'"),
+        (["holonomy", "{a}", "{b}", "--steps", "1.5"], "jetconn holonomy: error: argument "
+         "--steps: invalid int value: '1.5'"),
+        (["transport", "4", "{a}", "{b}", "--y0", "1"], "jetconn transport: error: argument "
+         "variant: invalid choice: '4' (choose from '1', '2', 'ode2')"),
+        (["transport", "1", "{a}", "{b}", "--y0", "-0.5,1"], "jetconn transport: error: "
+         "argument --y0: expected one argument"),
+        (["transport", "1", "{a}", "{b}"], "jetconn transport: error: the following arguments "
+         "are required: --y0"),
+        (["classify", "{a}", "--s", "1"], "jetconn classify: error: ambiguous option: --s could "
+         "match --seed, --samples"),
+    ]
+
+    @pytest.mark.parametrize("argv, last", REFUSED)
+    def test_refused_lines_keep_their_error(self, run, sample_dir, argv, last):
+        names = {"a": sample_dir / "conn_a.json", "b": sample_dir / "conn_b.json"}
+        argv = [word.format(**names) for word in argv]
+        assert _read(argv) is None
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: jetconn") and err.splitlines()[-1] == last.format(**names)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["transport", "-h"]])
+    def test_help_goes_to_argparse(self, run, argv):
+        assert _read(argv) is None
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: jetconn")
+
+    # Lines argparse reads and the reader leaves to it, each beside one that
+    # the reader reads or that argparse reads the same way.
+    EQUIVALENT = [
+        (["validate", "--", "{z}"], ["validate", "{z}"]),
+        (["classify", "{z}", "--seed=1"], ["classify", "{z}", "--seed", "1"]),
+        (["classify", "{z}", "--se", "1"], ["classify", "{z}", "--seed", "1"]),
+        (["classify", "{z}", "--seed", "2", "--seed", "1"], ["classify", "{z}", "--seed", "1"]),
+        (["family", "{a}", "--k", "-0.5"], ["family", "{a}", "--k=-0.5"]),
+        (["transport", "1", "{e}", "{u}", "--y0", "-0.5"],
+         ["transport", "1", "{e}", "{u}", "--y0=-0.5"]),
+    ]
+
+    @pytest.mark.parametrize("argv, same", EQUIVALENT)
+    def test_non_canonical_lines_run_as_before(self, run, sample_dir, argv, same):
+        names = {"a": "conn_a.json", "z": "conn_zero2.json", "e": "conn_exp.json",
+                 "u": "curve_unit.json"}
+        names = {key: sample_dir / name for key, name in names.items()}
+        argv, same = ([word.format(**names) for word in words] for words in (argv, same))
+        assert _read(argv) is None
+        result = run(*argv)
+        assert result[0] == 0 and result == run(*same)
+
+    def test_negative_list_after_equals_sign(self, run, sample_dir):
+        # "--y0 -0.5,1" is refused above; written with "=" argparse takes it.
+        conn, curve = sample_dir / "conn_affine_polar.json", sample_dir / "loop_polar.json"
+        argv = ["transport", "1", conn, curve, "--y0=-0.5,1", "--steps", "4"]
+        assert _read([str(a) for a in argv]) is None
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "") and out.startswith("t,y1,y2\n")
 
 
 class Wrong(str):
@@ -515,6 +656,44 @@ class TestFailureEdges:
         # limit: the parser keeps its open groups on a stack.
         return self.conn_file(tmp_path / "deep.json", "(" * 100_000 + "x1*y1" + ")" * 100_000)
 
+    # A document of each kind that declares a dimension and holds one entry,
+    # and the diagnostic it gets, both given that dimension.
+    DECLARED = {
+        "order 1": (lambda d: {"order": 1, "base_dim": 1, "fiber_dim": d, "F": [["y1"]]},
+                    "F must be a {d}x1 grid"),
+        "order 2": (lambda d: {"order": 2, "base_dim": d, "fiber_dim": 1, "F": [["y1"]],
+                               "G": [["y1"]], "H": [[["0"]]]},
+                    "F must be a 1x{d} grid"),
+        "linear": (lambda d: {"linear": True, "base_dim": d, "fiber_dim": 1, "coeff": [[["1"]]]},
+                   "coeff must be a 1x{d}x1 grid"),
+        "affine": (lambda d: {"affine": True, "dim": d, "christoffel": [[["x1"]]]},
+                   "christoffel must be a {d}x{d}x{d} grid"),
+        "jet": (lambda d: {"order": 1, "base_dim": 1, "fiber_dim": d, "base": [0.0],
+                           "values": [{"p": 1, "seq": [0], "value": 1.0}]},
+                "jet point table mismatch; missing [(1, (1,)), (2, (0,)), (2, (1,))], "
+                "unexpected []"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DECLARED))
+    def test_huge_declared_dimension_fails_like_a_small_one(self, run, tmp_path, kind):
+        # The shape is checked before any coordinate name is listed, so 10^30
+        # fails at once and in the words that 2 gets.  A separate process with
+        # a timeout keeps an unbounded build contained.
+        document, message = self.DECLARED[kind]
+        for dim in (2, 10**30):
+            path = tmp_path / f"{dim}.json"
+            path.write_text(json.dumps(document(dim)), encoding="utf-8")
+            expected = (1, "", f"error: {path}: {message.format(d=dim)}\n")
+            child = subprocess.run(
+                [sys.executable, "-m", "jetconn.cli", "validate", str(path)],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+                text=True, timeout=30,
+            )
+            assert (child.returncode, child.stdout, child.stderr) == expected
+            start = time.perf_counter()
+            assert run("validate", path) == expected
+            assert time.perf_counter() - start < 1.0
+
     def test_deep_expression_prolongs_like_the_flat_one(self, run, deep, tmp_path):
         assert run("validate", deep) == (0, f"{deep}: valid order-1 connection\n", "")
         flat = run("prolong", self.conn_file(tmp_path / "flat.json", "x1*y1"))
@@ -880,9 +1059,10 @@ class TestProcessEntry:
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
         kwargs.setdefault("stdout", subprocess.PIPE)
+        kwargs.setdefault("stderr", subprocess.PIPE)
         return subprocess.run(
-            [sys.executable, "-m", "jetconn.cli", *argv], cwd=self.ROOT, env=env,
-            stderr=subprocess.PIPE, timeout=60, **kwargs,
+            [sys.executable, "-m", "jetconn.cli", *argv], cwd=self.ROOT, env=env, timeout=60,
+            **kwargs,
         )
 
     @pytest.mark.parametrize(
@@ -984,3 +1164,23 @@ class TestProcessEntry:
             child = self.spawn(*argv, unbuffered=unbuffered, stdout=full)
         assert child.returncode == 1
         assert child.stderr == b"error: stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_full_stderr_exits_1(self, unbuffered):
+        # The diagnostic cannot be written, buffered or not; without the
+        # flush in main, the buffered one failed at exit with code 120.
+        with open("/dev/full", "wb") as full:
+            child = self.spawn("validate", "sample_inputs/absent.json", unbuffered=unbuffered,
+                               stderr=full)
+        assert (child.returncode, child.stdout) == (1, b"")
+
+    def test_unwritable_stderr_raises_nothing(self, monkeypatch):
+        class Full:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.chdir(self.ROOT)
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(["validate", "sample_inputs/absent.json"]) == 1
+        assert sys.stderr is None  # dropped, so that exit does not write to it again

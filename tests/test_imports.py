@@ -175,6 +175,56 @@ def test_sampled_classify_runs_without_numpy(tmp_path):
     assert child.stdout == "holonomic (probabilistic)\n"
 
 
+# --- argparse only for help and usage errors -----------------------------------
+
+# One valid command line per subcommand.
+EVERY_COMMAND = {
+    **WITHOUT_NUMPY,
+    "prolong": ["prolong", S + "conn_a.json"],
+    "curvature": ["curvature", S + "conn_a.json"],
+    "exchange": ["exchange", S + "conn_zero2.json"],
+    "family": ["family", S + "conn_a.json", "--k", "0.5"],
+    "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
+}
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def imported(*argv):
+    """Exit code of ``python -X importtime -m jetconn.cli *argv``, and the
+    names of the modules it imported."""
+    child = run_child(["-X", "importtime", "-m", "jetconn.cli", *argv])
+    lines = child.stderr.splitlines()
+    return child.returncode, {line.rsplit("|", 1)[1].strip() for line in lines
+                              if line.startswith("import time:")}
+
+
+def test_every_subcommand_has_a_command_line():
+    from jetconn.cli import _COMMANDS
+
+    assert sorted({argv[0] for argv in EVERY_COMMAND.values()}) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
+def test_command_line_is_read_without_argparse(name):
+    code, modules = imported(*EVERY_COMMAND[name])
+    assert code == 0
+    assert "jetconn" in modules and not modules & PARSER_MODULES
+
+
+def test_usage_error_builds_the_parser():
+    code, modules = imported("frobnicate")
+    assert code == 2 and modules >= PARSER_MODULES
+
+
+def test_help_in_a_process_matches_the_golden():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), COLUMNS="80")
+    child = subprocess.run([sys.executable, "-m", "jetconn.cli", "--help"], cwd=ROOT, env=env,
+                           capture_output=True, text=True, timeout=120)
+    usage = (ROOT / "tests/golden/cli_usage.txt").read_text(encoding="utf-8")
+    assert usage.startswith(f"$ jetconn --help\nexit 0\n--- stdout\n{child.stdout}--- stderr\n\n$ ")
+    assert (child.returncode, child.stderr) == (0, "")
+
+
 # Four threads, more than this host's cores, released together by a barrier
 # with a short switch interval, touch the name a lazy module defines last;
 # each records whether it found it.
