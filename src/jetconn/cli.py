@@ -93,15 +93,20 @@ def _grid_out(grid, assignment):
 
 
 def _emit(args, text: str) -> None:
-    """Write ``text`` to --output, or to stdout and flush it, so that a stream
-    that cannot take it fails here, by name, and not at exit."""
-    if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise FormatError(f"{args.output}: {err.strerror or err}") from None
+    """Write ``text`` to --output, or to stdout as :func:`_stdout` does."""
+    if args.output is None:
+        _stdout(text)
         return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise FormatError(f"{args.output}: {err.strerror or err}") from None
+
+
+def _stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so that a stream that cannot
+    take it fails here, by name, and not at exit."""
     try:
         if sys.stdout is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -191,7 +196,7 @@ def _cmd_twofold(args) -> str:
     doc = _load(args.file, "twofold")
     policy = _policy(args, points=100, tol=1e-10)
     dual = frames.twofold_dual_coframe(
-        doc.value, doc.extra, points=policy.points, tol=policy.tol, seed=policy.seed
+        doc.value, points=policy.points, tol=policy.tol, seed=policy.seed
     )
     return io.dump_json(
         {
@@ -373,15 +378,53 @@ def _inputs(args) -> str:
     return " and ".join(str(getattr(args, name)) for name in positionals if name != "variant")
 
 
+def _stderr(text: str) -> None:
+    """Write ``text`` to stderr and flush it.  A stream that cannot take it
+    is dropped, as :func:`_stdout` drops stdout, so that exit does not fail
+    on what it still holds."""
+    if sys.stderr is None:  # file descriptor 2 was closed at start-up
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        sys.stderr = None
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``, or the exit code argparse asked for.
+
+    argparse writes its help and usage errors while this holds both streams,
+    and they reach the real ones as every other output does: help only on
+    stdout, where a failed write is an error, and the rest on stderr.
+    """
+    from io import StringIO
+
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err = StringIO(), StringIO()
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+    finally:
+        sys.stdout, sys.stderr = streams
+    try:
+        if out.getvalue():
+            _stdout(out.getvalue())
+    except FormatError as failed:
+        code = 1
+        err.write(f"error: {failed}\n")
+    _stderr(err.getvalue())
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            code = exc.code
-            return code if isinstance(code, int) else 2
+        args = _parse(argv)
+        if isinstance(args, int):  # help or a usage error, written already
+            return args
     try:
         text = args.run(args)
         _emit(args, text)
@@ -394,14 +437,7 @@ def main(argv=None) -> int:
         message = f"{_inputs(args)}: out of memory"
     else:
         return 0
-    if sys.stderr is not None:  # print(file=None) would write to stdout
-        try:
-            print(f"error: {message}", file=sys.stderr)
-            sys.stderr.flush()
-        except OSError:
-            # Drop the stream, as _emit drops stdout, so that exit does not
-            # fail on what it still holds.
-            sys.stderr = None
+    _stderr(f"error: {message}\n")
     return 1
 
 

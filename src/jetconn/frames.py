@@ -153,14 +153,6 @@ class TwoFoldConnection(Value):
         return twofold_names(self.dims)
 
 
-def _alpha12_base(conn: TwoFoldConnection, g12_base) -> Tuple:
-    """The alpha12-row base block: ``g12_base`` if given, else the connection's."""
-    if g12_base is None:
-        return conn.g12_base
-    shape = (conn.dims[3], conn.dims[0])
-    return expr_grid(g12_base, shape, conn.universe.extra_symbols, "g12_base")
-
-
 def _block_matrix(dims, blocks, entry=None) -> Tuple:
     """The unit lower-triangular matrix with the five blocks in place.
 
@@ -175,14 +167,9 @@ def _block_matrix(dims, blocks, entry=None) -> Tuple:
     return _unit_lower(sum(dims), placed, entry)
 
 
-def twofold_frame(conn: TwoFoldConnection, g12_base=None) -> Tuple:
-    """Assemble the block lower-triangular adapted-basis matrix.
-
-    Optionally installs a replacement for the alpha12-row base block (the
-    frame entry the dual coframe derivation treats as chosen data).
-    """
-    g12_base = _alpha12_base(conn, g12_base)
-    blocks = (conn.g1_base, conn.g2_base, g12_base, conn.g12_f1, conn.g12_f2)
+def twofold_frame(conn: TwoFoldConnection) -> Tuple:
+    """Assemble the block lower-triangular adapted-basis matrix."""
+    blocks = (conn.g1_base, conn.g2_base, conn.g12_base, conn.g12_f1, conn.g12_f2)
     return _block_matrix(conn.dims, blocks)
 
 
@@ -197,7 +184,6 @@ class TwofoldCoframe(Value):
 
 def twofold_dual_coframe(
     conn: TwoFoldConnection,
-    g12_base=None,
     *,
     points: int = 100,
     tol: float = 1e-10,
@@ -215,18 +201,17 @@ def twofold_dual_coframe(
     """
     evaluate.check_sampling(points, tol)
     n, r1, r2, r12 = conn.dims
-    g12_base = _alpha12_base(conn, g12_base)
 
     def gamma_bar_entry(a, j):
         products = [conn.g12_f1[a][b] * conn.g1_base[b][j] for b in range(r1)]
         products += [conn.g12_f2[a][b] * conn.g2_base[b][j] for b in range(r2)]
-        return simplify(reduce(Sub, products, g12_base[a][j]))
+        return simplify(reduce(Sub, products, conn.g12_base[a][j]))
 
     gamma_bar = build_grid((r12, n), gamma_bar_entry)
     # The coframe holds every block negated, gamma_bar as the alpha12 base block.
     blocks = (conn.g1_base, conn.g2_base, gamma_bar, conn.g12_f1, conn.g12_f2)
     coframe = _block_matrix(conn.dims, blocks, _negated)
-    frame = twofold_frame(conn, g12_base)
+    frame = twofold_frame(conn)
 
     # The residuals of coframe * frame - I and frame * coframe - I, over one
     # placeholder e0, e1, ... per distinct non-constant entry.  A constant

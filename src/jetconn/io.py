@@ -28,16 +28,10 @@ KIND_LABELS = {
 
 
 class Document(Value):
-    """One loaded file: its detected kind and the constructed value.
+    """One loaded file: its detected kind and the constructed value, whose
+    every grid has been checked."""
 
-    For two-fold connections ``extra`` carries the optional gamma12_base
-    override grid; for curvature grids it holds the raw payload.
-    """
-
-    __slots__ = ("kind", "value", "extra")
-
-    def __init__(self, kind: str, value, extra=None):
-        super().__init__(kind, value, extra)
+    __slots__ = ("kind", "value")
 
 
 def detect_kind(data) -> str:
@@ -146,22 +140,16 @@ def load_data(data) -> Document:
         blocks = _need(data, "blocks", kind)
         if not isinstance(blocks, dict):
             raise FormatError("twofold blocks must be an object")
-        grids = {}
-        for name in ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2"):
-            grids[name] = _parse_grid(_need(blocks, name, "twofold blocks"), u, 2)
-        conn = frames.TwoFoldConnection(
-            dims,
-            grids["g1_base"],
-            grids["g2_base"],
-            grids["g12_base"],
-            grids["g12_f1"],
-            grids["g12_f2"],
-        )
-        override = None
+        names = ("g1_base", "g2_base", "g12_base", "g12_f1", "g12_f2")
+        grids = [_parse_grid(_need(blocks, name, "twofold blocks"), u, 2) for name in names]
+        conn = frames.TwoFoldConnection(dims, *grids)
         if "gamma12_base" in data:
+            # gamma12_base, checked under its own name, takes the place of
+            # blocks.g12_base, which was checked with the other blocks.
             grid = _parse_grid(data["gamma12_base"], u, 2)
-            override = expr_grid(grid, (dims[3], dims[0]), u.extra_symbols, "gamma12_base")
-        return Document(kind, conn, override)
+            grids[2] = expr_grid(grid, (dims[3], dims[0]), u.extra_symbols, "gamma12_base")
+            conn = frames.TwoFoldConnection(dims, *grids)
+        return Document(kind, conn)
     if kind == "transform":
         dims = _dims(data, kind)
         u = frames.twofold_universe(dims)
@@ -197,12 +185,9 @@ def load_data(data) -> Document:
         t1 = _number(_need(data, "t1", kind), "curve field 't1'")
         grid = _parse_grid(comps, transport.CURVE_UNIVERSE, 1)
         return Document(kind, transport.Curve(dim, grid, t0, t1))
-    # curvature grids round-trip as raw payload; validate only inspects them
-    m = _int_field(data, "base_dim", kind)
-    n = _int_field(data, "fiber_dim", kind)
-    u = SymbolUniverse(m, n)
+    u = _universe(data, kind)
     grid = _parse_grid(_need(data, "R", kind), u, 3)
-    return Document(kind, grid, data)
+    return Document(kind, expr_grid(grid, (u.fiber_dim, u.base_dim, u.base_dim), u, "R"))
 
 
 def load_path(path) -> Document:

@@ -7,7 +7,9 @@ import json
 import math
 import os
 import pathlib
+import re
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -246,6 +248,37 @@ class TestReader:
         assert (code, err) == (0, "") and out.startswith("t,y1,y2\n")
 
 
+class TestCompareOutputs:
+    """``benchmarks/compare_outputs.py`` on the first commands of a workload."""
+
+    def compare(self, other_src):
+        return subprocess.run(
+            [sys.executable, "benchmarks/compare_outputs.py", str(other_src), "--seeds", "5",
+             "--workloads", "cli_samples", "--commands", "2"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_same_src_is_identical(self):
+        child = self.compare(ROOT / "src")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "2 commands identical: workloads cli_samples, seeds 5\n"
+
+    def test_first_difference_is_named(self, tmp_path):
+        # A copy whose validate verdict reads differently.
+        shutil.copytree(ROOT / "src" / "jetconn", tmp_path / "jetconn")
+        cli = tmp_path / "jetconn" / "cli.py"
+        cli.write_text(cli.read_text(encoding="utf-8").replace(": valid ", ": good "),
+                       encoding="utf-8")
+        child = self.compare(tmp_path)
+        assert (child.returncode, child.stderr) == (1, "")
+        path = r"\S+/conn_linear\.json"
+        assert re.fullmatch(
+            rf"cli_samples seed 5 validate \(jetconn validate {path}\) differs on stdout: "
+            rf"b'{path}: valid linear connection' against b'{path}: good linear connection'\n",
+            child.stdout,
+        ), child.stdout
+
+
 class Wrong(str):
     """The input file that a kind-mismatch diagnostic names."""
 
@@ -297,6 +330,7 @@ class TestEmittedDocuments:
         emitters = [
             ("product", sample_dir / "conn_a.json", sample_dir / "conn_b.json"),
             ("prolong", sample_dir / "conn_a.json"),
+            # base_dim 2 and fiber_dim 1: R is checked as a 1x2x2 grid.
             ("curvature", sample_dir / "conn_a.json"),
             ("family", sample_dir / "conn_a.json", "--k", "0.5"),
         ]
@@ -456,6 +490,18 @@ class TestTwofoldCommands:
         assert data["gamma_bar"][0][0] == "-v1*w1 + z1"
         assert data["max_deviation"] < 1e-10
         assert data["checked_points"] == 100
+
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_gamma12_base_takes_the_place_of_its_block(self, run, sample_dir, tmp_path, seed):
+        data = json.loads((sample_dir / "twofold.json").read_text(encoding="utf-8"))
+        grid = [["u1^2*v1 + z1"]]
+        override, inline = tmp_path / "override.json", tmp_path / "inline.json"
+        override.write_text(json.dumps({**data, "gamma12_base": grid}), encoding="utf-8")
+        inline.write_text(json.dumps({**data, "blocks": {**data["blocks"], "g12_base": grid}}),
+                          encoding="utf-8")
+        expected = run("twofold", inline, "--seed", seed)
+        assert expected[0] == 0 and "u1^2*v1" in expected[1]
+        assert run("twofold", override, "--seed", seed) == expected
 
     def test_twofold_failed_entry_names_the_reason(self, run, tmp_path):
         blocks = {"g1_base": [["ln(u1)"]], "g2_base": [["0"]], "g12_base": [["z1"]],
@@ -668,6 +714,9 @@ class TestFailureEdges:
                    "coeff must be a 1x{d}x1 grid"),
         "affine": (lambda d: {"affine": True, "dim": d, "christoffel": [[["x1"]]]},
                    "christoffel must be a {d}x{d}x{d} grid"),
+        "curvature": (lambda d: {"curvature": True, "base_dim": 2, "fiber_dim": d,
+                                 "R": [[["0"]]]},
+                      "R must be a {d}x2x2 grid"),
         "jet": (lambda d: {"order": 1, "base_dim": 1, "fiber_dim": d, "base": [0.0],
                            "values": [{"p": 1, "seq": [0], "value": 1.0}]},
                 "jet point table mismatch; missing [(1, (1,)), (2, (0,)), (2, (1,))], "
@@ -977,6 +1026,16 @@ class TestMalformedInput:
             {**TWOFOLD, "gamma12_base": [["0", "0"]]},
             "gamma12_base must be a 1x1 grid",
         ),
+        # The block that gamma12_base replaces is still checked, and first.
+        "twofold g12_base shape beside gamma12_base": (
+            {**TWOFOLD, "blocks": {**TWOFOLD["blocks"], "g12_base": [["0", "0"]]},
+             "gamma12_base": [["0", "0"]]},
+            "g12_base must be a 1x1 grid",
+        ),
+        "curvature R shape": (
+            {"curvature": True, "base_dim": 2, "fiber_dim": 1, "R": [[["0"]]]},
+            "R must be a 1x2x2 grid",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1139,6 +1198,16 @@ class TestProcessEntry:
         assert child.stdout == b""
         assert child.stderr == b"error: stdout: Bad file descriptor\n"
 
+    HELP = [("--help",), ("validate", "--help")]
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", HELP)
+    def test_closed_stdout_refuses_help(self, argv, unbuffered):
+        # argparse wrote help to stderr when stdout was closed, and exited 0.
+        child = self.spawn(*argv, unbuffered=unbuffered, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stdout) == (1, b"")
+        assert child.stderr == b"error: stdout: Bad file descriptor\n"
+
     def test_closed_stdout_and_stderr_exit_1(self):
         def close():
             os.close(1)
@@ -1151,15 +1220,23 @@ class TestProcessEntry:
         child = self.spawn("validate", "sample_inputs/absent.json", preexec_fn=lambda: os.close(2))
         assert (child.returncode, child.stdout, child.stderr) == (1, b"", b"")
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stderr_usage_error_exits_2(self, unbuffered):
+        # argparse wrote the usage line to stdout when stderr was closed.
+        child = self.spawn("frobnicate", unbuffered=unbuffered, preexec_fn=lambda: os.close(2))
+        assert (child.returncode, child.stdout, child.stderr) == (2, b"", b"")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     @pytest.mark.parametrize(
         "argv",
-        [("validate", "sample_inputs/conn_linear.json"), ("prolong", "sample_inputs/conn_a.json")],
+        [("validate", "sample_inputs/conn_linear.json"), ("prolong", "sample_inputs/conn_a.json"),
+         *HELP],
     )
     def test_full_stdout_is_a_one_line_error(self, argv, unbuffered):
         # Buffered, a short text fails only at the flush; without one, at exit,
-        # with Python's own exit code 120.
+        # with Python's own exit code 120.  Unbuffered, argparse dropped the
+        # failed help and exited 0.
         with open("/dev/full", "wb") as full:
             child = self.spawn(*argv, unbuffered=unbuffered, stdout=full)
         assert child.returncode == 1
@@ -1174,6 +1251,14 @@ class TestProcessEntry:
             child = self.spawn("validate", "sample_inputs/absent.json", unbuffered=unbuffered,
                                stderr=full)
         assert (child.returncode, child.stdout) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_full_stderr_usage_error_exits_2(self, unbuffered):
+        # Buffered, argparse's usage error failed at exit, with code 120.
+        with open("/dev/full", "wb") as full:
+            child = self.spawn("frobnicate", unbuffered=unbuffered, stderr=full)
+        assert (child.returncode, child.stdout) == (2, b"")
 
     def test_unwritable_stderr_raises_nothing(self, monkeypatch):
         class Full:

@@ -186,15 +186,16 @@ class TestTwofoldFrame:
             twofold_dual_coframe(c, **settings)
 
     def test_gamma12_override(self):
+        # A gamma12_base grid takes the g12_base slot at load, so the frame
+        # and the dual are built on that block.
         dims = (1, 1, 1, 1)
         u = twofold_universe(dims)
         P = lambda s: parse_expr(s, u)
         zero = ((Const(0),),)
-        c = TwoFoldConnection(dims, zero, zero, zero, zero, zero)
-        override = ((P("u1^2"),),)
-        M = twofold_frame(c, override)
+        c = TwoFoldConnection(dims, zero, zero, ((P("u1^2"),),), zero, zero)
+        M = twofold_frame(c)
         assert M[3][0] == P("u1^2")
-        dual = twofold_dual_coframe(c, override)
+        dual = twofold_dual_coframe(c)
         assert expr_equal(dual.gamma_bar[0][0], P("u1^2"))
         assert dual.frame == M  # the frame the coframe was verified against
 

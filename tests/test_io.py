@@ -110,7 +110,6 @@ class TestLoading:
                 assert simplify(a) == simplify(b)
 
         same(doc.value, grid)
-        assert doc.extra == data  # raw payload kept for re-emission
 
     def test_missing_field_names_kind_and_key(self):
         with pytest.raises(FormatError, match="connection2.*'G'"):
@@ -204,7 +203,7 @@ class TestLoading:
         }
         doc = load_data(data)
         assert doc.kind == "twofold"
-        assert to_text(doc.extra[0][0]) == "u1^2"
+        assert to_text(doc.value.g12_base[0][0]) == "u1^2"
 
     def test_twofold_missing_block(self):
         data = {"dims": [1, 1, 1, 1], "blocks": {"g1_base": [["0"]]}}
