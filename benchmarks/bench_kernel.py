@@ -6,7 +6,9 @@ a holonomy), whose whole step loop is one generated function; and the code
 generation itself, of the grid's program and of a transport 2 loop.  It
 also times the ``transport 1`` and ``holonomy`` commands on
 ``sample_inputs/`` in process, with their output, and prints their ratio.
-Each of these times is the best of ``--repeat`` runs.  Last, start-up:
+Then the two-fold duality check, ``twofold_dual_coframe``, of a seeded
+(2, 2, 2, 2) connection at ``--points`` points.  Each of these times is
+the best of ``--repeat`` runs.  Last, start-up:
 the median wall time of ``validate sample_inputs/conn_linear.json`` as a
 new process, over five runs, beside that of a bare ``python -c pass`` run
 alternately with it, and the difference, which is jetconn's own share.
@@ -38,6 +40,7 @@ from jetconn import (
     Curve,
     CURVE_UNIVERSE,
     SymbolUniverse,
+    TwoFoldConnection,
     affine_to_general,
     ehresmann_prolongation,
     loop_holonomy,
@@ -45,6 +48,8 @@ from jetconn import (
     second_order_ode,
     transport1,
     transport2,
+    twofold_dual_coframe,
+    twofold_universe,
 )
 from jetconn._tape import compile_integrator, compile_program
 from jetconn.cli import main
@@ -153,6 +158,25 @@ def bench_commands(steps, repeat):
     return times
 
 
+def bench_twofold(points, repeat):
+    """The duality check of a (2, 2, 2, 2) connection whose every block entry
+    is a seeded sum of two quadratic terms in all eight coordinates."""
+    dims = (2, 2, 2, 2)
+    u = twofold_universe(dims)
+    names = sorted(u.extra_symbols)
+    rng = np.random.default_rng(7)
+
+    def entry():
+        terms = (f"{rng.integers(1, 4)}*{rng.choice(names)}*{rng.choice(names)}" for _ in range(2))
+        return parse_expr(" + ".join(terms), u)
+
+    shapes = [(2, 2)] * 5  # g1_base, g2_base, g12_base, g12_f1, g12_f2
+    conn = TwoFoldConnection(dims, *(
+        tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)) for rows, cols in shapes))
+    best, _ = best_of(repeat, lambda: twofold_dual_coframe(conn, points=points, seed=1))
+    return best
+
+
 def bench_startup():
     """Median wall times of one ``validate`` command and of ``python -c pass``,
     each in a new process, run alternately."""
@@ -210,6 +234,7 @@ def main_bench():
     variants = bench_variants(args.steps, args.repeat)
     commands = bench_commands(args.steps, args.repeat)
     program_s, ops, loop_s = bench_codegen(args.repeat)
+    twofold = bench_twofold(args.points, args.repeat)
     startup = bench_startup()
     read_s, argparse_s = bench_reading()
     print(f"batch, {args.points} points: {batch:.4f} s")
@@ -221,6 +246,7 @@ def main_bench():
     print(f"command holonomy / transport 1: {ratio:.2f}")
     print(f"codegen, program of {ops} ops: {program_s:.4f} s ({1e6 * program_s / ops:.1f} us/op)")
     print(f"codegen, transport 2 loop: {loop_s:.4f} s")
+    print(f"twofold_dual_coframe, (2, 2, 2, 2) at {args.points} points: {twofold:.4f} s")
     print(
         f"start-up, validate, median of {STARTUP_RUNS} processes: {startup['validate']:.4f} s"
         f" (python -c pass {startup['pass']:.4f} s,"

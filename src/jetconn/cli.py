@@ -8,8 +8,8 @@ emitted files can be compared byte for byte.
 One table, ``_COMMANDS``, declares every subcommand with its arguments.  A
 canonical command line is read straight from it; argparse, built from the
 same table, is imported only for help, usage errors and the command lines
-the reader leaves to it, such as ``--flag=value`` or a value that starts
-with ``-``.
+the reader leaves to it, such as an abbreviated flag or a separate value
+that starts with ``-``.
 """
 
 from __future__ import annotations
@@ -313,11 +313,13 @@ def _read(argv):
     canonical ``argv``, and None for any other.
 
     Canonical is the subcommand, then its positionals and its options in any
-    order: each option by its full flag, at most once, followed by a value
-    that does not start with ``-`` and that the option's converter accepts;
-    every required option given and ``variant`` one of its choices.  Help,
-    abbreviations, ``--flag=value``, ``--`` and every error are left to
-    argparse, which then parses the whole line itself.
+    order: each option by its full flag, at most once, with a value that the
+    option's converter accepts; every required option given and ``variant``
+    one of its choices.  The value is either the next word, which must not
+    start with ``-``, or, in ``--flag=value``, everything after the first
+    ``=``, taken as it is, as argparse takes it.  Help, abbreviations, ``--``
+    and every error are left to argparse, which then parses the whole line
+    itself.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -330,12 +332,16 @@ def _read(argv):
         if not word.startswith("-"):
             given.append(word)
             continue
-        value = next(words, "-")  # a flag at the end has no value
-        if word not in converters or word in seen or value.startswith("-"):
+        flag, joined, value = word.partition("=")
+        if not joined:
+            value = next(words, "-")  # a flag at the end has no value
+            if value.startswith("-"):
+                return None
+        if flag not in converters or flag in seen:
             return None
-        seen.add(word)
+        seen.add(flag)
         try:
-            values[word[2:]] = converters[word](value)
+            values[flag[2:]] = converters[flag](value)
         except ValueError:
             return None
     # A required option that was not given still holds _REQUIRED.

@@ -17,11 +17,12 @@ from functools import reduce
 from itertools import chain
 from typing import Tuple
 
-from . import _tape, evaluate
-from .connections import Connection1, Connection2
+from . import _tape, connections, evaluate
 from .errors import EvalError, FrameVerificationError
 from .expr import (
     Const,
+    Mul,
+    Neg,
     Sub,
     SymbolUniverse,
     Value,
@@ -61,9 +62,36 @@ def identity_matrix(size: int) -> Tuple:
 
 
 def symbolic_matmul(a, b) -> Tuple:
-    """Entrywise simplified product of two expression matrices."""
+    """Entrywise simplified product of two expression matrices.
+
+    Entry (i, j) is ``contract(a[i], column j of b)`` less the products
+    that :func:`_absorbs` shows to be 0, most of them in a unit
+    lower-triangular frame.  One 0 stands for those left out, so the sum
+    keeps its canonical form: a lone product simplifies apart from a sum
+    (-1 times a sum stays a product).
+    """
     columns = tuple(zip(*b))
-    return build_grid((len(a), len(columns)), lambda i, j: contract(a[i], columns[j]))
+
+    def entry(i, j):
+        pairs = tuple(zip(a[i], columns[j]))
+        kept = [t * v for t, v in pairs if not (_absorbs(t, v) or _absorbs(v, t))]
+        if len(kept) < len(pairs):
+            kept.append(Const(0))
+        return simplify(expr_sum(kept))
+
+    return build_grid((len(a), len(columns)), entry)
+
+
+def _absorbs(zero, other) -> bool:
+    """Whether ``zero`` is an exact 0 whose product with ``other`` is sure
+    to simplify to 0.
+
+    A product or a negation may hold constants that did not fold, and a 0
+    need not fold with them either (0.0 times an exact value beyond double
+    range), so its product with a 0 is kept.
+    """
+    return (type(zero) is Const and zero.is_exact and not zero.value
+            and not isinstance(other, (Mul, Neg)))
 
 
 class AdaptedFrame(Value):
@@ -72,7 +100,7 @@ class AdaptedFrame(Value):
     __slots__ = ("universe", "frame", "coframe")
 
 
-def adapted_frame(gamma: Connection1) -> AdaptedFrame:
+def adapted_frame(gamma: connections.Connection1) -> AdaptedFrame:
     """Block matrices of the adapted basis X_i = d_i + F_i^p d_p.
 
     The frame's lower-left block is the coefficient grid F (fiber row p,
@@ -231,6 +259,13 @@ def twofold_dual_coframe(
             raise EvalError(_tape.STATUS_MESSAGES[next(filter(None, status))])
         rows = [values[k * width : (k + 1) * width] for k in range(len(chunk))]
         residual_values, _ = residual_program.rows(rows)
+        # A finite sum has no inf or nan among its terms, so the whole chunk
+        # passes at once; else the points are checked one by one, to name the first.
+        if math.isfinite(sum(values) + sum(residual_values)):
+            dev = max(map(abs, residual_values), default=0.0)
+            if dev <= tol:
+                worst = max(worst, dev)
+                continue
         for k, point in enumerate(chunk):
             row = rows[k] + residual_values[k * count : (k + 1) * count]
             # A non-finite entry or product leaves no meaningful deviation.
@@ -371,7 +406,7 @@ class LiftRow(Value):
     __slots__ = ("direction", "dy", "dyj")
 
 
-def horizontal_lift_field(delta: Connection2) -> Tuple[LiftRow, ...]:
+def horizontal_lift_field(delta: connections.Connection2) -> Tuple[LiftRow, ...]:
     """One lift row per base direction: X_i = d_i + F_i^p d_p + H_ij^p d_p^j.
 
     The d_p slot takes the F grid (first order row); for semiholonomic

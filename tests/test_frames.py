@@ -1,5 +1,8 @@
 """Adapted frames, two-fold frames, dual coframes, Jacobian structure."""
 
+from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from jetconn import (
     twofold_universe,
     validate_twofold_jacobian,
 )
-from jetconn.expr import Add, Const, Mul, Sub, Var
+from jetconn.expr import Add, Const, Mul, Sub, Var, contract
 from jetconn.frames import MAX_TWOFOLD_SIZE, identity_matrix, symbolic_matmul
 
 from conftest import poly_expr, random_connection1
@@ -60,6 +63,64 @@ class TestAdaptedFrame:
         assert built.frame[0][:2] == (Const(1), Const(0))
         assert built.frame[1][:2] == (Const(0), Const(1))
         assert built.frame[0][2] == Const(0)  # upper-right block stays zero
+
+
+# Entries of the random matrices below: exact and float constants, with 0
+# most often, and monomials of those coefficients.
+COEFFS = [Const(0)] * 4 + [Const(c) for c in (1, -1, Fraction(1, 2), Fraction(3, 7),
+                                              1e300, -1e300, 1e-300, -1e-300)]
+
+
+def dense_matmul(a, b):
+    """The product summed over every k, zero products included."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(contract(row, column) for column in columns) for row in a)
+
+
+def random_entry(rng, names):
+    coeff = COEFFS[int(rng.integers(len(COEFFS)))]
+    if rng.random() < 0.5:
+        return coeff
+    factors = [Var(str(rng.choice(names))) for _ in range(int(rng.integers(1, 3)))]
+    return simplify(reduce(Mul, factors, coeff))
+
+
+class TestSymbolicMatmul:
+    names = ("x1", "x2", "y1")
+
+    def matrix(self, rng, size, unit_lower):
+        def entry(r, c):
+            if unit_lower and r <= c:
+                return Const(1) if r == c else Const(0)
+            return random_entry(rng, self.names)
+
+        return tuple(tuple(entry(r, c) for c in range(size)) for r in range(size))
+
+    def test_equals_the_dense_product(self, rng):
+        for _ in range(60):
+            size = int(rng.integers(1, 6))
+            lower, dense = (self.matrix(rng, size, unit) for unit in (True, False))
+            for a, b in [(lower, dense), (dense, lower), (lower, lower), (dense, dense)]:
+                product, reference = symbolic_matmul(a, b), dense_matmul(a, b)
+                assert product == reference
+                assert repr(product) == repr(reference)
+
+    @pytest.mark.parametrize("other", [
+        "1e300*10^400*x1",  # a product whose constants did not fold
+        "-(1e300*10^400*x1)",
+        "x1 + x2",  # -1 times a sum stays a product alone, and is expanded in a sum
+    ])
+    def test_zero_products_beside_awkward_entries(self, other):
+        u = SymbolUniverse(2, 1)
+        e = simplify(parse_expr(other, u))
+        zero, one, minus = Const(0), Const(1), Const(-1)
+        for a, b in [(((zero, minus),), ((e,), (e,))),
+                     (((zero, one),), ((e,), (e,))),
+                     (((e, minus),), ((zero,), (e,)))]:
+            for left, right in [(a, b), (tuple(zip(*b)), tuple(zip(*a)))]:
+                product, reference = symbolic_matmul(left, right), dense_matmul(left, right)
+                assert product == reference
+                assert repr(product) == repr(reference)
 
 
 class TestTwofoldFrame:
@@ -152,6 +213,39 @@ class TestTwofoldFrame:
                               one("w1"), one("0"))
         with pytest.raises(FrameVerificationError, match=r"\(deviation inf\)$"):
             twofold_dual_coframe(c, points=3)
+
+    @staticmethod
+    def connection(dims, *blocks):
+        u = twofold_universe(dims)
+        return TwoFoldConnection(
+            dims, *(tuple(tuple(parse_expr(s, u) for s in row) for row in b) for b in blocks))
+
+    @pytest.mark.parametrize("blocks, settings, message", [
+        # Rounding that only a nonzero g2_base leaves, and exp(-10000*u1^2)
+        # is 0 but for |u1| < 0.28: the first failure is point 74.
+        ((["v1"], ["w1*u1*exp(-10000*u1^2)"], ["z1"], ["w1"], ["z1"]),
+         {"tol": 0.0, "seed": 9},
+         "{'u1': 0.05657590932692402, 'v1': -1.6036221842993474, 'w1': 0.8676733077525243,"
+         " 'z1': -0.8613673473099772} (deviation 1.110e-16)"),
+        # An entry that overflows first at point 85.
+        ((["exp(100*u1*v1*w1*z1)"], ["0"], ["z1"], ["w1"], ["0"]),
+         {"seed": 0},
+         "{'u1': -1.3946625261084358, 'v1': 1.954759555943026, 'w1': 1.9319568421811284,"
+         " 'z1': -1.4063919316558806} (deviation inf)"),
+    ])
+    def test_first_failing_point_past_the_first_chunk(self, blocks, settings, message):
+        c = self.connection((1, 1, 1, 1), *([row] for row in blocks))
+        with pytest.raises(FrameVerificationError) as failed:
+            twofold_dual_coframe(c, points=100, **settings)
+        assert str(failed.value) == f"coframe is not inverse to the frame at {message}"
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        # The two alpha1 entries are near 1.5e308 at every point, so each
+        # chunk's sum overflows and its points are checked one by one.
+        huge = [["1.5e308*exp(-u1^2/100)"], ["1.5e308*exp(-v1^2/100)"]]
+        c = self.connection((1, 2, 1, 1), huge, [["w1*u1/3"]], [["z1"]], [["0", "0"]], [["z1/7"]])
+        dual = twofold_dual_coframe(c, points=200, seed=3)
+        assert (dual.max_deviation, dual.checked_points) == (4.440892098500626e-16, 200)
 
     def test_constant_frame_checks_every_point(self):
         # No entry to evaluate and no residual left, over more than one chunk.

@@ -98,6 +98,7 @@ WITHOUT_NUMPY = {
     "holonomy": ["holonomy", S + "conn_affine_polar.json", S + "loop_polar.json", "--steps", "20"],
     "semiholonomy": ["semiholonomy", S + "jet_semi.json"],
     "twofold": ["twofold", S + "twofold.json", "--seed", "1"],
+    "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
 }
 
 # Commands whose output the child must print byte for byte.
@@ -112,7 +113,8 @@ EXECUTED = {
     "frames": "connections errors expr frames io",
     "transport 1": "_derive _tape connections errors expr io transport",
     "holonomy": "_derive _tape connections errors expr io transport",
-    "twofold": "_tape connections errors evaluate expr frames io",
+    "twofold": "_tape errors evaluate expr frames io",
+    "jacobian": "_derive errors evaluate expr frames io",
 }
 
 
@@ -184,7 +186,9 @@ EVERY_COMMAND = {
     "curvature": ["curvature", S + "conn_a.json"],
     "exchange": ["exchange", S + "conn_zero2.json"],
     "family": ["family", S + "conn_a.json", "--k", "0.5"],
-    "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
+    "transport --y0=": [
+        "transport", "1", S + "conn_affine_polar.json", S + "loop_polar.json", "--y0=-0.5,1",
+    ],
 }
 PARSER_MODULES = {"argparse", "gettext", "locale"}
 
