@@ -9,7 +9,9 @@ too, as ``product`` does with each entry it reads; and ``parse`` is
 ``parse_expr`` of the sum's text.  Linear time
 shows as times that grow with n.  A second table gives the seconds of
 cyclic garbage collection within each of those best runs, clocked through
-``gc.callbacks``.  The last three lines time ``==``
+``gc.callbacks``.  The next line times ``expr_equal`` of the parsed
+``0.5*(A) + 0.5*(B)`` against ``0.5*(B) + 0.5*(A)``, A and B sums of 40
+terms, as ``classify`` compares a family.  The last three lines time ``==``
 against a ``copy.deepcopy``, ``diff`` and ``simplify`` on ``e = e + e``
 done ``--depth`` times from ``e = x1``: 2^depth paths through depth + 1
 nodes, which must simplify to one term (``to_text`` is not timed there:
@@ -23,7 +25,7 @@ import copy
 import gc
 import time
 
-from jetconn import SymbolUniverse, diff, parse_expr, simplify, to_text
+from jetconn import SymbolUniverse, diff, expr_equal, parse_expr, simplify, to_text
 from jetconn.expr import Add, Var
 
 U = SymbolUniverse(1, 1)
@@ -71,6 +73,11 @@ def long_sum(n):
     return parse_expr(long_text(n), U)
 
 
+def halves(first, second):
+    """The parsed ``0.5*(first) + 0.5*(second)``."""
+    return parse_expr(f"0.5*({first}) + 0.5*({second})", U)
+
+
 def doubling(depth):
     e = Var("x1")
     for _ in range(depth):
@@ -105,6 +112,11 @@ def main(argv=None):
         for name, runs in rows.items():
             print(f"| {name}{label}, s | " + " | ".join(f"{r[part]:.3f}" for r in runs) + " |")
         print()
+    a, b = long_text(40), " + ".join(f"{k}*x1*y1^{k}" for k in range(1, 41))
+    seconds, _, result = best_of(args.repeat, lambda: (halves(a, b), halves(b, a)),
+                                 lambda pair: expr_equal(*pair))
+    print(f"0.5*(A) + 0.5*(B) against 0.5*(B) + 0.5*(A), 40-term sums: expr_equal "
+          f"{seconds:.4f} s -> {result.equal} ({result.confidence})")
     dag = doubling(args.depth)
     seconds, _, same = best_of(args.repeat, lambda: copy.deepcopy(dag), dag.__eq__)
     print(f"doubling DAG, depth {args.depth}: == {seconds:.6f} s against a deepcopy -> {same}")

@@ -2,8 +2,12 @@
 
 Each text is a random valid expression, a valid one with up to three
 characters or tokens inserted, deleted or swapped, or a soup of tokens.
-Both parsers must give the same tree ``repr``, or raise the same exception
-type with the same message and position.  Texts holding a scientific
+Both parsers must give the same tree, or raise the same exception type with
+the same message and position.  Trees are compared node by node, exact
+constants by value, so an int on one side matches an equal Fraction on the
+other, and float constants by ``repr``.  For a valid text, the printed
+``simplify`` of the tree and its printed ``diff`` by x1 must match too, or
+fail with the same exception type and message.  Texts holding a scientific
 literal with an exponent of five or more digits are skipped and counted:
 a parser that builds that power of ten exactly takes seconds or more on
 them.  Such a parser also raises ``OverflowError`` on ``1e400``, where this
@@ -23,6 +27,7 @@ import importlib.util
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jetconn.expr
@@ -95,11 +100,37 @@ def random_text(rng):
     return "".join(rng.choice(OPS + IDENTS + NUMS + SPACES * 2) for _ in range(rng.randint(0, 12)))
 
 
+def nodes(expr, tree):
+    """The nodes of ``tree`` in postorder: type name, then fields, an operand
+    by its row, an exact constant as a Fraction and a float one by repr."""
+    rows, out = {}, []
+    for node in expr.postorder([tree]):
+        rows[id(node)] = len(out)
+        fields = []
+        for field in node._key():
+            if isinstance(field, expr.Expr):
+                field = ("row", rows[id(field)])
+            elif type(node) is expr.Const:
+                field = repr(field) if type(field) is float else Fraction(field)
+            fields.append(field)
+        out.append((type(node).__name__, *fields))
+    return out
+
+
+def printed(expr, run, tree):
+    try:
+        return expr.to_text(run(tree))
+    except Exception as err:  # a failure is compared by type and message
+        return (type(err).__name__, str(err))
+
+
 def outcome(expr, text, universe):
     try:
-        return ("valid", repr(expr.parse_expr(text, universe)))
+        tree = expr.parse_expr(text, universe)
     except Exception as err:  # every failure is compared, by type, message and position
         return (type(err).__name__, str(err), getattr(err, "position", None))
+    return ("valid", nodes(expr, tree), printed(expr, expr.simplify, tree),
+            printed(expr, lambda e: expr.diff(e, "x1"), tree))
 
 
 def main(argv=None):

@@ -23,15 +23,14 @@ was grouped.  ``ln(a)`` and ``a/b`` keep their rule when the inner slopes
 are 0, so ``ln(0)`` and ``a/0`` still give the marker ``0/0``.  ``simplify(e)`` is cached in ``e``'s slot,
 so the m + n derivatives of one entry simplify it once.
 
-A tree with a float constant keeps the binary route,
-``simplify(product_rule_tree(e))``: float merges depend on their order, and
+A tree with a float constant, as its root's ``_has_float`` flag says,
+keeps the binary route, ``simplify(product_rule_tree(e))``: float merges
+depend on their order, and
 ``simplify`` may fold a float away (``1e0*x1`` is ``x1``) whose derivative,
 ``1.0``, would then print as ``1``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .expr import (
     _MINUS_ONE,
@@ -63,25 +62,11 @@ from .expr import (
 
 def derivative(e: Expr, var: str) -> Expr:
     """The simplified partial derivative of ``e`` with respect to ``var``."""
-    if _holds_float(e):
+    if e._has_float:
         return simplify(product_rule_tree(e, var))
     out = _sum((), _derivative_terms(simplify(e), var))
     _set_simple(out, _SIMPLE)
     return out
-
-
-def _holds_float(e: Expr) -> bool:
-    """Whether a float constant is anywhere in ``e``, each distinct node walked once."""
-    seen, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if type(node) is Const:
-            if type(node.value) is float:
-                return True
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack += node.children()
-    return False
 
 
 def _derivative_terms(e: Expr, var: str) -> list:
@@ -107,7 +92,7 @@ def _derivative_terms(e: Expr, var: str) -> list:
     def terms(node):
         kind = type(node)
         if kind is Var:
-            return [(Fraction(1), ())] if node.name == var else []
+            return [(1, ())] if node.name == var else []
         if kind is Const:
             return []
         key = id(node)

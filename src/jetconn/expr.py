@@ -4,9 +4,11 @@ The expression language is deliberately small: rational and floating point
 constants, named variables, the four arithmetic operations, unary minus,
 integer powers written ``e^n``, and the functions ``sin``, ``cos``, ``exp``
 and ``ln``.  Trees are immutable; structural equality and hashing make them
-usable as dictionary keys.  Each node also has a private slot in which
-:func:`simplify` caches its work; the slot is not part of the value, and
-equality, hashing and ``repr`` ignore it.
+usable as dictionary keys.  Each node also has private slots for facts
+computed once: the result of :func:`simplify`, the sort key of its
+structure, whether it holds a float constant, and its free variables.
+They are not part of the value, and equality, hashing and ``repr`` ignore
+them.
 
 :class:`Value` is the immutable base of every other record of the package:
 the symbol universe here, and the connections, curves, frames, jet points
@@ -24,9 +26,9 @@ parenthesis or a function argument, and negates a whole term):
     factor := base ["^" integer]
     base   := number | identifier | "(" expr ")" | function "(" expr ")"
 
-Integer and decimal literals are kept as exact :class:`fractions.Fraction`
-values; only literals in scientific notation or results of float arithmetic
-carry IEEE semantics.
+Integer and decimal literals are exact: an int where integral, a
+:class:`fractions.Fraction` otherwise.  Only literals in scientific notation
+or results of float arithmetic carry IEEE semantics.
 
 Every transform of a tree (simplify, diff, substitute, copy and pickle)
 walks :func:`postorder`, each distinct node once, ``free_vars`` and ``==``
@@ -198,11 +200,7 @@ def as_expr(value) -> "Expr":
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not expression constants")
-    if isinstance(value, int):
-        return Const(Fraction(value))
-    if isinstance(value, Fraction):
-        return Const(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float, Fraction)):
         return Const(value)
     raise TypeError(f"cannot treat {type(value).__name__} as an expression")
 
@@ -210,13 +208,16 @@ def as_expr(value) -> "Expr":
 class Expr:
     """Base class for expression nodes.  Instances are immutable.
 
-    Each node class sets its fields, ``_hash`` and an empty ``_simple`` (the
-    cache of :func:`simplify`) in ``__init__``, lists its fields in
-    ``_key()`` and its subtrees in ``children()``.  The hash is built from
-    the children's stored hashes, so hashing never walks the tree.
+    Each node class sets its fields, ``_hash`` and ``_has_float`` (whether a
+    float constant is in the tree) in ``__init__``, lists its fields in
+    ``_key()`` and its subtrees in ``children()``, and leaves the facts
+    computed later unknown: ``_simple`` (the cache of :func:`simplify`),
+    ``_order_key`` (of :func:`_order`) and ``_names`` (of :meth:`free_vars`).
+    The hash and the float flag are built from the children's, so neither
+    walks the tree.
     """
 
-    __slots__ = ("_hash", "_simple")
+    __slots__ = ("_hash", "_simple", "_order_key", "_has_float", "_names")
 
     def __setattr__(self, name, value):
         raise AttributeError("expression nodes are immutable")
@@ -300,16 +301,24 @@ class Expr:
 
     def free_vars(self) -> frozenset:
         """Set of variable names referenced anywhere in the tree."""
-        # Each distinct node once, without postorder, whose order costs twice as much.
+        names = self._names
+        if names is not None:
+            return names
+        # Each distinct node once, without postorder, whose order costs twice
+        # as much; a subtree whose names are known is not walked.
         out, seen, stack = set(), set(), [self]
         while stack:
             node = stack.pop()
             if type(node) is Var:
                 out.add(node.name)
+            elif node._names is not None:
+                out |= node._names
             elif id(node) not in seen:
                 seen.add(id(node))
                 stack += node.children()
-        return frozenset(out)
+        names = frozenset(out)
+        _set_names(self, names)
+        return names
 
 
 def _from_table(table) -> "Expr":
@@ -324,32 +333,44 @@ def _from_table(table) -> "Expr":
 # unlike _set, skips the lookup of the attribute by name.
 _set_hash = Expr._hash.__set__
 _set_simple = Expr._simple.__set__
+_set_order_key = Expr._order_key.__set__
+_set_has_float = Expr._has_float.__set__
+_set_names = Expr._names.__set__
 
 
 class Const(Expr):
-    """Numeric literal.  ``value`` is a Fraction (exact) or a float (IEEE)."""
+    """Numeric literal.  ``value`` is exact, an int where it is integral and a
+    Fraction otherwise, or a float (IEEE)."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-            raise TypeError(f"bad constant {value!r}")
-        if isinstance(value, int):
-            value = Fraction(value)
-        if isinstance(value, float) and not math.isfinite(value):
+        kind = type(value)
+        if kind is not int and kind is not Fraction and kind is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+                raise TypeError(f"bad constant {value!r}")
+            value = (float if isinstance(value, float) else Fraction)(value)
+            kind = type(value)
+        if kind is Fraction:
+            if value.denominator == 1:
+                value = value.numerator
+        elif kind is float and not math.isfinite(value):
             raise ValueError("constants must be finite")
         _set_value(self, value)
-        # Fraction(2) == 2.0 holds and their hashes agree, so mixed exact and
-        # float constants of equal value are equal nodes as well.
+        # 2 == Fraction(2) == 2.0 holds and their hashes agree, so mixed exact
+        # and float constants of equal value are equal nodes as well.
         _set_hash(self, hash((Const, value)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, kind is float)
+        _set_names(self, None)
 
     def _key(self):
         return (self.value,)
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
+        return type(self.value) is not float
 
 
 class Var(Expr):
@@ -361,6 +382,9 @@ class Var(Expr):
         _set_var_name(self, name)
         _set_hash(self, hash((Var, name)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, False)
+        _set_names(self, None)
 
     def _key(self):
         return (self.name,)
@@ -375,6 +399,9 @@ class _Unary(Expr):
         _set_arg(self, arg)
         _set_hash(self, hash((type(self), arg._hash)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, arg._has_float)
+        _set_names(self, None)
 
     def _key(self):
         return (self.arg,)
@@ -393,6 +420,9 @@ class _Binary(Expr):
         _set_right(self, right)
         _set_hash(self, hash((type(self), left._hash, right._hash)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, left._has_float or right._has_float)
+        _set_names(self, None)
 
     def _key(self):
         return (self.left, self.right)
@@ -435,6 +465,9 @@ class Pow(Expr):
         _set_exponent(self, exponent)
         _set_hash(self, hash((Pow, base._hash, exponent)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, base._has_float)
+        _set_names(self, None)
 
     def _key(self):
         return (self.base, self.exponent)
@@ -457,6 +490,9 @@ class Fn(_Unary):
         _set_arg(self, arg)
         _set_hash(self, hash((Fn, name, arg._hash)))
         _set_simple(self, None)
+        _set_order_key(self, None)
+        _set_has_float(self, arg._has_float)
+        _set_names(self, None)
 
     def _key(self):
         return (self.name, self.arg)
@@ -683,9 +719,10 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
     :class:`UnknownIdentifierError` for identifiers outside the universe and
     :class:`FunctionArityError` for multi-argument function calls.  A bad
     character, or a literal of more than ``MAX_DIGITS`` digits, is reported
-    before any error of the grammar.
+    before any error of the grammar.  The root keeps the names it uses.
     """
     tokens = []  # (kind, text, 1-based position); an operator's text tells it apart
+    names = set()
     for m in _TOKEN_RE.finditer(text):
         kind, word = m.lastgroup, m.group()
         if kind == "bad":
@@ -710,9 +747,12 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
         if kind == "num":
             # Scientific notation means float semantics were intended.  float()
             # rounds the literal correctly, without building its power of ten.
-            value = float(word) if "e" in word or "E" in word else Fraction(Decimal(word))
-            if value == math.inf:  # the lexer reads no sign
-                raise ParseError("number out of floating point range", pos)
+            if "e" in word or "E" in word:
+                value = float(word)
+                if value == math.inf:  # the lexer reads no sign
+                    raise ParseError("number out of floating point range", pos)
+            else:
+                value = int(word) if word.isdigit() else Fraction(Decimal(word))
             operands.append(Const(value))
         elif word in FUNCTIONS:
             if tokens[i + 1][1] != "(":
@@ -725,6 +765,7 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
         elif kind == "ident":
             if word not in universe:
                 raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
+            names.add(word)
             operands.append(Var(word))
         elif word == "(":
             groups.append((None, []))
@@ -752,6 +793,7 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
             _reduce(pending, operands, 0)
             if len(groups) == 1:
                 if kind == "end":
+                    _set_names(operands[0], frozenset(names))
                     return operands[0]
                 raise ParseError(f"unexpected trailing input {word!r}", pos)
             if name and word == ",":
@@ -928,6 +970,14 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # (seed 7), caching every visit raised the largest command's peak RSS from
 # 19.3 to 23.1 MB, and dropping the second-visit rule that of classify on a
 # family from 19.2 to 20.6 MB.
+#
+# Within one call, a tree with no float constant also shares results by
+# structure: a dict maps each operand simplified so far to its result, and an
+# operand equal to one of them takes that result without a walk, so
+# ``0.5*(A) + 0.5*(B) - (0.5*(B) + 0.5*(A))`` simplifies A and B once each.
+# The dict goes when the call returns, and the nodes it maps keep nothing.
+# A float tree takes no share: ``2 == 2.0``, and float merges depend on
+# their order.
 
 _SEEN = object()
 _SIMPLE = object()
@@ -939,12 +989,18 @@ def simplify(e: Expr) -> Expr:
         raise TypeError(f"not an expression: {e!r}")
     done = {}  # id of a node -> its simplified form
     parts = {}  # id of a sum or product -> its (count, operand) pairs
+    shared = None if e._has_float else {}  # operand -> its simplified form
 
     def operands(node):
         memo = node._simple
         if memo is not None and memo is not _SEEN or isinstance(node, (Const, Var)):
             done[id(node)] = memo if isinstance(memo, Expr) else node
             return ()
+        if shared:
+            out = shared.get(node)
+            if out is not None:
+                done[id(node)] = out
+                return ()
         if not isinstance(node, (Add, Sub, Neg, Mul)):
             return node.children()
         edges = _product_edges if isinstance(node, Mul) else _sum_edges
@@ -968,6 +1024,8 @@ def simplify(e: Expr) -> Expr:
         _set_simple(out, _SIMPLE)
         _set_simple(node, out if node._simple is _SEEN else _SEEN)
         done[key] = out
+        if shared is not None:
+            shared[node] = out
     return done[id(e)]
 
 
@@ -984,7 +1042,6 @@ MAX_POWER_BITS = 1 << 16  # bit size allowed for one exact constant raised to a 
 
 def bit_size(c) -> int:
     """Bits of the exact number ``c``: those of its numerator or denominator."""
-    c = Fraction(c)
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
@@ -1006,7 +1063,7 @@ def _quotient(a: Expr, b: Expr) -> Expr:
         if isinstance(a, Const):
             value = _fold(operator.truediv, a.value, b.value)
             return Div(a, b) if value is None else Const(value)
-        if isinstance(b.value, Fraction) or abs(b.value) == 1:  # other floats stay divisors
+        if type(b.value) is not float or abs(b.value) == 1:  # other floats stay divisors
             return _product([(1, Const(1 / Fraction(b.value))), (1, a)])
     if isinstance(a, Const) and a.value == 0 and not (isinstance(b, Const) and b.value == 0):
         return Const(0)
@@ -1015,18 +1072,24 @@ def _quotient(a: Expr, b: Expr) -> Expr:
 
 def _fold(op, a, b):
     """``op(a, b)`` on constant values, or None where a float result would
-    not be finite (a float overflows, or meets a Fraction beyond double
-    range): such a fold is refused and its nodes are kept apart."""
+    not be finite (a float overflows, or meets an exact value beyond double
+    range): such a fold is refused and its nodes are kept apart.  A quotient
+    or negative power of ints is a Fraction, and an integral result an int."""
+    if type(a) is int and (op is operator.truediv or op is operator.pow and b < 0):
+        a = Fraction(a)
     try:
         value = op(a, b)
     except (OverflowError, ZeroDivisionError):
         return None
-    return value if isinstance(value, Fraction) or math.isfinite(value) else None
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else None
+    return value.numerator if kind is Fraction and value.denominator == 1 else value
 
 
 def _coefficient(consts):
     """The product of the ``consts`` left to right: 1 for none, None if not finite."""
-    coeff = consts[0].value if consts else Fraction(1)
+    coeff = consts[0].value if consts else 1
     for c in consts[1:]:
         coeff = _fold(operator.mul, coeff, c.value)
         if coeff is None:
@@ -1034,24 +1097,45 @@ def _coefficient(consts):
     return coeff
 
 
+# The longest key a node keeps, in entries.  A key spells out its tree, so on
+# a DAG it can be far larger than the nodes it stands for: prolong of a
+# 300-deep sin(x1*...) chain kept 28 million entries and peaked at 250 MB
+# when every key was kept, and at 41 MB with this bound, in 2.8 s either way
+# (46 MB and 50 s when no key was kept).  On the algebra and sampling
+# workloads (seed 7) the longest key has 154 entries.
+_MAX_KEPT_KEY = 1024
+
 _RANKS = {Const: 0, Var: 1, Fn: 2, Pow: 3, Mul: 4, Div: 5, Neg: 6, Add: 7, Sub: 8}
 
 
 def _order(e: Expr) -> tuple:
     """A key that orders trees by structure: for each node of a pre-order
     walk, its type, then its value, name or exponent, then whether it is a
-    float constant."""
+    float constant.  A key of at most ``_MAX_KEPT_KEY`` entries is kept in
+    ``e``, and the walk takes the kept key of a subtree in place of walking
+    it.  A variable keeps none, so an input's variables hold nothing once a
+    call is done."""
+    key = e._order_key
+    if key is not None:
+        return key
     if type(e) is Var:
         return ((1, e.name, False),)
     out, stack = [], [e]
     while stack:
         node = stack.pop()
+        key = node._order_key
+        if key is not None:
+            out += key
+            continue
         kind = type(node)
         field = (node.name if kind in (Var, Fn) else node.value if kind is Const
                  else node.exponent if kind is Pow else 0)
         out.append((_RANKS[kind], field, type(field) is float))
         stack += reversed(node.children())
-    return tuple(out)
+    key = tuple(out)
+    if len(key) <= _MAX_KEPT_KEY:
+        _set_order_key(e, key)
+    return key
 
 
 def _base_order(f: Expr) -> tuple:
@@ -1125,11 +1209,11 @@ def _terms(pairs):
         consts, factors = _split(node)
         coeff = _coefficient(consts)
         if coeff is None:
-            coeff, factors = Fraction(1), (node,)
+            coeff, factors = 1, (node,)
         if k != 1:
             scaled = _fold(operator.mul, coeff, k)
             if scaled is None:  # a term reached k times, past double range
-                coeff, factors = Fraction(1), (_product([(1, Const(k)), (1, node)]),)
+                coeff, factors = 1, (_product([(1, Const(k)), (1, node)]),)
             else:
                 coeff = scaled
         yield coeff, factors
@@ -1147,7 +1231,7 @@ def _sum(pairs, split=()) -> Expr:
         for coeff, factors in chain(split, _terms(pairs)):
             term = latest.get(factors)
             if term is None and not factors:
-                coeff = Fraction(0) + coeff  # the constant part starts from exact 0
+                coeff = 0 + coeff  # the constant part starts from exact 0
             elif term is not None:
                 merged = _fold(operator.add, term[0], coeff)
                 if merged is not None:

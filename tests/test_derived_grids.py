@@ -41,7 +41,9 @@ from conftest import poly_expr, random_connection1, random_expr
 SEEDS = range(100)
 # Re-captured when simplify became canonical: each entry equals the one of
 # the digest before, exactly or, where atoms or floats remain, at 100 points.
-DIGEST = "dbb06f8e8cffe6875f44fc82f7a60ed8d8cd7a34a612b84ef8a7ebef23ff0425"
+# Re-captured when integral constants became ints: the digest of the code
+# before, with each ``Fraction(n, 1)`` of its reprs written ``n``.
+DIGEST = "d801dd3627db2cd4217be748fa6fdbea87d07e8d19f4c1825e3f46ed6104b31c"
 
 
 def _text(grid):
