@@ -20,8 +20,9 @@ argument's slope, so a chain of n functions is merged and sorted once, not
 n times.  The whole derivative is one ``_sum``, so no binary product-rule
 tree is built, and the result depends on ``simplify(e)``, not on how ``e``
 was grouped.  ``ln(a)`` and ``a/b`` keep their rule when the inner slopes
-are 0, so ``ln(0)`` and ``a/0`` still give the marker ``0/0``.  ``simplify(e)`` is cached in ``e``'s slot,
-so the m + n derivatives of one entry simplify it once.
+are 0, so ``ln(0)`` and ``a/0`` still give the marker ``0/0``.
+``simplify(e)`` keeps its result in ``e``'s slot from the first call, so
+the m + n derivatives of one entry simplify it once.
 
 A tree with a float constant, as its root's ``_has_float`` flag says,
 keeps the binary route, ``simplify(product_rule_tree(e))``: float merges

@@ -123,7 +123,6 @@ class _Ring:
         one = self.one
         if isinstance(node, Const):
             v = node.value
-            v = v.numerator if v.denominator == 1 else v
             return ({self.unit: v} if v else {}), one
         if isinstance(node, (Var, Fn)):
             return self.generators[generators[node]]

@@ -79,8 +79,7 @@ from .errors import (
 FUNCTIONS = ("sin", "cos", "exp", "ln")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_CANON_BASE_RE = re.compile(r"x([0-9]+)\Z")
-_CANON_FIBER_RE = re.compile(r"y([0-9]+)\Z")
+_COORDINATE_RE = re.compile(r"([xy])([1-9][0-9]*)")
 
 
 _set = object.__setattr__
@@ -146,21 +145,17 @@ class SymbolUniverse(Value):
                 raise ValueError(f"invalid extra symbol name {name!r}")
             if name in FUNCTIONS:
                 raise ValueError(f"extra symbol {name!r} collides with a function name")
-            if self._canonical_index(name) is not None:
+            if self._is_coordinate(name):
                 raise ValueError(f"extra symbol {name!r} collides with a coordinate name")
 
-    def _canonical_index(self, name: str):
-        m = _CANON_BASE_RE.fullmatch(name)
-        if m:
-            i = int(m.group(1))
-            if str(i) == m.group(1) and 1 <= i <= self.base_dim:
-                return ("x", i)
-        m = _CANON_FIBER_RE.fullmatch(name)
-        if m:
-            p = int(m.group(1))
-            if str(p) == m.group(1) and 1 <= p <= self.fiber_dim:
-                return ("y", p)
-        return None
+    def _is_coordinate(self, name: str) -> bool:
+        m = _COORDINATE_RE.fullmatch(name)
+        if m is None:
+            return False
+        # Numerals without a leading zero order as (length, text), so even a
+        # name longer than int() reads is compared.
+        dim = str(self.base_dim if m[1] == "x" else self.fiber_dim)
+        return (len(m[2]), m[2]) <= (len(dim), dim)
 
     @property
     def base_names(self) -> tuple:
@@ -176,7 +171,7 @@ class SymbolUniverse(Value):
         return self.base_names + self.fiber_names + tuple(sorted(self.extra_symbols))
 
     def __contains__(self, name: str) -> bool:
-        return self._canonical_index(name) is not None or name in self.extra_symbols
+        return self._is_coordinate(name) or name in self.extra_symbols
 
     def x(self, i: int) -> "Var":
         if not 1 <= i <= self.base_dim:
@@ -959,17 +954,15 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # such like terms stay apart, and such a product keeps its constants, in
 # order, in front of its factors, one opaque factor of its term.
 #
-# simplify caches in each node's ``_simple`` slot, as the symbolic commands
-# simplify the same subtrees again and again.  Every result is marked
-# _SIMPLE, its own simplified form.  An input node keeps its result only
-# from its second visit on, the first writing _SEEN, so a comparison, which
-# simplifies each entry once, holds no copies.  Only the root and the
-# operands of sums and products are written, not the nodes a sum is
-# flattened through, whose prefixes would cost memory quadratic in its
-# length; a node with a result in its slot is an operand.  On ``algebra``
-# (seed 7), caching every visit raised the largest command's peak RSS from
-# 19.3 to 23.1 MB, and dropping the second-visit rule that of classify on a
-# family from 19.2 to 20.6 MB.
+# simplify keeps each call's result in the ``_simple`` slot of the call's
+# root, as the symbolic commands simplify the same entries again and again,
+# and marks every result _SIMPLE, its own simplified form.  No other input
+# node is written: a comparison, which simplifies a new tree over its two
+# sides, holds no copies, and the nodes a sum is flattened through, whose
+# prefixes would cost memory quadratic in its length, keep nothing.  A node
+# that keeps a result is an operand only where it would be one anyway: a
+# sum or product is flattened through every node that is not itself a
+# result.  So what was simplified before never changes a tree's form.
 #
 # Within one call, a tree with no float constant also shares results by
 # structure: a dict maps each operand simplified so far to its result, and an
@@ -979,7 +972,6 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # A float tree takes no share: ``2 == 2.0``, and float merges depend on
 # their order.
 
-_SEEN = object()
 _SIMPLE = object()
 
 
@@ -993,7 +985,7 @@ def simplify(e: Expr) -> Expr:
 
     def operands(node):
         memo = node._simple
-        if memo is not None and memo is not _SEEN or isinstance(node, (Const, Var)):
+        if memo is not None or isinstance(node, (Const, Var)):
             done[id(node)] = memo if isinstance(memo, Expr) else node
             return ()
         if shared:
@@ -1005,7 +997,7 @@ def simplify(e: Expr) -> Expr:
             return node.children()
         edges = _product_edges if isinstance(node, Mul) else _sum_edges
         pairs = parts[id(node)] = _leaves(
-            [(1, node)], lambda n: edges(n) if n._simple in (None, _SEEN) else ())
+            [(1, node)], lambda n: () if n._simple is _SIMPLE else edges(n))
         return [leaf for _, leaf in pairs]
 
     for node in postorder([e], operands):
@@ -1022,11 +1014,13 @@ def simplify(e: Expr) -> Expr:
         else:
             out = _function(node.name, done[id(node.arg)])
         _set_simple(out, _SIMPLE)
-        _set_simple(node, out if node._simple is _SEEN else _SEEN)
         done[key] = out
         if shared is not None:
             shared[node] = out
-    return done[id(e)]
+    out = done[id(e)]
+    if out is not e:  # a result, constant or variable is its own form
+        _set_simple(e, out)
+    return out
 
 
 _AT = {("sin", 0): 0, ("cos", 0): 1, ("exp", 0): 1, ("ln", 1): 0}  # f(c) for exact values

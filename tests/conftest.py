@@ -16,7 +16,7 @@ from jetconn import (
     eval_expr,
     simplify,
 )
-from jetconn.expr import Add, Div, Fn, Mul, Neg, Pow, Sub
+from jetconn.expr import Add, Div, Expr, Fn, Mul, Neg, Pow, Sub, postorder
 from jetconn.jets import all_sequences, nonzero_core
 
 
@@ -69,6 +69,29 @@ def random_expr(rng, names, depth=4):
         return Pow(random_expr(rng, names, depth - 2), int(rng.integers(0, 4)))
     name = str(rng.choice(("sin", "cos", "exp", "ln")))
     return Fn(name, random_expr(rng, names, depth - 2))
+
+
+def halved(e):
+    """``e`` with each constant k replaced by the float k/2."""
+    done = {}
+    for node in postorder([e]):
+        if type(node) is Const:
+            out = Const(node.value / 2)
+        elif type(node) is Var:
+            out = node
+        else:
+            out = type(node)(*[done[id(f)] if isinstance(f, Expr) else f for f in node._key()])
+        done[id(node)] = out
+    return done[id(e)]
+
+
+def random_entries(seed, floats=False, count=2):
+    """``count`` random_expr trees of depth 3 over x1, x2 and y1, drawn from
+    ``seed``: the entries of order-1 connections with m = 2 and n = 1.  With
+    ``floats``, each constant k is the float k/2."""
+    rng = np.random.default_rng(seed)
+    entries = [random_expr(rng, ("x1", "x2", "y1"), depth=3) for _ in range(count)]
+    return [halved(e) for e in entries] if floats else entries
 
 
 def random_connection1(rng, m, n, simplified=True):

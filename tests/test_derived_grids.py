@@ -6,6 +6,7 @@ including empty axes, by hashing the ``repr`` (the whole tree) and the
 text of each grid.  A refactor of the builders must leave it unchanged.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -23,6 +24,7 @@ from jetconn import (
     adapted_frame,
     affine_to_general,
     curvature,
+    ehresmann_prolongation,
     exchange,
     family,
     function_differentials,
@@ -33,10 +35,10 @@ from jetconn import (
     twofold_dual_coframe,
     twofold_frame,
 )
-from jetconn.expr import Var, build_grid, contract, parse_expr
+from jetconn.expr import Var, build_grid, contract, parse_expr, simplify
 from jetconn.frames import identity_matrix, symbolic_matmul
 
-from conftest import poly_expr, random_connection1, random_expr
+from conftest import poly_expr, random_connection1, random_entries, random_expr
 
 SEEDS = range(100)
 # Re-captured when simplify became canonical: each entry equals the one of
@@ -140,6 +142,28 @@ def digest(seeds=SEEDS):
 
 def test_derived_grid_digest():
     assert digest() == DIGEST
+
+
+def history_grids(gamma):
+    """The text of ``prolong``'s H, of the curvature and of ``family``'s H at 0.5."""
+    return [_text(ehresmann_prolongation(gamma).H), _text(curvature(gamma)),
+            _text(family(gamma, 0.5).H)]
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+def test_simplified_entries_leave_the_derived_grids(floats):
+    # Each connection's grids print the same whether or not its entries
+    # were simplified twice first.
+    u, differ = SymbolUniverse(2, 1), []
+    for seed in range(300):
+        row = tuple(random_entries(seed, floats))
+        twin = copy.deepcopy(row)
+        for e in twin:
+            simplify(e)
+            simplify(e)
+        if history_grids(Connection1(u, (twin,))) != history_grids(Connection1(u, (row,))):
+            differ.append(seed)
+    assert differ == []
 
 
 class TestBuildGrid:

@@ -6,8 +6,13 @@ repeats random pieces under ``+``, ``-`` and ``*``, half of them with
 scientific literals, and pins the printed ``simplify`` and ``diff`` of each
 text by one digest.  The digest and the printed forms were captured from
 the code before integral constants became ints and results were shared.
+
+A second corpus simplifies subtrees of a copy of a random tree first, once
+or twice, and asks that the whole copy then prints as a fresh copy does:
+what was simplified before must not change a tree's form.
 """
 
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 from jetconn.expr import (_MAX_KEPT_KEY, Const, Div, Mul, SymbolUniverse, Var, _order, diff,
-                          parse_expr, simplify, to_text)
+                          parse_expr, postorder, simplify, substitute, to_text)
 
 from conftest import random_expr
 
@@ -97,6 +102,58 @@ class TestOnceAStructure:
         assert _order(short) is _order(short) and short._order_key is not None
         long = parse_expr(" + ".join(f"sin({k}*x1)" for k in range(1, 400)), U)
         assert len(_order(long)) > _MAX_KEPT_KEY and long._order_key is None
+
+
+def history_tree(seed):
+    """A random_expr tree of depth 5 drawn from ``seed``, x2 the float 1.5 on
+    odd seeds, and the postorder places of up to 4 of its subtrees that are
+    neither a leaf nor the root, drawn from the same stream."""
+    rng = np.random.default_rng(seed)
+    e = random_expr(rng, NAMES, depth=5)
+    if seed % 2:
+        e = substitute(e, {"x2": Const(1.5)})
+    inner = [k for k, node in enumerate(postorder([e])) if node.children() and node is not e]
+    if not inner:
+        return e, []
+    return e, sorted(int(k) for k in rng.choice(inner, size=min(4, len(inner)), replace=False))
+
+
+def printed_after(e, place=None, times=0):
+    """The text of ``simplify`` and of ``diff`` by x1 of a copy of ``e``, after
+    the copy's subtree at postorder ``place`` was simplified ``times`` times."""
+    twin = copy.deepcopy(e)
+    if place is not None:
+        subtree = list(postorder([twin]))[place]
+        for _ in range(times):
+            simplify(subtree)
+    out = []
+    for run in (simplify, lambda t: diff(t, "x1")):
+        try:
+            out.append(to_text(run(twin)))
+        except Exception as err:  # a failure is part of what is compared
+            out.append(type(err).__name__)
+    return out
+
+
+class TestHistory:
+    def test_simplified_subtrees_leave_the_form(self):
+        differ, cases = [], 0
+        for seed in range(500):
+            e, places = history_tree(seed)
+            fresh = printed_after(e)
+            for place in places:
+                for times in (1, 2):
+                    cases += 1
+                    if printed_after(e, place, times) != fresh:
+                        differ.append((seed, place, times))
+        assert cases == 2022 and differ == []
+
+    def test_a_sum_factor_simplified_twice(self):
+        e, _ = history_tree(48)
+        assert to_text(e) == "(-(y1*(-3))^1)/((-4)*(-(x2 - x2*x2)))"
+        place = next(k for k, node in enumerate(postorder([e]))
+                     if to_text(node) == "-(x2 - x2*x2)")
+        assert printed_after(e, place, 2) == printed_after(e) == ["3*y1/(4*(x2 - x2^2))", "0"]
 
 
 # Text, printed simplify, printed d/dx1: floats beside equal exact values.

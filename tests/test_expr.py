@@ -92,6 +92,20 @@ class TestUniverse:
         assert "x3" not in U21
         assert "y2" not in U21
 
+    @pytest.mark.parametrize("name, dims, member", [
+        ("x0", (12, 12), False),
+        ("x01", (12, 12), False),
+        ("x10", (10, 1), True),
+        ("x10", (9, 1), False),
+        ("y1", (2, 0), False),
+        ("y1", (0, 1), True),
+        ("X1", (2, 1), False),
+        ("x\u0661", (2, 1), False),  # an Arabic-Indic digit one, which int() reads
+        pytest.param("x" + "1" * 5000, (2, 1), False, id="x11...1"),  # more digits than int() reads
+    ])
+    def test_coordinate_names(self, name, dims, member):
+        assert (name in SymbolUniverse(*dims)) is member
+
     def test_rejects_colliding_extra(self):
         with pytest.raises(ValueError):
             SymbolUniverse(2, 1, frozenset({"x1"}))
@@ -156,7 +170,7 @@ class TestNodes:
     def test_copy_and_pickle_rebuild_the_node(self, name):
         node, text = NODES[name] if name in NODES else (long_sum(), repr(long_sum()))
         simplify(node)
-        simplify(node)  # the second visit fills the node's _simple slot
+        simplify(node)  # the root keeps its result in its _simple slot
         for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert type(twin) is type(node) and repr(twin) == text
             assert twin == node and hash(twin) == hash(node)
