@@ -27,10 +27,10 @@ call through :mod:`math`, so results are bit-for-bit reproducible on a given
 platform (and may differ in the last bit where another platform's libm
 does).  The wrappers below return what C returns where the math module
 raises instead of returning inf or nan.  Guarded failures (division by 0.0,
-a negative power of 0.0, ln of a value <= 0) leave NaN and a status code in
-their slot and move on to the next expression; they never raise.  The
-integrator returns at the first node or stage that holds such a slot or a
-value that is not finite, with what failed there.
+a negative power of 0.0, ln of a value <= 0) never raise.  In a program
+one leaves NaN and its status code in its expression's slot and moves on
+to the next expression; an integrator returns at the first of them, with
+its status (see :func:`compile_integrator`).
 """
 
 from __future__ import annotations
@@ -144,15 +144,17 @@ def _tuple(items) -> str:
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _statements(root: Expr, e: int, leaf) -> tuple:
+def _statements(root: Expr, e: int, leaf, fail) -> tuple:
     """The statements leaving expression ``e`` in ``v{e}``, and its node count.
 
-    ``leaf`` names the local of a constant or variable.
+    ``leaf`` names the local of a constant or variable, and ``fail(code)``
+    is the statement a failed guard runs.  Guards run in post-order, so
+    the left operand's first.
     """
     lines = []
 
     def guard(failed, code):
-        lines.append(f"if {failed}: v{e} = _nan; t{e} = {code}; break")
+        lines.append(f"if {failed}: {fail(code)}")
 
     # The operands as the generated code names them: a constant or variable
     # stays its own local (c3, x0) and costs no statement; a computed value
@@ -221,27 +223,6 @@ def _namer(const_slot: dict, names: dict):
     return leaf
 
 
-def _block(exprs, first: int, leaf) -> tuple:
-    """The statements leaving ``exprs`` in ``v{first}``, ``v{first + 1}``, ...
-
-    Returns the lines, the status of each expression (its local ``t{e}``
-    if it has a guard, else ``0``) and the number of nodes compiled.  A
-    guarded expression runs in a one-pass loop, which a guard's break
-    leaves for the next expression.
-    """
-    lines, status, nodes = [], [], 0
-    for e, root in enumerate(exprs, first):
-        body, count = _statements(root, e, leaf)
-        nodes += count
-        if any(line.startswith("if ") for line in body):
-            lines += [f"t{e} = 0", "while True:", *("    " + line for line in body), "    break"]
-            status.append(f"t{e}")
-        else:
-            lines += body
-            status.append("0")
-    return lines, status, nodes
-
-
 def _function(lines, const_slot: dict, name: str):
     """``exec`` the generated function ``run`` from its source lines."""
     namespace = {
@@ -274,7 +255,18 @@ def compile_program(exprs: Sequence[Expr], var_names: Sequence[str]) -> Program:
     var_names = tuple(var_names)
     const_slot = {}
     leaf = _namer(const_slot, {name: f"x{i}" for i, name in enumerate(var_names)})
-    row, status, nodes = _block(exprs, 0, leaf)
+    row, status, nodes = [], [], 0
+    for e, root in enumerate(exprs):
+        # A guarded expression runs in a one-pass loop, which a failed
+        # guard leaves, with NaN and its status, for the next expression.
+        body, count = _statements(root, e, leaf, lambda code: f"v{e} = _nan; t{e} = {code}; break")
+        nodes += count
+        if any(line.startswith("if ") for line in body):
+            row += [f"t{e} = 0", "while True:", *("    " + line for line in body), "    break"]
+            status.append(f"t{e}")
+        else:
+            row += body
+            status.append("0")
     row.append(f"put_values({_tuple(f'v{e}' for e in range(len(status)))})")
     row.append(f"put_status({_tuple(status)})")
     run = _function(
@@ -350,30 +342,37 @@ def compile_integrator(rows, base_names, fiber_names, curve, order=1, keep=True,
     passes its state to ``put``; with ``jets`` too, only its first n slots,
     and the rest to ``put_jet`` as n rows of m jet slots.  Every dot is a
     left fold, one IEEE operation at a time.  ``failure`` is None, and
-    ``state`` the last state, unless a node's curve values or a stage's
-    coefficients hold inf or nan (a failed guard leaves nan): then it is
-    ``(t, status)``, the node time and the statuses of that program's
-    expressions, or ``(t, None)`` with the time after the step whose state
-    is not finite.
+    ``state`` the last state, unless something fails.  Then it is ``(t,
+    status)``, with t the node time: the status of the first failed guard
+    of the curve or of the coefficients there, or 0 where their values are
+    computed but not all finite.  Or it is ``(t, None)``, with t the time
+    after the step whose state is not finite.
     """
     m, n = len(base_names), len(fiber_names)
     width = n if order == 2 else len(rows)
     const_slot = {}
-    curve_lines, curve_status, _ = _block(curve, 0, _namer(const_slot, {"t": "tn"}))
+
+    def fail(code):
+        return f"return (tn, {code}), None"
+
+    def block(exprs, first, leaf):
+        return [line for e, root in enumerate(exprs, first)
+                for line in _statements(root, e, leaf, fail)[0]]
+
+    curve_lines = block(curve, 0, _namer(const_slot, {"t": "tn"}))
     point = [f"v{i}" for i in range(len(curve))]
     velocity, acceleration = point[m : 2 * m], point[2 * m :]
     names = {name: point[i] for i, name in enumerate(base_names)}
     names.update((name, f"x{q}") for q, name in enumerate(fiber_names))
     flat = [e for row in rows for e in row]
-    coeff_lines, coeff_status, _ = _block(flat, len(curve), _namer(const_slot, names))
+    coeff_lines = block(flat, len(curve), _namer(const_slot, names))
     values = [f"v{len(curve) + e}" for e in range(len(flat))]
 
     def dot(target, first, vec):
         return _fold(target, (f"{values[first + i]} * {vec[i]}" for i in range(m)))
 
     def node(time):
-        failed = [f"return (tn, {_tuple(curve_status)}), None"]
-        return [f"tn = {time}", *curve_lines, *_unless_finite(point, point, failed)]
+        return [f"tn = {time}", *curve_lines, *_unless_finite(point, point, [fail(0)])]
 
     def stage(s, rate):
         d = [f"d{s}_{r}" for r in range(width)]
@@ -389,8 +388,7 @@ def compile_integrator(rows, base_names, fiber_names, curve, order=1, keep=True,
             lines += _fold("q", (f"g{i} * {velocity[i]}" for i in range(m)))
             lines += dot(d[r], r * m, acceleration)
             lines.append(f"{d[r]} = q + {d[r]}")
-        failed = [f"return (tn, {_tuple(coeff_status)}), None"]
-        return lines + _unless_finite(d, values, failed)
+        return lines + _unless_finite(d, values, [fail(0)])
 
     slots = range(width)
     z = [f"z{i}" for i in slots]

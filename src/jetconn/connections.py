@@ -129,6 +129,11 @@ def product(gamma: Connection1, gamma_bar: Connection1) -> Connection2:
     u = gamma.universe
     m, n = u.base_dim, u.fiber_dim
     fiber = build_grid((n, m, n), lambda p, i, q: diff(gamma.F[p][i], f"y{q + 1}"))
+    # Each entry of the second factor is simplified once, as a root, so it
+    # keeps its result: every H entry that holds it reads that result.
+    for row in gamma_bar.F:
+        for entry in row:
+            simplify(entry)
 
     def h(p, i, j):
         terms = [fiber[p][i][q] * gamma_bar.F[q][j] for q in range(n)]

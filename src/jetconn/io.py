@@ -252,7 +252,7 @@ def transport_csv(result: transport.TransportResult) -> str:
         m = len(result.jet_values[0][0])
         header += [f"y{p}_{i}" for p in range(1, n + 1) for i in range(1, m + 1)]
     # One format for every row.  Every value is a float, and %s of a float
-    # is its repr, also for a numpy float64, whose own repr is not.
+    # is its repr.
     row = ",".join(["%s"] * len(header)) + "\n"
     times, values, jet_values = result.times, result.values, result.jet_values
     if jet_values is None:

@@ -156,7 +156,7 @@ def _integrate(run, curve: Curve, steps: int, state: tuple, *put) -> tuple:
         t, status = failure
         if status is None:
             raise TransportError(f"non-finite fiber value at t = {t}")
-        raise TransportError(_failure(status, t))
+        raise TransportError(_failure((status,), t))
     return state
 
 

@@ -5,6 +5,8 @@ oracle before anything symbolic is trusted: dF along the base, plus the
 fiber directional derivative along the second connection.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ class TestProduct:
         g = conn(U21, [["0", "0"]])
         d = ehresmann_prolongation(g)
         assert all(e == Const(0) for row in d.H for cell in row for e in cell)
+
+    def test_second_factor_keeps_its_results(self):
+        # Each entry of gamma_bar is simplified once, as a root, and keeps
+        # its result for every H entry that holds it.
+        g = conn(U21, [["y1^2", "x1*y1"]])
+        g_bar = conn(U21, [["x1 + x1", "2*(y1 + x2) - y1"]])
+        fresh = [simplify(copy.deepcopy(e)) for e in g_bar.F[0]]
+        product(g, g_bar)
+        assert [e._simple for e in g_bar.F[0]] == fresh
 
     def test_universe_mismatch(self):
         a = conn(SymbolUniverse(2, 1), [["0", "0"]])

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -800,9 +801,9 @@ class TestSimplify:
         return expr_sum(Var("x1") ** k for k in ks)
 
     def test_cache_grows_linearly_with_a_sum(self):
-        # The second pass keeps the sum's result and each summand's, but no
-        # simplified prefix for the inner nodes of the sum, which would grow
-        # as n^2 (about 16x from n = 50 to n = 200).
+        # The first pass keeps the sum's result, which the second reads, but
+        # no simplified prefix for the inner nodes of the sum, which would
+        # grow as n^2 (about 16x from n = 50 to n = 200).
         held = []
         for n in (50, 200):
             e = self.long_sum(n)
@@ -810,8 +811,8 @@ class TestSimplify:
         assert held[1] <= 6 * held[0]
 
     def test_one_comparison_keeps_no_copies(self):
-        # expr_equal simplifies each node of both sides once, and a first
-        # visit keeps no result.
+        # expr_equal simplifies one new tree over both sides, and only its
+        # root, which the comparison drops, keeps a result.
         a, b = self.long_sum(160), self.long_sum(160, reverse=True)
         assert self.held_after(lambda: expr_equal(a, b)) <= 2048
 
@@ -867,3 +868,10 @@ def test_parse_differential_runs():
     out = run_script("benchmarks/parse_differential.py", "src", "--texts", "300", "--seed", "1")
     assert out.stdout.startswith("300 texts, seed 1: ")
     assert "valid" in out.stdout and "ParseError" in out.stdout
+
+
+def test_tape_differential_runs():
+    # Against this checkout's own src, so every program and integration must agree.
+    out = run_script("benchmarks/tape_differential.py", "src", "--seeds", "0-6")
+    assert re.fullmatch(r"7 programs at 729 points and 21 integrations \(\d+ failed\) "
+                        r"identical: seeds 0-6\n", out.stdout)

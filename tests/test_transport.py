@@ -594,6 +594,28 @@ class TestFailureOrder:
                 "ode2": "non-finite expression value at t = 0.6541666666666667",
             },
         ),
+        # In variants 2 and ode2 the rows of H, derived from F, follow F's.
+        # Here ln fails in the F row's left operand, and a division both in
+        # its right operand and in the H rows.
+        "ln before a division at the same stage": (
+            "ln(0.5 - x1) + y1/(x1 - 0.5)", ("t", "t"), 4,
+            "ln of a non-positive argument at t = 0.5",
+        ),
+        # F overflows to inf at t = 0.75, and 1e-200 keeps its divisor from
+        # 0.0; H's divisor, simplified, is x1 - 0.75, so its guard fails at
+        # the same stage, after the F row.
+        "F inf before an H row's guard at the same stage": (
+            "exp(1000*x1) + 1/(x1 - 0.75 + 1e-200)", ("t", "t"), 4,
+            {
+                "1": "non-finite expression value at t = 0.75",
+                "2": "division by zero at t = 0.75",
+                "ode2": "division by zero at t = 0.75",
+            },
+        ),
+        "two curve components at the same node": (
+            "y1", ("ln(0.5 - t)", "1/(t - 0.5)"), 4,
+            "ln of a non-positive argument at t = 0.5",
+        ),
     }
 
     @pytest.mark.parametrize("variant", ["1", "2", "ode2"])
