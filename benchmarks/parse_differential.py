@@ -36,8 +36,8 @@ NUMS = ["0", "1", "2", "3", "10", "0.5", "2.25", "1e3", "2E-2", "1e400", "1.5e-3
         "12345678901234567890"]
 IDENTS = ["x1", "x2", "y1", "y2", "x3", "z", "sin", "cos", "exp", "ln", "t", "x01"]
 OPS = list("+-*/^(),")
-SPACES = ["", " ", "  ", "\t", "\n"]
-BAD = ["@", "#", "é", "²", "!", "[", "."]
+SPACES = ["", " ", "  ", "\t", "\n", "\u00a0"]
+BAD = ["@", "#", "é", "²", "٣", "!", "[", "."]
 # Calls of the wrong arity, and exponents that are stacked or not integers.
 ODD = ["sin()", "cos(x1, y1)", "exp(x1,)", "ln(,)", "x1^2^3", "x1^1.5", "x1^-x2", "x1^--2",
        "(x1)^2^2", "sin(x1)^2"]

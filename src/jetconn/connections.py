@@ -63,6 +63,19 @@ class Connection2(Value):
         super().__init__(universe, F, G, expr_grid(H, (n, m, m), names, "H"))
 
 
+def _derived(universe: SymbolUniverse, F, G, H) -> Connection2:
+    """A :class:`Connection2` of grids built from entries already checked.
+
+    ``product``, ``family`` and ``exchange`` take F and G from checked
+    connections and build H with ``build_grid`` from their entries, so
+    nothing is checked again: the constructor would walk each entry for its
+    names.
+    """
+    delta = object.__new__(Connection2)
+    Value.__init__(delta, universe, F, G, H)
+    return delta
+
+
 class LinearConnection1(Value):
     """Linear first order connection, coefficients F_iq^p over the base.
 
@@ -139,7 +152,7 @@ def product(gamma: Connection1, gamma_bar: Connection1) -> Connection2:
         terms = [fiber[p][i][q] * gamma_bar.F[q][j] for q in range(n)]
         return simplify(expr_sum([diff(gamma.F[p][i], f"x{j + 1}")] + terms))
 
-    return Connection2(u, gamma.F, gamma_bar.F, build_grid((n, m, m), h))
+    return _derived(u, gamma.F, gamma_bar.F, build_grid((n, m, m), h))
 
 
 def ehresmann_prolongation(gamma: Connection1) -> Connection2:
@@ -160,7 +173,7 @@ def exchange(delta: Connection2) -> Connection2:
     transposed = build_grid(
         (u.fiber_dim, u.base_dim, u.base_dim), lambda p, i, j: delta.H[p][j][i]
     )
-    return Connection2(u, delta.G, delta.F, transposed)
+    return _derived(u, delta.G, delta.F, transposed)
 
 
 def family(gamma: Connection1, k) -> Connection2:
@@ -179,7 +192,7 @@ def family(gamma: Connection1, k) -> Connection2:
         (u.fiber_dim, u.base_dim, u.base_dim),
         lambda p, i, j: simplify(ck * H[p][i][j] + cj * H[p][j][i]),
     )
-    return Connection2(u, delta.F, delta.G, H)
+    return _derived(u, delta.F, delta.G, H)
 
 
 def classify(delta: Connection2, policy: evaluate.SamplePolicy = None) -> Classification:

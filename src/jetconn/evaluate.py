@@ -138,20 +138,24 @@ def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:
 def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     """Decide a = b, meaning equal wherever both sides are defined.
 
-    Four routes, in order.  simplify(a - b) collapsing to a constant
-    decides.  Otherwise, when the difference holds a sin/cos/exp/ln atom,
-    outward-rounded interval enclosures of a and b at up to
-    ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
+    Five routes, in order.  Two float-free sides of equal structure are
+    equal at once, as simplify(a - b) would find; floats take the routes
+    below, since ``Const(2) == Const(2.0)``.  simplify(a - b) collapsing to
+    a constant decides.  Otherwise, when the difference holds a
+    sin/cos/exp/ln atom, outward-rounded interval enclosures of a and b at
+    up to ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
     may prove them apart by more than ``policy.tol`` scales to (see
     :mod:`jetconn._enclose`).  Next :func:`jetconn._poly.decide` expands
     the difference exactly over Q: a zero numerator proves equality, a
     nonzero one proves inequality when the difference holds no atom.  These
-    three are symbolic.  Anything else (an identity through atoms, a float
+    four are symbolic.  Anything else (an identity through atoms, a float
     constant, a denominator that expands to 0, an expansion over its
     budget) is sampled: both sides are evaluated on ``policy.points``
     points of :func:`sample_rows` and compared within the scaled tolerance
     wherever both are finite; :class:`SamplingError` when they are nowhere.
     """
+    if not (a._has_float or b._has_float) and a == b:
+        return EqualityResult(True, SYMBOLIC)
     difference = simplify(Sub(a, b))
     if isinstance(difference, Const):
         return EqualityResult(difference.value == 0, SYMBOLIC)

@@ -61,7 +61,6 @@ import math
 import operator
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
@@ -685,15 +684,29 @@ def expr_grid(value, shape, allowed, what: str):
 
 MAX_DIGITS = 1000  # digits allowed in one numeric literal
 
-# A group per token kind, named after it, then whitespace and anything else.
-_TOKEN_RE = re.compile(r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])"
-                       r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+# One alternative per token kind: a number, an identifier, an operator,
+# whitespace, then any other character, which is an error.
+_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*"
+                       r"|[-+*/^(),]|\s+|.", re.DOTALL)
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_TOKEN_START = _DIGITS | _IDENT_START | frozenset("-+*/^(),")
 
 # Binding strength and node of each infix operator.  A leading minus negates
 # a whole term: it binds tighter than + and -, looser than * and /.
 _BINDING = {"+": (1, Add), "-": (1, Sub), "*": (3, Mul), "/": (3, Div)}
 _LEADING_MINUS = (2, Neg)
+
+
+def _position(text: str, k: int) -> int:
+    """1-based position in ``text`` of its token ``k`` that is not whitespace,
+    or of its end when it has no more."""
+    for m in _TOKEN_RE.finditer(text):
+        if not m.group().isspace():
+            if not k:
+                return m.start() + 1
+            k -= 1
+    return len(text) + 1
 
 
 def _reduce(pending, operands, strength):
@@ -714,87 +727,95 @@ def parse_expr(text: str, universe: SymbolUniverse) -> Expr:
     :class:`UnknownIdentifierError` for identifiers outside the universe and
     :class:`FunctionArityError` for multi-argument function calls.  A bad
     character, or a literal of more than ``MAX_DIGITS`` digits, is reported
-    before any error of the grammar.  The root keeps the names it uses.
+    before any error of the grammar.  The text is lexed once, without
+    positions: an error's position is found by scanning the text again.
+    Each distinct name is looked up in ``universe`` once, and the root keeps
+    the names it uses.
     """
-    tokens = []  # (kind, text, 1-based position); an operator's text tells it apart
-    names = set()
-    for m in _TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", m.start() + 1)
-        if kind == "num" and sum(map(str.isdigit, word)) > MAX_DIGITS:
-            raise ParseError(f"number of more than {MAX_DIGITS} digits", m.start() + 1)
-        if kind != "space":
-            tokens.append((kind, word, m.start() + 1))
-    tokens.append(("end", "", len(text) + 1))
+    tokens = []  # the tokens other than whitespace, then "" for the end
+    for word in _TOKEN_RE.findall(text):
+        if word[0] in _TOKEN_START:
+            if len(word) > MAX_DIGITS and word[0] in _DIGITS and (
+                    sum(map(str.isdigit, word)) > MAX_DIGITS):
+                raise ParseError(f"number of more than {MAX_DIGITS} digits",
+                                 _position(text, len(tokens)))
+            tokens.append(word)
+        elif not word.isspace():
+            raise ParseError(f"unexpected character {word!r}", _position(text, len(tokens)))
+    tokens.append("")
 
     # Two stacks: the finished operands, and the open groups (the whole text,
     # a parenthesis or a function argument), each with its function name or
     # None and its pending operators.  Nesting takes no recursion.
+    names = set()
     operands, groups, i, opened = [], [(None, [])], 0, True
     while True:
-        kind, word, pos = tokens[i]
+        word = tokens[i]
         if opened and word == "-":
             groups[-1][1].append(_LEADING_MINUS)
             i += 1
-            kind, word, pos = tokens[i]
+            word = tokens[i]
         opened = False
-        if kind == "num":
+        if word[:1] in _DIGITS:
             # Scientific notation means float semantics were intended.  float()
             # rounds the literal correctly, without building its power of ten.
             if "e" in word or "E" in word:
                 value = float(word)
                 if value == math.inf:  # the lexer reads no sign
-                    raise ParseError("number out of floating point range", pos)
+                    raise ParseError("number out of floating point range", _position(text, i))
             else:
-                value = int(word) if word.isdigit() else Fraction(Decimal(word))
+                value = int(word) if word.isdigit() else Fraction(word)
             operands.append(Const(value))
         elif word in FUNCTIONS:
-            if tokens[i + 1][1] != "(":
-                raise ParseError("expected '('", tokens[i + 1][2])
-            if tokens[i + 2][1] == ")":
-                raise FunctionArityError(f"{word}() takes exactly one argument", tokens[i + 2][2])
+            if tokens[i + 1] != "(":
+                raise ParseError("expected '('", _position(text, i + 1))
+            if tokens[i + 2] == ")":
+                raise FunctionArityError(f"{word}() takes exactly one argument",
+                                         _position(text, i + 2))
             groups.append((word, []))
             i, opened = i + 2, True
             continue
-        elif kind == "ident":
-            if word not in universe:
-                raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
-            names.add(word)
+        elif word[:1] in _IDENT_START:
+            if word not in names:
+                if word not in universe:
+                    raise UnknownIdentifierError(f"unknown identifier {word!r}",
+                                                 _position(text, i))
+                names.add(word)
             operands.append(Var(word))
         elif word == "(":
             groups.append((None, []))
             i, opened = i + 1, True
             continue
         else:
-            raise ParseError("expected a number, variable or '('", pos)
+            raise ParseError("expected a number, variable or '('", _position(text, i))
         i += 1
         # A base is complete: take its exponent, then an infix operator, or
         # end the group, whose value is a base of the group around it.
         while True:
-            kind, word, pos = tokens[i]
+            word = tokens[i]
             if word == "^":
-                negative = tokens[i + 1][1] == "-"
+                negative = tokens[i + 1] == "-"
                 i += 1 + negative
-                kind, word, pos = tokens[i]
-                if kind != "num" or not word.isdigit():
-                    raise ParseError("expected an integer exponent", pos)
+                word = tokens[i]
+                if not word.isdigit():
+                    raise ParseError("expected an integer exponent", _position(text, i))
                 operands[-1] = Pow(operands[-1], -int(word) if negative else int(word))
                 i += 1
-                kind, word, pos = tokens[i]
+                word = tokens[i]
             if word in _BINDING:
                 break
             name, pending = groups[-1]
             _reduce(pending, operands, 0)
             if len(groups) == 1:
-                if kind == "end":
+                if not word:
                     _set_names(operands[0], frozenset(names))
                     return operands[0]
-                raise ParseError(f"unexpected trailing input {word!r}", pos)
+                raise ParseError(f"unexpected trailing input {word!r}", _position(text, i))
             if name and word == ",":
-                raise FunctionArityError(f"{name}() takes exactly one argument", pos)
+                raise FunctionArityError(f"{name}() takes exactly one argument",
+                                         _position(text, i))
             if word != ")":
-                raise ParseError("expected ')'", pos)
+                raise ParseError("expected ')'", _position(text, i))
             groups.pop()
             if name:
                 operands[-1] = Fn(name, operands[-1])

@@ -37,9 +37,9 @@ from jetconn import (
     product,
     simplify,
 )
-from jetconn.expr import Const, Sub, Var
+from jetconn.expr import Const, Expr, Sub, Var
 
-from conftest import fd_product_entry, poly_expr, random_connection1
+from conftest import fd_product_entry, poly_expr, random_connection1, random_entries
 
 U21 = SymbolUniverse(2, 1)
 
@@ -242,6 +242,40 @@ class TestFamily:
         g = random_connection1(rng, 1, 1)
         with pytest.raises(TypeError):
             family(g, True)
+
+
+class TestDerivedGrids:
+    """``product``, ``family`` and ``exchange`` build from checked entries
+    and do not check them again."""
+
+    @staticmethod
+    def connections(seed):
+        """Two connections on U21 with random_expr entries, then two with
+        polynomial ones on universes with an empty axis or none."""
+        rng = np.random.default_rng(seed)
+        entries = random_entries(seed, floats=seed % 2 == 1, count=4)
+        yield Connection1(U21, (tuple(entries[:2]),)), Connection1(U21, (tuple(entries[2:]),))
+        for m, n in ((0, 2), (2, 0), (1, 2)):
+            yield random_connection1(rng, m, n), random_connection1(rng, m, n)
+
+    def test_equal_to_checked_grids_without_a_names_walk(self, monkeypatch):
+        calls = []
+        free_vars = Expr.free_vars
+
+        def counting(self):
+            calls.append(self)
+            return free_vars(self)
+
+        for seed in range(6):
+            for gamma, gamma_bar in self.connections(seed):
+                monkeypatch.setattr(Expr, "free_vars", counting)
+                built = [product(gamma, gamma_bar), family(gamma, 0.5), family(gamma, 2)]
+                built.append(exchange(built[0]))
+                monkeypatch.setattr(Expr, "free_vars", free_vars)
+                assert calls == []
+                for delta in built:
+                    assert type(delta) is Connection2
+                    assert delta == Connection2(delta.universe, delta.F, delta.G, delta.H)
 
 
 class TestConversions:

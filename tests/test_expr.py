@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from jetconn import (
+    PROBABILISTIC,
     SYMBOLIC,
     Add,
     Const,
@@ -48,7 +49,7 @@ from jetconn import (
     to_text,
 )
 
-from jetconn import _derive, _poly
+from jetconn import _derive, _poly, evaluate
 from jetconn.expr import MAX_DIGITS, expr_sum, postorder, summands
 
 from conftest import random_expr
@@ -392,6 +393,27 @@ class TestParser:
             ("--x1", ParseError, "expected a number, variable or '(' (at position 2)"),
             ("", ParseError, "expected a number, variable or '(' (at position 1)"),
             ("x1 + q7", UnknownIdentifierError, "unknown identifier 'q7' (at position 6)"),
+            # Whitespace of every kind, a no-break space (U+00A0) too, counts
+            # one position per character.
+            ("x1\t+\t\t@", ParseError, "unexpected character '@' (at position 7)"),
+            ("x1 +\n\n)", ParseError, "expected a number, variable or '(' (at position 7)"),
+            ("\n\tx1\t*\n(y1 +\t)", ParseError,
+             "expected a number, variable or '(' (at position 14)"),
+            ("x1\u00a0+\u00a0q7", UnknownIdentifierError,
+             "unknown identifier 'q7' (at position 6)"),
+            ("x1\u00a0\u00a0y1", ParseError, "unexpected trailing input 'y1' (at position 5)"),
+            ("\u00a0sin\u00a0x1", ParseError, "expected '(' (at position 6)"),
+            # Names used twice: the first use of an unknown one is reported.
+            ("q7 + q7", UnknownIdentifierError, "unknown identifier 'q7' (at position 1)"),
+            ("x1*x1 + q7*q7", UnknownIdentifierError, "unknown identifier 'q7' (at position 9)"),
+            ("x1 + x1 + ) ", ParseError, "expected a number, variable or '(' (at position 11)"),
+            ("y1*y1*y1^x1", ParseError, "expected an integer exponent (at position 10)"),
+            # A letter or digit outside ASCII.
+            ("x1 + ٣", ParseError, "unexpected character '٣' (at position 6)"),
+            ("x1*é", ParseError, "unexpected character 'é' (at position 4)"),
+            ("x1 + 2٣", ParseError, "unexpected character '٣' (at position 7)"),
+            ("é + ٣", ParseError, "unexpected character 'é' (at position 1)"),
+            ("sin(٣)", ParseError, "unexpected character '٣' (at position 5)"),
         ],
     )
     def test_messages_and_positions(self, text, error, message):
@@ -399,6 +421,24 @@ class TestParser:
             parse_expr(text, U21)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    def test_first_lexical_error_is_reported(self):
+        # A long literal and a bad character: whichever comes first, in
+        # either order, and before any error of the grammar.
+        long = "1" + "9" * MAX_DIGITS
+        too_long = f"number of more than {MAX_DIGITS} digits"
+        for text, message, position in [
+            (f"x1 + {long} @", too_long, 6),
+            (f"x1 @ {long}", "unexpected character '@'", 4),
+            (f"x1 + ) {long}", too_long, 8),
+            (f"x1\t+ {long}é", too_long, 6),
+            (f"{long}٣{long}", too_long, 1),
+            (f"\u00a0٣{long}", "unexpected character '٣'", 2),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse_expr(text, U21)
+            assert str(exc.value) == f"{message} (at position {position})"
+            assert exc.value.position == position
 
     def test_deep_nesting_parses_without_recursion(self):
         deep = "(" * 100_000 + "x1*y1" + ")" * 100_000
@@ -837,6 +877,61 @@ class TestSimplify:
             assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
 
+class TestIdenticalSides:
+    """``expr_equal`` settles two float-free sides of equal structure at once."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The calls of ``simplify`` that ``expr_equal`` makes from now on."""
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return simplify(e)
+
+        monkeypatch.setattr(evaluate, "simplify", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", ["x1*y1 + sin(x2)/3", "ln(0*x1) - 0.5*x1^-2",
+                                      "1/(x1 - x1)", "exp(1000 + x1^2)", "7"])
+    def test_decided_without_simplify(self, monkeypatch, text):
+        a, b = parse_expr(text, U21), parse_expr(text, U21)
+
+        def refuse(e):
+            raise AssertionError("simplify was called")
+
+        monkeypatch.setattr(evaluate, "simplify", refuse)
+        assert expr_equal(a, b) == EqualityResult(True, SYMBOLIC)
+        assert expr_equal(a, a) == EqualityResult(True, SYMBOLIC)
+
+    def test_unequal_sides_take_the_full_route(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        a, b = parse_expr("x1*y1", U21), parse_expr("y1*x1", U21)
+        assert expr_equal(a, b) == EqualityResult(True, SYMBOLIC)
+        assert expr_equal(a, Add(b, Const(1))) == EqualityResult(False, SYMBOLIC)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("text, expected", [
+        # Float merges depend on their order: 0.1 + 0.2 - 0.1 - 0.2 is not 0.
+        ("1e-1*x1 + 2e-1*x1", EqualityResult(True, PROBABILISTIC)),
+        ("1.5e0*x1", EqualityResult(True, SYMBOLIC)),
+    ])
+    def test_float_sides_take_the_full_route(self, monkeypatch, text, expected):
+        calls = self.counted(monkeypatch)
+        assert expr_equal(parse_expr(text, U21), parse_expr(text, U21)) == expected
+        assert len(calls) == 1
+
+    def test_exact_against_float_takes_the_full_route(self, monkeypatch):
+        # Const(2) == Const(2.0), so these sides are equal in structure.
+        calls = self.counted(monkeypatch)
+        exact, inexact = Mul(Var("x1"), Const(2)), Mul(Var("x1"), Const(2.0))
+        assert exact == inexact
+        assert expr_equal(exact, inexact) == EqualityResult(True, SYMBOLIC)
+        assert expr_equal(inexact, exact) == EqualityResult(True, SYMBOLIC)
+        assert expr_equal(Const(2), Const(2.0)) == EqualityResult(True, SYMBOLIC)
+        assert len(calls) == 3
+
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -868,6 +963,14 @@ def test_parse_differential_runs():
     out = run_script("benchmarks/parse_differential.py", "src", "--texts", "300", "--seed", "1")
     assert out.stdout.startswith("300 texts, seed 1: ")
     assert "valid" in out.stdout and "ParseError" in out.stdout
+
+
+def test_equal_differential_runs():
+    # Against this checkout's own src, so every pair must agree.
+    out = run_script("benchmarks/equal_differential.py", "src", "--seeds", "0-6")
+    found = re.fullmatch(r"\d+ pairs identical: seeds 0-6, exact and float; (.*)\n", out.stdout)
+    counts = dict(part.rsplit(" ", 1) for part in found[1].split(", "))
+    assert {"equal symbolic", "unequal symbolic", "unequal probabilistic"} <= counts.keys()
 
 
 def test_tape_differential_runs():
