@@ -16,9 +16,11 @@ are built from that side's own nodes, in the same order and in one process,
 so that a comparison meets what the ones before it left in the nodes.  The
 verdict and confidence must match, or the failure's type and message.  The
 first difference is printed and exits 1; otherwise one line counts the
-pairs by outcome.  Usage:
+pairs by outcome.  With ``--all`` every difference is printed, then a line
+that counts them by change, from OTHER_SRC's outcome to this checkout's,
+and the exit code is 1 when there is any.  Usage:
 
-    python3 benchmarks/equal_differential.py OTHER_SRC [--seeds 0-299]
+    python3 benchmarks/equal_differential.py OTHER_SRC [--seeds 0-299] [--all]
 
 OTHER_SRC is the ``src`` directory of the other checkout, for example one
 made with ``git archive``.  Its ``jetconn`` is loaded as ``jetconn_other``.
@@ -94,11 +96,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src")
     parser.add_argument("--seeds", default="0-299")
+    parser.add_argument("--all", action="store_true", help="print every difference")
     args = parser.parse_args(argv)
 
     first, last = (int(k) for k in args.seeds.split("-"))
     other = load_other(args.other_src)
-    counts = {}
+    counts, changes = {}, {}
     for floats in (False, True):
         for seed in range(first, last + 1):
             trees = random_entries(seed, floats, count=4)
@@ -107,10 +110,19 @@ def main(argv=None):
                 if a != b:
                     kind = "float" if floats else "exact"
                     print(f"{kind} seed {seed} pair {k} ({name}) differs: {a!r} against {b!r}")
-                    return 1
+                    if not args.all:
+                        return 1
+                    changes[b, a] = changes.get((b, a), 0) + 1
+                    continue
                 if type(a[0]) is bool:
                     a = (f"{'equal' if a[0] else 'unequal'} {a[1]}",)
                 counts[a[0]] = counts.get(a[0], 0) + 1
+    if changes:
+        moves = sorted(changes.items(), key=str)  # outcomes mix bools and error names
+        print(f"{sum(changes.values())} pairs differ and {sum(counts.values())} are identical:",
+              f"seeds {first}-{last}, exact and float;",
+              ", ".join(f"{old!r} -> {new!r} {n}" for (old, new), n in moves))
+        return 1
     print(f"{sum(counts.values())} pairs identical: seeds {first}-{last}, exact and float;",
           ", ".join(f"{k} {n}" for k, n in sorted(counts.items())))
     return 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var, postorder
+from .expr import Add, Const, Fn, Mul, Neg, Pow, Sub, Var, postorder
 
 LIBM_STEPS = 2  # nextafter steps each way around a libm result
 _INF = math.inf
@@ -117,26 +117,6 @@ def _ln(a):
 
 
 _FNS = {"sin": _periodic(math.sin), "cos": _periodic(math.cos), "exp": _exp, "ln": _ln}
-_OPS = {
-    Neg: lambda a: (-a[1], -a[0]),
-    Add: lambda a, b: _outward(a[0] + b[0], a[1] + b[1]),
-    Sub: lambda a, b: _outward(a[0] - b[1], a[1] - b[0]),
-    Mul: _mul,
-    Div: _div,
-}
-
-
-def _node(node, args, point):
-    if isinstance(node, Const):
-        return _const(node.value)
-    if isinstance(node, Var):
-        v = point[node.name]
-        return v, v
-    if isinstance(node, Pow):
-        return _pow(args[0], node.exponent)
-    if isinstance(node, Fn):
-        return _FNS[node.name](args[0])
-    return _OPS[type(node)](*args)
 
 
 def enclose(exprs, point):
@@ -149,7 +129,30 @@ def enclose(exprs, point):
     values = {}
     try:
         for node in postorder(exprs):
-            values[id(node)] = _node(node, [values[id(c)] for c in node.children()], point)
+            kind = type(node)
+            if kind is Var:
+                v = point[node.name]
+                out = v, v
+            elif kind is Const:
+                out = _const(node.value)
+            elif kind is Pow:
+                out = _pow(values[id(node.base)], node.exponent)
+            elif kind is Fn:
+                out = _FNS[node.name](values[id(node.arg)])
+            elif kind is Neg:
+                a = values[id(node.arg)]
+                out = -a[1], -a[0]
+            else:
+                a, b = values[id(node.left)], values[id(node.right)]
+                if kind is Mul:
+                    out = _mul(a, b)
+                elif kind is Add:
+                    out = _outward(a[0] + b[0], a[1] + b[1])
+                elif kind is Sub:
+                    out = _outward(a[0] - b[1], a[1] - b[0])
+                else:  # Div
+                    out = _div(a, b)
+            values[id(node)] = out
     except (_Undefined, OverflowError):
         return None
     return [values[id(e)] for e in exprs]

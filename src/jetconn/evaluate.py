@@ -6,6 +6,7 @@ import math
 import numbers
 import random
 from functools import lru_cache
+from itertools import islice
 from typing import Mapping
 
 from . import _enclose, _poly, _tape
@@ -119,18 +120,24 @@ def _holds_atom(e: Expr) -> bool:
     return any(isinstance(node, Fn) for node in walk)
 
 
-def _certified_unequal(a: Expr, b: Expr, policy: SamplePolicy) -> bool:
-    """Whether enclosures at one of ``CERTIFY_POINTS`` seeded points prove a != b.
+def _points(a: Expr, b: Expr, seed: int):
+    """The ``CERTIFY_POINTS`` points of the certificate, drawn by ``random.Random(seed)``."""
+    names = sorted(a.free_vars() | b.free_vars())
+    rng = random.Random(seed)
+    for _ in range(CERTIFY_POINTS):
+        yield {name: rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for name in names}
+
+
+def _certified_unequal(a: Expr, b: Expr, points, tol: float) -> bool:
+    """Whether enclosures at one of ``points`` prove a != b.
 
     Proved means |a - b| > tol*(1 + |a|) for every value in the two
     enclosures, the negation of the sampling route's test at that point.
+    Points are drawn only until one proves it.
     """
-    names = sorted(a.free_vars() | b.free_vars())
-    rng = random.Random(policy.seed)
-    for _ in range(CERTIFY_POINTS):
-        point = {name: rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for name in names}
+    for point in points:
         intervals = _enclose.enclose((a, b), point)
-        if intervals is not None and _enclose.separated(*intervals, policy.tol):
+        if intervals is not None and _enclose.separated(*intervals, tol):
             return True
     return False
 
@@ -140,15 +147,17 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
 
     Five routes, in order.  Two float-free sides of equal structure are
     equal at once, as simplify(a - b) would find; floats take the routes
-    below, since ``Const(2) == Const(2.0)``.  simplify(a - b) collapsing to
-    a constant decides.  Otherwise, when the difference holds a
+    below, since ``Const(2) == Const(2.0)``.  When either side holds a
     sin/cos/exp/ln atom, outward-rounded interval enclosures of a and b at
-    up to ``CERTIFY_POINTS`` points drawn from ``random.Random(policy.seed)``
-    may prove them apart by more than ``policy.tol`` scales to (see
-    :mod:`jetconn._enclose`).  Next :func:`jetconn._poly.decide` expands
-    the difference exactly over Q: a zero numerator proves equality, a
-    nonzero one proves inequality when the difference holds no atom.  These
-    four are symbolic.  Anything else (an identity through atoms, a float
+    the first of ``CERTIFY_POINTS`` points drawn from
+    ``random.Random(policy.seed)`` may prove them apart by more than
+    ``policy.tol`` scales to (see :mod:`jetconn._enclose`), so most unequal
+    pairs skip simplify.  simplify(a - b) collapsing to a constant decides;
+    otherwise, when the difference still holds an atom, the certificate
+    tries its other points.  Next :func:`jetconn._poly.decide` expands the
+    difference exactly over Q: a zero numerator proves equality, a nonzero
+    one proves inequality when the difference holds no atom.  These four
+    are symbolic.  Anything else (an identity through atoms, a float
     constant, a denominator that expands to 0, an expansion over its
     budget) is sampled: both sides are evaluated on ``policy.points``
     points of :func:`sample_rows` and compared within the scaled tolerance
@@ -156,12 +165,17 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     """
     if not (a._has_float or b._has_float) and a == b:
         return EqualityResult(True, SYMBOLIC)
-    difference = simplify(Sub(a, b))
-    if isinstance(difference, Const):
-        return EqualityResult(difference.value == 0, SYMBOLIC)
     if policy is None:
         policy = SamplePolicy()
-    if _holds_atom(difference) and _certified_unequal(a, b, policy):
+    tree, points = Sub(a, b), ()  # no points when no side, so no difference, holds an atom
+    if _holds_atom(tree):
+        points = _points(a, b, policy.seed)
+        if _certified_unequal(a, b, islice(points, 1), policy.tol):
+            return EqualityResult(False, SYMBOLIC)
+    difference = simplify(tree)
+    if isinstance(difference, Const):
+        return EqualityResult(difference.value == 0, SYMBOLIC)
+    if points and _holds_atom(difference) and _certified_unequal(a, b, points, policy.tol):
         return EqualityResult(False, SYMBOLIC)
     exact = _poly.decide(difference)
     if exact is not None:

@@ -77,7 +77,6 @@ from .errors import (
 
 FUNCTIONS = ("sin", "cos", "exp", "ln")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _COORDINATE_RE = re.compile(r"([xy])([1-9][0-9]*)")
 
 
@@ -140,7 +139,9 @@ class SymbolUniverse(Value):
             raise ValueError("universe dimensions must be non-negative")
         super().__init__(base_dim, fiber_dim, frozenset(extra_symbols))
         for name in self.extra_symbols:
-            if not _IDENT_RE.fullmatch(name):
+            if not isinstance(name, str):
+                raise TypeError("extra symbol names must be strings")
+            if not (name.isascii() and name.isidentifier()):
                 raise ValueError(f"invalid extra symbol name {name!r}")
             if name in FUNCTIONS:
                 raise ValueError(f"extra symbol {name!r} collides with a function name")
@@ -245,7 +246,18 @@ class Expr:
         return self._hash
 
     def __repr__(self):
-        return _emit(self, _repr_pieces)
+        out, stack = [], [self]  # strings to print and nodes to print as calls
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            else:
+                pieces = [type(item).__name__ + "("]
+                for field in item._key():
+                    pieces += (field if isinstance(field, Expr) else repr(field), ", ")
+                pieces[-1] = ")"
+                stack += reversed(pieces)
+        return "".join(out)
 
     def __reduce__(self):
         # copy and pickle rebuild each distinct node once, _simple empty, from
@@ -371,7 +383,9 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not _IDENT_RE.fullmatch(name):
+        if not isinstance(name, str):
+            raise TypeError("variable name must be a string")
+        if not (name.isascii() and name.isidentifier()):
             raise ValueError(f"invalid variable name {name!r}")
         _set_var_name(self, name)
         _set_hash(self, hash((Var, name)))
@@ -869,59 +883,45 @@ _INFIX = {Add: (" + ", _LVL_SIGNED, _LVL_TERM), Sub: (" - ", _LVL_SIGNED, _LVL_T
           Mul: ("*", _LVL_TERM, _LVL_POW), Div: ("/", _LVL_TERM, _LVL_POW)}
 
 
-def _emit(e, pieces) -> str:
-    """The strings of a stack of items, ``(e, _LVL_SIGNED)`` first, joined: a
-    ``(node, need)`` item is replaced by the items of ``pieces(node, need)``."""
-    out, stack = [], [(e, _LVL_SIGNED)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        else:
-            stack += reversed(pieces(*item))
-    return "".join(out)
-
-
-# A sum is printed bare only where a leading minus is legal (at the start of
-# the text, of a parenthesis or of a function argument, or as the left
-# operand of such a sum), so its left operand may start with a minus too.
-def _text_pieces(e, need) -> tuple:
-    kind = type(e)
-    if kind is Var:
-        return (e.name,)
-    if kind is Const:  # a negative constant binds as a sign, p/q as a quotient
-        text = _const_text(e.value)
-        level = _LVL_SIGNED if e.value < 0 else _LVL_TERM if "/" in text else _LVL_ATOM
-        return ("(", text, ")") if level < need else (text,)
-    if kind not in _LEVELS:
-        raise TypeError(f"not an expression: {e!r}")
-    if _LEVELS[kind] < need:
-        return "(", (e, _LVL_SIGNED), ")"
-    if kind is Neg:
-        return "-", (e.arg, _LVL_TERM)
-    if kind is Pow:
-        return (e.base, _LVL_ATOM), f"^{e.exponent}"
-    if kind is Fn:
-        return e.name + "(", (e.arg, _LVL_SIGNED), ")"
-    op, left, right = _INFIX[kind]
-    return (e.left, left), op, (e.right, right)
-
-
-def _repr_pieces(e, _need) -> list:
-    out = [type(e).__name__ + "("]
-    for field in e._key():
-        out += ((field, None) if isinstance(field, Expr) else repr(field), ", ")
-    out[-1] = ")"
-    return out
-
-
 def to_text(e: Expr) -> str:
     """Render a tree to concrete syntax that parses back to the same shape.
 
     Parentheses are inserted exactly where precedence or associativity would
     otherwise change the tree.
     """
-    return _emit(e, _text_pieces)
+    # Strings to print and nodes, each under the level it needs, on a stack.
+    # A sum is printed bare only where a leading minus is legal (at the start
+    # of the text, of a parenthesis or of a function argument, or as the left
+    # operand of such a sum), so its left operand may start with a minus too.
+    out, stack = [], [e, _LVL_SIGNED]
+    emit, pop = out.append, stack.pop
+    while stack:
+        need = pop()
+        if type(need) is str:
+            emit(need)
+            continue
+        e = pop()
+        kind = type(e)
+        if kind is Var:
+            emit(e.name)
+        elif kind is Const:  # a negative constant binds as a sign, p/q as a quotient
+            text = _const_text(e.value)
+            level = _LVL_SIGNED if e.value < 0 else _LVL_TERM if "/" in text else _LVL_ATOM
+            emit(f"({text})" if level < need else text)
+        elif kind not in _LEVELS:
+            raise TypeError(f"not an expression: {e!r}")
+        elif _LEVELS[kind] < need:
+            stack += (")", e, _LVL_SIGNED, "(")
+        elif kind is Neg:
+            stack += (e.arg, _LVL_TERM, "-")
+        elif kind is Pow:
+            stack += (f"^{e.exponent}", e.base, _LVL_ATOM)
+        elif kind is Fn:
+            stack += (")", e.arg, _LVL_SIGNED, e.name + "(")
+        else:
+            op, left, right = _INFIX[kind]
+            stack += (e.right, right, op, e.left, left)
+    return "".join(out)
 
 
 # --- differentiation and substitution --------------------------------------

@@ -5,7 +5,9 @@ checked against 60-digit mpmath values and against the kernel's float
 value, and the libm accuracy it assumes is checked against 50-digit values.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +19,16 @@ from jetconn import (
     SamplePolicy,
     SamplingError,
     SymbolUniverse,
+    eval_expr,
     expr_equal,
     parse_expr,
+    simplify,
 )
 from jetconn import _enclose, evaluate
 from jetconn._tape import compile_program
-from jetconn.expr import Add, Const, Fn, Mul, Neg, Pow, Sub, Var, expr_sum
+from jetconn.expr import Add, Const, Div, Fn, Mul, Neg, Pow, Sub, Var, expr_sum
 
-from conftest import random_expr
+from conftest import halved, random_expr
 
 U = SymbolUniverse(2, 1)
 NAMES = ("x1", "x2", "y1")
@@ -103,6 +107,31 @@ def test_enclosures_hold_exact_and_kernel_values():
                 if status[0] == 0 and math.isfinite(values[0]):
                     assert lo <= values[0] <= hi, (e, row, interval)
     assert defined > 4000
+
+
+# enclosure_digest() as computed by the earlier walk of _enclose.enclose,
+# which looked each node's operation up in a table and passed it a list of
+# its operands' intervals.  The walk that replaced it must give every bound
+# bit for bit.
+ENCLOSURE_DIGEST = "49d66ec99d2c22c1a835b4162f39353f79cc86e8b2c2afcbcf414c09c3a1f766"
+
+
+def enclosure_digest():
+    """sha256 of the enclosures of 1 500 random trees, each enclosed with its
+    float-halved copy at two points, every bound written with ``float.hex``."""
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+    for e in random_trees(rng, 1500):
+        for scale in (1.0, float(10 ** rng.uniform(-3, 3))):
+            point = {name: float(v) * scale for name, v in zip(NAMES, rng.uniform(-2, 2, 3))}
+            out = _enclose.enclose([e, halved(e)], point)
+            bounds = ["None"] if out is None else [x.hex() for pair in out for x in pair]
+            h.update((" ".join(bounds) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_enclosures_are_unchanged_bit_for_bit():
+    assert enclosure_digest() == ENCLOSURE_DIGEST
 
 
 def test_shared_subtrees_and_several_expressions():
@@ -230,6 +259,74 @@ def test_certificate_agrees_with_sampling(monkeypatch):
     )
     verdict = lambda r: None if r is None else r.equal
     assert list(map(verdict, certified)) == list(map(verdict, sampled))
+
+
+def recorded(monkeypatch):
+    """The calls of ``_enclose.enclose`` and ``evaluate.simplify`` from now
+    on, in order: ``("enclose", point)`` and ``("simplify", None)``."""
+    calls = []
+    enclose, simplify = _enclose.enclose, evaluate.simplify
+
+    def enclose_at(exprs, point):
+        calls.append(("enclose", point))
+        return enclose(exprs, point)
+
+    def simplify_once(e):
+        calls.append(("simplify", None))
+        return simplify(e)
+
+    monkeypatch.setattr(_enclose, "enclose", enclose_at)
+    monkeypatch.setattr(evaluate, "simplify", simplify_once)
+    return calls
+
+
+def test_unequal_pair_with_atoms_is_decided_without_simplify(monkeypatch):
+    a, b = P("exp(x1)*y1 + sin(x2)"), P("exp(x1)*y1 + sin(x2) + 1")
+
+    def refuse(e):
+        raise AssertionError("simplify was called")
+
+    monkeypatch.setattr(evaluate, "simplify", refuse)
+    assert expr_equal(a, b) == evaluate.EqualityResult(False, SYMBOLIC)
+
+
+def test_equal_pair_with_atoms_pays_one_enclosure(monkeypatch):
+    a, b = P("sin(x1)*y1"), P("sin(x1)*y1*1")
+    calls = recorded(monkeypatch)
+    assert expr_equal(a, b) == evaluate.EqualityResult(True, SYMBOLIC)
+    assert [name for name, _ in calls] == ["enclose", "simplify"]
+
+
+def test_pair_separated_only_at_the_third_point(monkeypatch):
+    # At seed 3 the first two points have x1 < 0, where ln(x1) is undefined,
+    # and the third has x1 > 0.
+    a, b = P("ln(x1)*y1"), P("ln(x1)*y1 + exp(y1)")
+    calls = recorded(monkeypatch)
+    assert expr_equal(a, b, SamplePolicy(seed=3)) == evaluate.EqualityResult(False, SYMBOLIC)
+    assert [name for name, _ in calls] == ["enclose", "simplify", "enclose", "enclose"]
+    rng = random.Random(3)
+    drawn = [{name: rng.uniform(-2.0, 2.0) for name in ("x1", "y1")} for _ in range(3)]
+    assert [point for name, point in calls if name == "enclose"] == drawn
+    assert drawn[0]["x1"] < 0 and drawn[1]["x1"] < 0 < drawn[2]["x1"]
+
+
+def test_difference_without_atoms_after_simplify_is_certified():
+    # Float seed 32, pair 8 of benchmarks/equal_differential.py.  exp(x1)
+    # cancels and the float constants keep _poly out, so this pair was
+    # sampled when the certificate ran only on a difference with an atom.
+    y1x2, e = Mul(Var("y1"), Var("x2")), Fn("exp", Var("x1"))
+    a, b = Sub(Div(y1x2, Const(-1.5)), e), Sub(Div(y1x2, Const(-0.5)), e)
+    assert expr_equal(a, b) == evaluate.EqualityResult(False, SYMBOLIC)
+
+
+def test_first_enclosure_comes_before_a_float_fold_that_cancels():
+    # simplify folds 1 + 1e20 - 1e20 to 0.0 in its own order, but both the
+    # exact values and the kernel's floats differ by 1.  The enclosures see
+    # the sides as written, before that fold.
+    a, b = P("sin(x1) + 1 + (1e20 - 1e20)"), P("sin(x1)")
+    assert str(simplify(Sub(a, b))) == "0.0"
+    assert expr_equal(a, b) == evaluate.EqualityResult(False, SYMBOLIC)
+    assert eval_expr(a, {"x1": 0.5}) - eval_expr(b, {"x1": 0.5}) == 1.0
 
 
 # --- the libm assumption -------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import pathlib
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -119,6 +120,8 @@ class TestUniverse:
     def test_rejects_bad_extra_name(self):
         with pytest.raises(ValueError):
             SymbolUniverse(1, 1, frozenset({"2bad"}))
+        with pytest.raises(TypeError):
+            SymbolUniverse(1, 1, frozenset({3}))
 
     def test_zero_dims_allowed(self):
         u = SymbolUniverse(0, 0, frozenset({"t"}))
@@ -206,6 +209,25 @@ class TestNodes:
             Const(float("inf"))
         with pytest.raises(ValueError):
             Const(float("nan"))
+
+    def test_variable_names_are_ascii_identifiers(self):
+        # The pattern the names were once checked with, against the check
+        # that replaced it, on random strings over identifier characters,
+        # edge characters and whitespace.
+        pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+        rng = np.random.default_rng(9)
+        alphabet = list("aZx1_9-é٣ \t\n\0$") + ["", "\u00a0"]
+        names = ["", "x1", "_", "1x", "if", "x1\n", "\u0661"]
+        names += ["".join(rng.choice(alphabet, int(rng.integers(1, 5)))) for _ in range(20_000)]
+        for name in names:
+            if pattern.fullmatch(name):
+                assert Var(name).name == name
+            else:
+                with pytest.raises(ValueError, match="invalid variable name"):
+                    Var(name)
+        for name in (3, None, b"x1"):
+            with pytest.raises(TypeError):
+                Var(name)
 
     def test_pow_exponent_is_int(self):
         with pytest.raises(TypeError):
@@ -971,6 +993,31 @@ def test_equal_differential_runs():
     found = re.fullmatch(r"\d+ pairs identical: seeds 0-6, exact and float; (.*)\n", out.stdout)
     counts = dict(part.rsplit(" ", 1) for part in found[1].split(", "))
     assert {"equal symbolic", "unequal symbolic", "unequal probabilistic"} <= counts.keys()
+
+
+def test_equal_differential_counts_every_change(tmp_path):
+    # Against a copy of src that calls a proof "proved", so every symbolic
+    # outcome differs; --all prints each and counts them by change.
+    other = tmp_path / "jetconn"
+    shutil.copytree(ROOT / "src" / "jetconn", other)
+    evaluate = other / "evaluate.py"
+    text = evaluate.read_text()
+    evaluate.write_text(text.replace('SYMBOLIC = "symbolic"', 'SYMBOLIC = "proved"'))
+    argv = [sys.executable, "benchmarks/equal_differential.py", str(tmp_path), "--seeds", "0-2"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([*argv, "--all"], cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 1, out.stdout + out.stderr
+    *lines, summary = out.stdout.splitlines()
+    assert len(lines) > 1 and all(" differs: " in line for line in lines)
+    found = re.fullmatch(r"(\d+) pairs differ and (\d+) are identical: seeds 0-2, exact and "
+                         r"float; \(False, 'proved'\) -> \(False, 'symbolic'\) (\d+), "
+                         r"\(True, 'proved'\) -> \(True, 'symbolic'\) (\d+)", summary)
+    assert found, summary
+    assert int(found[1]) == len(lines) == int(found[3]) + int(found[4])
+    # Without --all it stops at the first.
+    first = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert first.returncode == 1 and first.stdout == lines[0] + "\n"
 
 
 def test_tape_differential_runs():
