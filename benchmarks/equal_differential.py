@@ -14,13 +14,12 @@ with each constant k made the float k/2.  Each tree e is compared with:
 Each seed also compares ``x1*2`` with ``x1*2.0``.  On each side the pairs
 are built from that side's own nodes, in the same order and in one process,
 so that a comparison meets what the ones before it left in the nodes.  The
-verdict and confidence must match, or the failure's type and message.  The
-first difference is printed and exits 1; otherwise one line counts the
-pairs by outcome.  With ``--all`` every difference is printed, then a line
-that counts them by change, from OTHER_SRC's outcome to this checkout's,
-and the exit code is 1 when there is any.  Usage:
+verdict and confidence must match, or the failure's type and message.
+Every difference is printed, then a line that counts them by change, from
+OTHER_SRC's outcome to this checkout's, and the exit code is 1; with none,
+one line counts the pairs by outcome.  Usage:
 
-    python3 benchmarks/equal_differential.py OTHER_SRC [--seeds 0-299] [--all]
+    python3 benchmarks/equal_differential.py OTHER_SRC [--seeds 0-299]
 
 OTHER_SRC is the ``src`` directory of the other checkout, for example one
 made with ``git archive``.  Its ``jetconn`` is loaded as ``jetconn_other``.
@@ -96,7 +95,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src")
     parser.add_argument("--seeds", default="0-299")
-    parser.add_argument("--all", action="store_true", help="print every difference")
     args = parser.parse_args(argv)
 
     first, last = (int(k) for k in args.seeds.split("-"))
@@ -110,8 +108,6 @@ def main(argv=None):
                 if a != b:
                     kind = "float" if floats else "exact"
                     print(f"{kind} seed {seed} pair {k} ({name}) differs: {a!r} against {b!r}")
-                    if not args.all:
-                        return 1
                     changes[b, a] = changes.get((b, a), 0) + 1
                     continue
                 if type(a[0]) is bool:

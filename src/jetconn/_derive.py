@@ -24,7 +24,7 @@ are 0, so ``ln(0)`` and ``a/0`` still give the marker ``0/0``.
 ``simplify(e)`` keeps its result in ``e``'s slot from the first call, so
 the m + n derivatives of one entry simplify it once.
 
-A tree with a float constant, as its root's ``_has_float`` flag says,
+A tree with a float constant, as its root's ``_flags`` say,
 keeps the binary route, ``simplify(product_rule_tree(e))``: float merges
 depend on their order, and
 ``simplify`` may fold a float away (``1e0*x1`` is ``x1``) whose derivative,
@@ -34,6 +34,7 @@ depend on their order, and
 from __future__ import annotations
 
 from .expr import (
+    _FLOAT,
     _MINUS_ONE,
     _SIMPLE,
     Add,
@@ -63,7 +64,7 @@ from .expr import (
 
 def derivative(e: Expr, var: str) -> Expr:
     """The simplified partial derivative of ``e`` with respect to ``var``."""
-    if e._has_float:
+    if e._flags & _FLOAT:
         return simplify(product_rule_tree(e, var))
     out = _sum((), _derivative_terms(simplify(e), var))
     _set_simple(out, _SIMPLE)

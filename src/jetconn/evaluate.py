@@ -11,7 +11,7 @@ from typing import Mapping
 
 from . import _enclose, _poly, _tape
 from .errors import EvalError, SamplingError
-from .expr import Const, Expr, Fn, Sub, Value, postorder, simplify
+from .expr import _ATOM, _FLOAT, Const, Expr, Sub, Value, simplify
 
 SYMBOLIC = "symbolic"
 PROBABILISTIC = "probabilistic"
@@ -115,9 +115,7 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
 
 
 def _holds_atom(e: Expr) -> bool:
-    # An atom has no operands on this walk, so the first one met ends it.
-    walk = postorder([e], lambda node: () if isinstance(node, Fn) else node.children())
-    return any(isinstance(node, Fn) for node in walk)
+    return bool(e._flags & _ATOM)
 
 
 def _points(a: Expr, b: Expr, seed: int):
@@ -163,7 +161,7 @@ def expr_equal(a: Expr, b: Expr, policy: SamplePolicy = None) -> EqualityResult:
     points of :func:`sample_rows` and compared within the scaled tolerance
     wherever both are finite; :class:`SamplingError` when they are nowhere.
     """
-    if not (a._has_float or b._has_float) and a == b:
+    if not (a._flags | b._flags) & _FLOAT and a == b:
         return EqualityResult(True, SYMBOLIC)
     if policy is None:
         policy = SamplePolicy()

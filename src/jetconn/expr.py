@@ -200,19 +200,23 @@ def as_expr(value) -> "Expr":
     raise TypeError(f"cannot treat {type(value).__name__} as an expression")
 
 
+_FLOAT, _ATOM = 1, 2  # bits of Expr._flags
+
+
 class Expr:
     """Base class for expression nodes.  Instances are immutable.
 
-    Each node class sets its fields, ``_hash`` and ``_has_float`` (whether a
-    float constant is in the tree) in ``__init__``, lists its fields in
+    Each node class sets its fields, ``_hash`` and ``_flags`` in
+    ``__init__`` (``_FLOAT`` when a float constant is in the tree, ``_ATOM``
+    when a sin/cos/exp/ln application is), lists its fields in
     ``_key()`` and its subtrees in ``children()``, and leaves the facts
     computed later unknown: ``_simple`` (the cache of :func:`simplify`),
     ``_order_key`` (of :func:`_order`) and ``_names`` (of :meth:`free_vars`).
-    The hash and the float flag are built from the children's, so neither
-    walks the tree.
+    The hash and the flags are built from the children's, so neither walks
+    the tree.
     """
 
-    __slots__ = ("_hash", "_simple", "_order_key", "_has_float", "_names")
+    __slots__ = ("_hash", "_simple", "_order_key", "_flags", "_names")
 
     def __setattr__(self, name, value):
         raise AttributeError("expression nodes are immutable")
@@ -340,7 +344,7 @@ def _from_table(table) -> "Expr":
 _set_hash = Expr._hash.__set__
 _set_simple = Expr._simple.__set__
 _set_order_key = Expr._order_key.__set__
-_set_has_float = Expr._has_float.__set__
+_set_flags = Expr._flags.__set__
 _set_names = Expr._names.__set__
 
 
@@ -368,7 +372,7 @@ class Const(Expr):
         _set_hash(self, hash((Const, value)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, kind is float)
+        _set_flags(self, _FLOAT if kind is float else 0)
         _set_names(self, None)
 
     def _key(self):
@@ -391,7 +395,7 @@ class Var(Expr):
         _set_hash(self, hash((Var, name)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, False)
+        _set_flags(self, 0)
         _set_names(self, None)
 
     def _key(self):
@@ -408,7 +412,7 @@ class _Unary(Expr):
         _set_hash(self, hash((type(self), arg._hash)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, arg._has_float)
+        _set_flags(self, arg._flags)
         _set_names(self, None)
 
     def _key(self):
@@ -429,7 +433,7 @@ class _Binary(Expr):
         _set_hash(self, hash((type(self), left._hash, right._hash)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, left._has_float or right._has_float)
+        _set_flags(self, left._flags | right._flags)
         _set_names(self, None)
 
     def _key(self):
@@ -474,7 +478,7 @@ class Pow(Expr):
         _set_hash(self, hash((Pow, base._hash, exponent)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, base._has_float)
+        _set_flags(self, base._flags)
         _set_names(self, None)
 
     def _key(self):
@@ -499,7 +503,7 @@ class Fn(_Unary):
         _set_hash(self, hash((Fn, name, arg._hash)))
         _set_simple(self, None)
         _set_order_key(self, None)
-        _set_has_float(self, arg._has_float)
+        _set_flags(self, arg._flags | _ATOM)
         _set_names(self, None)
 
     def _key(self):
@@ -1002,7 +1006,7 @@ def simplify(e: Expr) -> Expr:
         raise TypeError(f"not an expression: {e!r}")
     done = {}  # id of a node -> its simplified form
     parts = {}  # id of a sum or product -> its (count, operand) pairs
-    shared = None if e._has_float else {}  # operand -> its simplified form
+    shared = None if e._flags & _FLOAT else {}  # operand -> its simplified form
 
     def operands(node):
         memo = node._simple

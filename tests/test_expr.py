@@ -51,9 +51,9 @@ from jetconn import (
 )
 
 from jetconn import _derive, _poly, evaluate
-from jetconn.expr import MAX_DIGITS, expr_sum, postorder, summands
+from jetconn.expr import _ATOM, _FLOAT, MAX_DIGITS, expr_sum, postorder, summands
 
-from conftest import random_expr
+from conftest import random_entries, random_expr
 
 U21 = SymbolUniverse(2, 1)
 U33 = SymbolUniverse(3, 3)
@@ -323,6 +323,16 @@ class TestWalks:
         assert [id(t) for _, t in out] == [id(x1), id(y1)] + [id(s) for s in sums]
         once = simplify(Sub(e, parse_expr(f"{2**60}*x1 - {2**60}*y1", U21)))
         assert once == Const(0)
+
+    def test_flags_agree_with_a_walk(self):
+        # The float and atom flags are set from the operands' at construction.
+        for seed in range(200):
+            for e in random_entries(seed, floats=seed % 2 == 1, count=4):
+                for node in (e, simplify(e)):
+                    nodes = list(postorder([node]))
+                    floats = any(type(n) is Const and type(n.value) is float for n in nodes)
+                    atoms = any(isinstance(n, Fn) for n in nodes)
+                    assert node._flags == floats * _FLOAT + atoms * _ATOM
 
 
 class TestParser:
@@ -997,7 +1007,7 @@ def test_equal_differential_runs():
 
 def test_equal_differential_counts_every_change(tmp_path):
     # Against a copy of src that calls a proof "proved", so every symbolic
-    # outcome differs; --all prints each and counts them by change.
+    # outcome differs; each is printed and counted by change.
     other = tmp_path / "jetconn"
     shutil.copytree(ROOT / "src" / "jetconn", other)
     evaluate = other / "evaluate.py"
@@ -1005,7 +1015,7 @@ def test_equal_differential_counts_every_change(tmp_path):
     evaluate.write_text(text.replace('SYMBOLIC = "symbolic"', 'SYMBOLIC = "proved"'))
     argv = [sys.executable, "benchmarks/equal_differential.py", str(tmp_path), "--seeds", "0-2"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([*argv, "--all"], cwd=ROOT, env=env, capture_output=True, text=True,
+    out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 1, out.stdout + out.stderr
     *lines, summary = out.stdout.splitlines()
@@ -1015,9 +1025,6 @@ def test_equal_differential_counts_every_change(tmp_path):
                          r"\(True, 'proved'\) -> \(True, 'symbolic'\) (\d+)", summary)
     assert found, summary
     assert int(found[1]) == len(lines) == int(found[3]) + int(found[4])
-    # Without --all it stops at the first.
-    first = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert first.returncode == 1 and first.stdout == lines[0] + "\n"
 
 
 def test_tape_differential_runs():
