@@ -17,7 +17,8 @@ import Expr`` loads ``expr`` at once.  A public name such as
 ``jetconn.simplify`` is looked up in its home module by the module
 ``__getattr__`` below, through ``_EXPORTS``, from which ``__all__`` is
 also derived.  ``cli`` is left out because ``python -m jetconn.cli`` warns
-when ``jetconn.cli`` is already in ``sys.modules`` before it runs.
+when ``jetconn.cli`` is already in ``sys.modules`` before it runs.  Its
+handler groups and its help parser are the lazy ``_cli_*`` modules.
 """
 
 import importlib.util
@@ -87,8 +88,9 @@ def _register(name):
     return module
 
 
-# Every submodule but cli: the homes of public names and five private ones.
-for _name in (*_EXPORTS, "_derive", "_enclose", "_poly", "_tape", "kernel"):
+# Every submodule but cli: the homes of public names, then the private ones.
+for _name in (*_EXPORTS, "_cli_algebra", "_cli_frames", "_cli_transport", "_cli_usage",
+              "_derive", "_enclose", "_poly", "_simplify", "_tape", "kernel"):
     globals()[_name] = _register(_name)
 del _name
 

@@ -6,7 +6,7 @@ Algorithms*, 2002, ch. 3), in one walk of :func:`~jetconn.expr.postorder`
 whose operands are the terms of a sum, the bases of a product's factors
 and the operands of a function or quotient; constants and variables are
 not walked.  Each node's derivative is a list of terms, (coefficient,
-factors) pairs as ``expr._collect`` gives them: a sum's are its terms'
+factors) pairs as ``_simplify._collect`` gives them: a sum's are its terms'
 times their counts, and a term c*f1^k1*...*fr^kr gives one for each base fi
 that depends on the variable, the product of c*ki, fi^(ki - 1), fi' and the
 other factors.  A base, function argument or quotient operand needs its
@@ -33,33 +33,10 @@ depend on their order, and
 
 from __future__ import annotations
 
-from .expr import (
-    _FLOAT,
-    _MINUS_ONE,
-    _SIMPLE,
-    Add,
-    Const,
-    Div,
-    Expr,
-    Fn,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Var,
-    _coefficient,
-    _collect,
-    _function,
-    _power,
-    _product,
-    _quotient,
-    _set_simple,
-    _split,
-    _sum,
-    postorder,
-    simplify,
-    summands,
-)
+from ._simplify import (_MINUS_ONE, _SIMPLE, _coefficient, _collect, _function, _power,
+                        _product, _quotient, _split, _sum)
+from .expr import (_FLOAT, Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, _set_simple,
+                   postorder, simplify, summands)
 
 
 def derivative(e: Expr, var: str) -> Expr:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from operator import add
 
-from .expr import (MAX_POWER_BITS, Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, bit_size,
-                   postorder, summands)
+from ._simplify import MAX_POWER_BITS, bit_size
+from .expr import Add, Const, Div, Expr, Fn, Mul, Neg, Pow, Sub, Var, postorder, summands
 
 BUDGET = 50_000  # coefficient products one expansion may spend
 MAX_GENERATORS = 64  # variables and atoms in one expansion: the length of a monomial

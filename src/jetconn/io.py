@@ -2,16 +2,18 @@
 
 Every expression travels as grammar-conformant text, so emitted files can
 be fed back in unchanged.  Document kind is detected from the key shape,
-not from file names.
+not from file names.  The last section reads the command line's inputs for
+the handlers of every subcommand.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 
-from . import connections, frames, jets, transport
-from .errors import FormatError
+from . import connections, evaluate, frames, jets, transport
+from .errors import FormatError, JetconnError
 from .expr import Expr, SymbolUniverse, Value, expr_grid, parse_expr, to_text
 
 KIND_LABELS = {
@@ -200,11 +202,14 @@ def load_path(path) -> Document:
     return load_data(data)
 
 
-def grid_to_data(grid, leaf=to_text) -> list:
+def grid_to_data(grid, leaf=None) -> list:
     """``grid`` as nested lists for JSON, each expression replaced by ``leaf(e)``.
 
-    The default writes each expression's text, which parses back in.
+    The default, ``to_text`` as this module binds it at the call, writes
+    each expression's text, which parses back in.
     """
+    if leaf is None:
+        leaf = to_text
     if isinstance(grid, Expr):
         return leaf(grid)
     return [grid_to_data(child, leaf) for child in grid]
@@ -261,3 +266,48 @@ def transport_csv(result: transport.TransportResult) -> str:
         flat = itertools.chain.from_iterable
         rows = [row % (t, *y, *flat(jet)) for t, y, jet in zip(times, values, jet_values)]
     return ",".join(header) + "\n" + "".join(rows)
+
+
+# --- the command line's inputs ------------------------------------------------
+
+def load_as(path, *kinds) -> Document:
+    """The document at ``path``, whose kind must be one of ``kinds`` if any are given.
+
+    "connection1" stands for any first-order connection: a linear or affine
+    document comes back as a general one.  Every failure names ``path``, and
+    a wrong kind names every one of ``kinds``.
+    """
+    try:
+        doc = load_path(path)
+    except OSError as err:
+        raise FormatError(f"{path}: {err.strerror or err}") from None
+    except (JetconnError, ValueError, OverflowError) as err:
+        raise FormatError(f"{path}: {err}") from None
+    if not kinds or doc.kind in kinds:
+        return doc
+    if "connection1" in kinds and doc.kind == "linear":
+        return Document("connection1", connections.linear_to_general(doc.value))
+    if "connection1" in kinds and doc.kind == "affine":
+        return Document("connection1", connections.affine_to_general(doc.value))
+    labels = ["first-order connection" if k == "connection1" else KIND_LABELS[k] for k in kinds]
+    expected = " or ".join(("an " if label[0] in "aeiou" else "a ") + label for label in labels)
+    raise FormatError(f"{path}: expected {expected}, got {KIND_LABELS[doc.kind]}")
+
+
+def sample_policy(args, points: int = 64, tol: float = 1e-9) -> evaluate.SamplePolicy:
+    """--samples, --tol and --seed, with the command's defaults for the first two."""
+    points = points if args.samples is None else args.samples
+    tol = tol if args.tol is None else args.tol
+    evaluate.check_sampling(points, tol, ("--samples", "--tol"))
+    return evaluate.SamplePolicy(points=points, tol=tol, seed=args.seed)
+
+
+def floats(text: str, what: str) -> tuple:
+    """The comma-separated finite numbers of the option ``what``."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise FormatError(f"{what} must be comma-separated numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"{what} must be finite numbers")
+    return values

@@ -280,9 +280,9 @@ class TestCompareOutputs:
     def test_first_difference_is_named(self, tmp_path):
         # A copy whose validate verdict reads differently.
         shutil.copytree(ROOT / "src" / "jetconn", tmp_path / "jetconn")
-        cli = tmp_path / "jetconn" / "cli.py"
-        cli.write_text(cli.read_text(encoding="utf-8").replace(": valid ", ": good "),
-                       encoding="utf-8")
+        handlers = tmp_path / "jetconn" / "_cli_algebra.py"
+        handlers.write_text(handlers.read_text(encoding="utf-8").replace(": valid ", ": good "),
+                            encoding="utf-8")
         child = self.compare(tmp_path)
         assert (child.returncode, child.stderr) == (1, "")
         path = r"\S+/conn_linear\.json"

@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetconn.expr import (_MAX_KEPT_KEY, Const, Div, Mul, SymbolUniverse, Var, _order, diff,
-                          parse_expr, postorder, simplify, substitute, to_text)
+from jetconn._simplify import _MAX_KEPT_KEY, _order
+from jetconn.expr import (Const, Div, Mul, SymbolUniverse, Var, diff, parse_expr, postorder,
+                          simplify, substitute, to_text)
 
 from conftest import random_expr
 

@@ -1032,3 +1032,9 @@ def test_tape_differential_runs():
     out = run_script("benchmarks/tape_differential.py", "src", "--seeds", "0-6")
     assert re.fullmatch(r"7 programs at 729 points and 21 integrations \(\d+ failed\) "
                         r"identical: seeds 0-6\n", out.stdout)
+
+
+def test_derived_differential_runs():
+    # Against this checkout's own src, so every derived connection must agree.
+    out = run_script("benchmarks/derived_differential.py", "src", "--seeds", "0-39")
+    assert out.stdout == "80 connections identical: seeds 0-39, exact and float\n"

@@ -101,20 +101,42 @@ WITHOUT_NUMPY = {
     "jacobian": ["jacobian", S + "transform.json", "--seed", "1"],
 }
 
+# One valid command line per subcommand.
+EVERY_COMMAND = {
+    **WITHOUT_NUMPY,
+    "prolong": ["prolong", S + "conn_a.json"],
+    "curvature": ["curvature", S + "conn_a.json"],
+    "exchange": ["exchange", S + "conn_zero2.json"],
+    "family": ["family", S + "conn_a.json", "--k", "0.5"],
+    "transport --y0=": [
+        "transport", "1", S + "conn_affine_polar.json", S + "loop_polar.json", "--y0=-0.5,1",
+    ],
+}
+
 # Commands whose output the child must print byte for byte.
 GOLDEN = {"twofold": ROOT / "tests/golden/twofold.out"}
 
-# The jetconn modules, cli aside, whose code each command runs.
+# The jetconn modules, cli aside, whose code each command runs.  Those that
+# simplify run _simplify, and each runs its own group of handlers.
+TRANSPORT = "_cli_transport _derive _simplify _tape connections errors expr io transport"
 EXECUTED = {
-    "validate": "connections errors expr io",
-    "product": "_derive connections errors expr io",
-    "classify": "connections errors evaluate expr io",
-    "semiholonomy": "errors expr io jets",
-    "frames": "connections errors expr frames io",
-    "transport 1": "_derive _tape connections errors expr io transport",
-    "holonomy": "_derive _tape connections errors expr io transport",
-    "twofold": "_tape errors evaluate expr frames io",
-    "jacobian": "_derive errors evaluate expr frames io",
+    "validate": "_cli_algebra connections errors expr io",
+    "product": "_cli_algebra _derive _simplify connections errors expr io",
+    "prolong": "_cli_algebra _derive _simplify connections errors expr io",
+    "curvature": "_cli_algebra _derive _simplify connections errors expr io",
+    "exchange": "_cli_algebra connections errors expr io",
+    "family": "_cli_algebra _derive _simplify connections errors expr io",
+    "classify": "_cli_algebra connections errors evaluate expr io",
+    "semiholonomy": "_cli_algebra errors expr io jets",
+    "frames": "_cli_frames _simplify connections errors expr frames io",
+    "frames --at": "_cli_frames _simplify _tape connections errors evaluate expr frames io",
+    "twofold": "_cli_frames _simplify _tape errors evaluate expr frames io",
+    "jacobian": "_cli_frames _derive _simplify errors evaluate expr frames io",
+    "transport 1": TRANSPORT,
+    "transport --y0=": TRANSPORT,
+    "transport 2": TRANSPORT,
+    "transport ode2": TRANSPORT,
+    "holonomy": TRANSPORT,
 }
 
 
@@ -135,12 +157,20 @@ def test_import_runs_no_submodule():
     assert run_child(["-c", "import jetconn\n" + RAN]).stderr == "ran=\n"
 
 
-@pytest.mark.parametrize("name", sorted(EXECUTED))
+@pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
 def test_command_runs_only_its_modules(name):
-    child = run_child(["-c", CHILD, *WITHOUT_NUMPY[name]])
+    child = run_child(["-c", CHILD, *EVERY_COMMAND[name]])
     ran, status = child.stderr.splitlines()[-2:]
     assert "kernel" not in ran[len("ran="):].split()  # only the benchmark runs its hooks
+    assert "_cli_usage" not in ran[len("ran="):].split()  # argparse's parser is not built
     assert [ran, status] == [f"ran={EXECUTED[name]}", CLEAN]
+
+
+def test_usage_error_runs_the_parser_module():
+    child = run_child(["-c", CHILD, "frobnicate"])
+    ran, status = child.stderr.splitlines()[-2:]
+    assert ran == "ran=_cli_usage errors"
+    assert status == "exit=2 numpy=False dataclasses=False"
 
 
 @pytest.mark.parametrize("name", sorted(WITHOUT_NUMPY))
@@ -177,19 +207,24 @@ def test_sampled_classify_runs_without_numpy(tmp_path):
     assert child.stdout == "holonomic (probabilistic)\n"
 
 
+def test_compile_probe_runs():
+    # validate compiles its handler group, not the others, and no module of
+    # 1 000 lines or more.
+    child = run_child(["benchmarks/compile_probe.py", "--commands", "validate"])
+    assert child.returncode == 0, child.stderr
+    header, _, row = child.stdout.splitlines()
+    assert header.split(" | ")[1:3] == ["compiled (lines/ms)", "modules"]
+    label, compiled, count, lines, _, largest, _ = row.strip("| ").split(" | ")
+    names = [piece.split()[0] for piece in compiled.split(", ")]
+    assert (label, names) == ("validate", ["__init__", "cli", "errors", "_cli_algebra", "io",
+                                           "expr", "connections"])
+    sizes = [int(piece.split()[1].split("/")[0]) for piece in compiled.split(", ")]
+    assert (int(count), int(lines)) == (len(names), sum(sizes))
+    assert largest == f"expr {max(sizes)}" and max(sizes) < 1000
+
+
 # --- argparse only for help and usage errors -----------------------------------
 
-# One valid command line per subcommand.
-EVERY_COMMAND = {
-    **WITHOUT_NUMPY,
-    "prolong": ["prolong", S + "conn_a.json"],
-    "curvature": ["curvature", S + "conn_a.json"],
-    "exchange": ["exchange", S + "conn_zero2.json"],
-    "family": ["family", S + "conn_a.json", "--k", "0.5"],
-    "transport --y0=": [
-        "transport", "1", S + "conn_affine_polar.json", S + "loop_polar.json", "--y0=-0.5,1",
-    ],
-}
 PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
@@ -254,7 +289,9 @@ RACE = (
 
 
 @pytest.mark.parametrize("module", ["connections", "evaluate", "expr", "frames", "io", "jets",
-                                    "transport", "_derive", "_enclose", "_poly", "_tape"])
+                                    "transport", "_cli_algebra", "_cli_frames", "_cli_transport",
+                                    "_cli_usage", "_derive", "_enclose", "_poly", "_simplify",
+                                    "_tape"])
 def test_lazy_module_loads_once_for_threads(module):
     # Every thread waits until the first has run the module's code.
     child = run_child(["-c", RACE, module])
